@@ -93,9 +93,9 @@ def _add_solver_arg(parser) -> None:
     parser.add_argument(
         "--solver", default=None,
         choices=("auto", "python", "vector"),
-        help="max-min solver backend (auto picks the vectorized "
-             "kernel when numpy is available; backends are "
-             "bit-identical, this only changes wall clock)")
+        help="max-min fill kernel (auto picks the vectorized "
+             "kernel; backends are bit-identical, this only changes "
+             "wall clock)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -770,8 +770,7 @@ def _cmd_scale(args) -> int:
         task_params["fault_document"] = fault_document
     if args.solver is not None:
         # Resolve to a concrete backend name so the farm's content
-        # hash never mixes "auto" runs across machines with and
-        # without numpy.
+        # hash names the kernel that ran, never "auto".
         from repro.network.solver import resolve_backend
         task_params["solver"] = resolve_backend(args.solver)
     if args.pods is not None:
@@ -902,8 +901,8 @@ def _cmd_serve(args) -> int:
     task_params = {"scenario": scenario.to_params()}
     if args.solver is not None:
         # Resolve to a concrete backend name so the farm's content
-        # hash never mixes "auto" runs across machines with and
-        # without numpy (same discipline as `repro scale`).
+        # hash names the kernel that ran, never "auto" (same
+        # discipline as `repro scale`).
         from repro.network.solver import resolve_backend
         task_params["solver"] = resolve_backend(args.solver)
     spec = TaskSpec("serving-run", task_params, label="cli")

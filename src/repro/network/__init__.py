@@ -32,7 +32,6 @@ from .routing import EcmpRouter, RoutingError
 from .solver import (
     BACKENDS,
     HAVE_NUMPY,
-    available_backends,
     default_backend,
     resolve_backend,
     set_default_backend,
@@ -68,7 +67,6 @@ __all__ = [
     "TimedCollectiveResult",
     "all_gather_flows",
     "all_to_all_flows",
-    "available_backends",
     "collective_schedule",
     "crc16",
     "default_backend",

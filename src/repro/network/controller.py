@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from .congestion import CongestionModel
 from .fabric import Fabric, LinkDir
-from .flows import Flow, FlowPath
+from .flows import Flow
 from .routing import RoutingError
 
 __all__ = ["EcmpController", "ReassignmentReport"]
@@ -117,9 +117,6 @@ class EcmpController:
         return {key: state.ecn_marks_per_poll
                 for key, state in states.items()}
 
-    def _directed_hops(self, path: FlowPath) -> List[LinkDir]:
-        return self.fabric.directed_hops(path)
-
     def _is_fabric_hop(self, hop: LinkDir) -> bool:
         """True when both link endpoints are switches."""
         link = self.fabric.topology.links[hop[0]]
@@ -163,7 +160,7 @@ class EcmpController:
         # offered gbps per directed link, maintained incrementally.
         offered: Dict[LinkDir, float] = {}
         for flow in flows:
-            for hop in self._directed_hops(paths[flow.flow_id]):
+            for hop in self.fabric.directed_hops(paths[flow.flow_id]):
                 offered[hop] = offered.get(hop, 0.0) + demand
 
         def capacity(hop: LinkDir) -> float:
@@ -185,7 +182,7 @@ class EcmpController:
 
         moved = 0
         for flow in flows:
-            current_hops = self._directed_hops(paths[flow.flow_id])
+            current_hops = self.fabric.directed_hops(paths[flow.flow_id])
             if not set(current_hops) & congested_links:
                 continue
             # Remove this flow's contribution while evaluating.
@@ -200,7 +197,7 @@ class EcmpController:
                 original = flow.five_tuple
                 flow.five_tuple = original.with_src_port(port)
                 try:
-                    trial_hops = self._directed_hops(
+                    trial_hops = self.fabric.directed_hops(
                         self.router.path(flow))
                 finally:
                     flow.five_tuple = original

@@ -26,23 +26,24 @@ degrade to one permanent super-component.  :class:`SolverStats` counts
 the work (solver calls, link visits) so the saving vs the epoch-global
 baseline is measurable — see ``benchmarks/test_bench_fabric_engine.py``.
 
-The progressive-filling loop itself lives in
-:mod:`repro.network.solver`, with two bit-identical backends.  Under
-the ``python`` backend the engine behaves exactly as it historically
-did: dict-shaped component solves, one deadline timeout per flow.
-Under the ``vector`` backend the whole fluid core is array-shaped —
-per-flow ``remaining``/``rate``/absolute-``deadline`` numpy arrays,
-cached compiled per-component incidence matrices (patched in place as
-flows finish), one engine-level deadline event at the minimum of the
-deadline array — and every float is still produced by the same
-element-wise operation sequence, so finish times remain ``==`` across
-backends (the validation harness pins this).
+The fluid core is array-shaped and there is exactly one of it: per-flow
+``remaining``/``rate``/absolute-``deadline`` rows (:class:`_FluidArrays`),
+one compiled :class:`~repro.network.solver.CompiledIncidence` per
+component (cached, and patched in place as flows finish), and a single
+engine-level deadline event at the minimum of the deadline array.  The
+``solver`` backend picks only the progressive-filling kernel a compiled
+component is handed to (:func:`~repro.network.solver.fill_kernel`).
+Both kernels return bit-identical floats, so finish times, event
+traces and :class:`SolverStats` compare ``==`` across backends (the
+validation harness pins this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+
+import numpy as np
 
 from ..simcore import Event, SimulationError, Simulator
 from .fabric import DONE_BITS as _DONE_BITS
@@ -54,45 +55,31 @@ from .solver import (
     IncidenceIndex,
     SolverStats,
     compile_component,
-    fill_rates_python,
-    progressive_fill_vector,
+    fill_kernel,
     resolve_backend,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - vector backend then unselectable
-    np = None
 
 __all__ = ["FabricEngine", "SolverStats"]
 
 
 @dataclass
 class _FlowState:
-    """Book-keeping for one in-flight flow.
-
-    Under the vector backend the fluid quantities (``remaining_bits``,
-    ``rate_gbps``) live in the engine's arrays and ``row`` is the
-    flow's index into them; the fields here then only hold the
-    arrival-time values.
-    """
+    """Book-keeping for one in-flight flow; its fluid quantities live
+    in the engine's :class:`_FluidArrays` at index ``row``."""
 
     flow: Flow
-    remaining_bits: float
-    rate_gbps: float = 0.0
-    generation: int = 0
-    done: Optional[Event] = None
+    done: Event
     hops: List[LinkDir] = field(default_factory=list)
     row: int = -1
 
 
-class _VecFluid:
-    """Array-of-flows fluid state (vector backend).
+class _FluidArrays:
+    """Array-of-flows fluid state.
 
-    One row per submitted flow, assigned in arrival order so row order
-    matches the python backend's dict iteration order everywhere it is
-    observable (completion detection, finish-dict insertion).  Rows
-    are retired in place and compacted away once dead rows dominate.
+    One row per arrived flow, assigned in arrival order, so row order
+    is arrival order everywhere it is observable (completion
+    detection, finish-dict insertion).  Rows are retired in place and
+    compacted away once dead rows dominate.
     """
 
     __slots__ = ("rem", "rate", "deadline", "alive", "synced", "fids",
@@ -119,12 +106,12 @@ class _VecFluid:
             grown[:old.shape[0]] = old
             setattr(self, name, grown)
 
-    def add(self, fid: int, remaining_bits: float) -> int:
+    def add(self, fid: int, size_bits: float) -> int:
         if self.n == self.rem.shape[0]:
             self._grow()
         row = self.n
         self.n += 1
-        self.rem[row] = remaining_bits
+        self.rem[row] = size_bits
         self.rate[row] = 0.0
         self.deadline[row] = np.inf
         self.alive[row] = True
@@ -142,7 +129,7 @@ class _VecFluid:
 
 @dataclass
 class _CompEntry:
-    """One cached compiled component (vector backend).
+    """One cached compiled component.
 
     ``rows``/``flows`` are aligned with ``inc``'s row order: the
     flow's fluid-array row and its :class:`Flow` object, resolved once
@@ -169,9 +156,9 @@ class FabricEngine:
     active-flow loads at every solve, so a tenant's storm throttles
     exactly the links it is storming while it is storming them.
 
-    ``solver`` picks the max-min backend ("python", "vector", "auto");
-    it defaults to the owning fabric's setting and is resolved once at
-    construction, so one engine never mixes fluid representations
+    ``solver`` picks the max-min fill kernel ("python", "vector",
+    "auto"); it defaults to the owning fabric's setting and is
+    resolved once at construction, so one engine never mixes kernels
     mid-run.
     """
 
@@ -187,14 +174,10 @@ class FabricEngine:
         self.pfc_spreading = pfc_spreading
         self.solver = resolve_backend(
             solver if solver is not None else fabric.solver)
-        if self.solver == "vector":
-            self._vec: Optional[_VecFluid] = _VecFluid()
-            self._index = IncidenceIndex()
-        else:
-            self._vec = None
-            self._index = None
+        self._fluid = _FluidArrays()
+        self._index = IncidenceIndex()
         self._comp_cache: Dict[int, _CompEntry] = {}
-        self._vec_gen = 0
+        self._deadline_gen = 0
         if pfc_spreading:
             from .congestion import CongestionModel
             self._congestion = congestion or CongestionModel()
@@ -243,9 +226,7 @@ class FabricEngine:
         state = self._states.get(flow_id)
         if state is None:
             return 0.0
-        if self._vec is not None:
-            return float(self._vec.rate[state.row])
-        return state.rate_gbps
+        return float(self._fluid.rate[state.row])
 
     def finish_time(self, flow_id: int) -> Optional[float]:
         return self._finish.get(flow_id)
@@ -268,12 +249,12 @@ class FabricEngine:
         start = flow.start_time_s if start_time_s is None else start_time_s
         start = max(start, self.sim.now)
         done = self.sim.event(name=f"flow-{flow.flow_id}-done")
-        state = _FlowState(flow=flow, remaining_bits=float(flow.size_bits),
-                           done=done)
+        state = _FlowState(flow=flow, done=done)
         timeout = self.sim.timeout(start - self.sim.now)
         timeout.add_callback(
-            lambda _event, state=state, path=path:
-            self._on_arrival(state, path))
+            lambda _event, state=state, path=path,
+            size_bits=float(flow.size_bits):
+            self._on_arrival(state, path, size_bits))
         return done
 
     def submit_many(self, flows: Iterable[Flow],
@@ -317,11 +298,6 @@ class FabricEngine:
         self._paths[fid] = new_path
         if new_hops == state.hops:
             return False
-        if self._vec is not None:
-            # The flow's component changes shape: invalidate its
-            # compiled incidence both under its old root and (after
-            # re-registration may have merged roots) its new one.
-            self._comp_cache.pop(self._find(fid), None)
         for hop in state.hops:
             members = self._members.get(hop)
             if members is not None:
@@ -332,9 +308,12 @@ class FabricEngine:
             self._dirty.add(hop)
         self.stats.link_visits += len(new_hops)
         state.hops = new_hops
-        if self._vec is not None:
-            self._index.register_flow(fid, new_hops)
-            self._comp_cache.pop(self._find(fid), None)
+        self._index.register_flow(fid, new_hops)
+        # The flow's component changed shape: invalidate its compiled
+        # incidence.  Re-registration never moves the flow's own root
+        # (a union keeps the registering flow's root), so one pop
+        # covers its old and its merged component.
+        self._comp_cache.pop(self._find(fid), None)
         return True
 
     def on_stranded(self, handler: Callable[[Flow, RoutingError], None]
@@ -361,9 +340,7 @@ class FabricEngine:
         state = self._states.pop(flow_id, None)
         if state is None:
             return False
-        state.generation += 1
-        if self._vec is not None:
-            self._retire_row(flow_id, state)
+        self._retire_row(flow_id, state)
         for hop in state.hops:
             members = self._members.get(hop)
             if members is not None:
@@ -455,8 +432,8 @@ class FabricEngine:
         )
 
     # -- event handlers ----------------------------------------------------
-    def _on_arrival(self, state: _FlowState,
-                    path: Optional[FlowPath]) -> None:
+    def _on_arrival(self, state: _FlowState, path: Optional[FlowPath],
+                    size_bits: float) -> None:
         self.stats.events += 1
         self._advance_to(self.sim.now)
         flow = state.flow
@@ -464,7 +441,7 @@ class FabricEngine:
         if fid in self._states:
             raise SimulationError(f"flow {fid} arrived twice")
         self._flows_seen[fid] = flow
-        if state.remaining_bits <= _DONE_BITS:
+        if size_bits <= _DONE_BITS:
             # Zero-size transfers finish the instant they start.
             self._paths.setdefault(
                 fid, path or FlowPath(flow_id=fid,
@@ -483,33 +460,13 @@ class FabricEngine:
         for hop in state.hops:
             self._register_hop(fid, hop)
             self._dirty.add(hop)
-        if self._vec is not None:
-            state.row = self._vec.add(fid, state.remaining_bits)
-            self._index.register_flow(fid, state.hops)
-            # A resubmitted flow id inherits its old union-find root,
-            # so its arrival can grow a component without triggering a
-            # union — invalidate the compiled incidence explicitly.
-            self._comp_cache.pop(self._find(fid), None)
+        state.row = self._fluid.add(fid, size_bits)
+        self._index.register_flow(fid, state.hops)
+        # A resubmitted flow id inherits its old union-find root, so
+        # its arrival can grow a component without triggering a union
+        # — invalidate the compiled incidence explicitly.
+        self._comp_cache.pop(self._find(fid), None)
         self._request_solve()
-
-    def _on_deadline(self, fid: int, generation: int) -> None:
-        state = self._states.get(fid)
-        if state is None or state.generation != generation:
-            return  # stale deadline from a superseded allocation
-        self.stats.events += 1
-        self._advance_to(self.sim.now)
-        state = self._states.get(fid)
-        if state is not None and state.rate_gbps > 0:
-            delay = state.remaining_bits / (state.rate_gbps * 1e9)
-            if self.sim.now + delay == self.sim.now:
-                # The residue is below the clock's float resolution —
-                # a timeout cannot advance time, so finish the flow now
-                # (the untransferred remainder is sub-resolution bits).
-                self._complete(fid)
-            else:
-                # Float residue kept the flow fractionally alive;
-                # finish it on a fresh sub-resolution deadline.
-                self._schedule_deadline(state)
 
     def _request_solve(self) -> None:
         if self._solve_pending:
@@ -563,26 +520,6 @@ class FabricEngine:
 
     # -- fluid bookkeeping -------------------------------------------------
     def _advance_to(self, now: float) -> None:
-        if self._vec is not None:
-            self._advance_to_vector(now)
-            return
-        elapsed = now - self._clock
-        if elapsed < 0:
-            raise SimulationError(
-                f"fabric engine clock moved backwards: {now} < "
-                f"{self._clock}")
-        if elapsed > 0:
-            for state in self._states.values():
-                if state.rate_gbps > 0:
-                    state.remaining_bits -= \
-                        state.rate_gbps * 1e9 * elapsed
-            self._clock = now
-        done = [fid for fid, state in self._states.items()
-                if state.remaining_bits <= _DONE_BITS]
-        for fid in done:
-            self._complete(fid)
-
-    def _advance_to_vector(self, now: float) -> None:
         elapsed = now - self._clock
         if elapsed < 0:
             raise SimulationError(
@@ -590,32 +527,29 @@ class FabricEngine:
                 f"{self._clock}")
         if elapsed <= 0:
             # Residues only move when time does, so zero-elapsed
-            # advances can never surface a completion (the python loop
-            # scans anyway and finds nothing).
+            # advances can never surface a completion.
             return
-        vec = self._vec
-        n = vec.n
+        fluid = self._fluid
+        n = fluid.n
         if n:
-            # Same per-flow update as the reference: rate*1e9*elapsed,
-            # left to right.  Rows at rate 0 subtract an exact 0.0,
-            # which is a bitwise no-op, so no rate>0 mask is needed.
-            vec.rem[:n] -= vec.rate[:n] * 1e9 * elapsed
+            # The batch loop's per-flow update: rate*1e9*elapsed, left
+            # to right.  Rows at rate 0 subtract an exact 0.0, which is
+            # a bitwise no-op, so no rate>0 mask is needed.
+            fluid.rem[:n] -= fluid.rate[:n] * 1e9 * elapsed
         self._clock = now
-        if vec.n_alive:
-            done = vec.alive[:n] & (vec.rem[:n] <= _DONE_BITS)
+        if fluid.n_alive:
+            done = fluid.alive[:n] & (fluid.rem[:n] <= _DONE_BITS)
             rows = np.flatnonzero(done)
             if rows.size:
-                # Row order is arrival order — the same order the
-                # python backend's dict scan completes them in.
-                fids = [vec.fids[row] for row in rows.tolist()]
+                # Row order is arrival order, so simultaneous
+                # completions are recorded in arrival order.
+                fids = [fluid.fids[row] for row in rows.tolist()]
                 for fid in fids:
                     self._complete(fid)
 
     def _complete(self, fid: int) -> None:
         state = self._states.pop(fid)
-        state.generation += 1
-        if self._vec is not None:
-            self._retire_row(fid, state)
+        self._retire_row(fid, state)
         for hop in state.hops:
             members = self._members.get(hop)
             if members is not None:
@@ -628,9 +562,9 @@ class FabricEngine:
         self._request_solve()
 
     def _retire_row(self, fid: int, state: _FlowState) -> None:
-        """Patch the vector structures for a finished/cancelled flow."""
-        vec = self._vec
-        vec.retire(state.row)
+        """Patch the fluid structures for a finished/cancelled flow."""
+        fluid = self._fluid
+        fluid.retire(state.row)
         root = self._find(fid)
         entry = self._comp_cache.get(root)
         if entry is not None and entry.inc.retire(fid):
@@ -640,7 +574,7 @@ class FabricEngine:
                 # solve.
                 self._comp_cache.pop(root, None)
         self._index.drop_flow(fid)
-        if vec.n > 256 and vec.n - vec.n_alive > 2 * vec.n_alive:
+        if fluid.n > 256 and fluid.n - fluid.n_alive > 2 * fluid.n_alive:
             self._compact_rows()
 
     def _compact_rows(self) -> None:
@@ -651,31 +585,23 @@ class FabricEngine:
         (arrivals balancing completions) never halve the active count
         but do accrete dead rows without bound.
         """
-        vec = self._vec
-        keep = np.flatnonzero(vec.alive[:vec.n])
+        fluid = self._fluid
+        keep = np.flatnonzero(fluid.alive[:fluid.n])
         n = int(keep.size)
-        fresh = _VecFluid(capacity=max(64, 2 * n))
-        fresh.rem[:n] = vec.rem[keep]
-        fresh.rate[:n] = vec.rate[keep]
-        fresh.deadline[:n] = vec.deadline[keep]
+        fresh = _FluidArrays(capacity=max(64, 2 * n))
+        fresh.rem[:n] = fluid.rem[keep]
+        fresh.rate[:n] = fluid.rate[keep]
+        fresh.deadline[:n] = fluid.deadline[keep]
         fresh.alive[:n] = True
-        fresh.synced[:n] = vec.synced[keep]
-        fresh.fids = [vec.fids[row] for row in keep.tolist()]
+        fresh.synced[:n] = fluid.synced[keep]
+        fresh.fids = [fluid.fids[row] for row in keep.tolist()]
         fresh.n = n
         fresh.n_alive = n
         for row, fid in enumerate(fresh.fids):
             self._states[fid].row = row
-        self._vec = fresh
+        self._fluid = fresh
         # Cached components index into the old row space.
         self._comp_cache.clear()
-
-    def _schedule_deadline(self, state: _FlowState) -> None:
-        state.generation += 1
-        delay = state.remaining_bits / (state.rate_gbps * 1e9)
-        self.sim.timeout(delay).add_callback(
-            lambda _event, fid=state.flow.flow_id,
-            generation=state.generation:
-            self._on_deadline(fid, generation))
 
     # -- component tracking ------------------------------------------------
     def _register_hop(self, fid: int, hop: LinkDir) -> None:
@@ -746,9 +672,9 @@ class FabricEngine:
     def _effective_capacity(self, hop: LinkDir) -> float:
         """Effective directed capacity: health × static × PFC factors.
 
-        One helper for both backends — a dead link carries nothing, so
-        flows still pinned to it (stranded, or mid-failover) starve
-        rather than silently riding a failed optic.
+        A dead link carries nothing, so flows still pinned to it
+        (stranded, or mid-failover) starve rather than silently riding
+        a failed optic.
         """
         link = self.fabric.topology.links[hop[0]]
         if not link.healthy:
@@ -771,59 +697,12 @@ class FabricEngine:
             self._failover()
         if self.pfc_spreading:
             self._refresh_pfc_factors()
-        if self._vec is not None:
-            self._solve_vector()
-            return
-        roots: Set[int] = set()
-        for hop in self._dirty:
-            if self._members.get(hop):
-                roots.add(self._find(self._link_owner[hop]))
-        self._dirty.clear()
-        if not roots:
-            return
-        stats.solves += 1
-        stats.components_solved += len(roots)
-
-        comp_flows = [fid for fid in self._states
-                      if self._find(fid) in roots]
-        remaining: Dict[LinkDir, float] = {}
-        for hop, members in self._members.items():
-            if not members or self._find(self._link_owner[hop]) not in roots:
-                continue
-            remaining[hop] = self._effective_capacity(hop)
-            stats.link_visits += 1
-        stats.flows_resolved += len(comp_flows)
-
-        # Progressive filling restricted to the touched component(s);
-        # max-min allocations are separable by connected component, so
-        # this equals the global solve on these flows.
-        states = self._states
-        hops_of = {fid: states[fid].hops for fid in comp_flows}
-        rates = fill_rates_python(
-            remaining, self._members, hops_of,
-            self.fabric.host_line_rate_gbps, stats)
-
-        for fid, rate in rates.items():
-            state = states[fid]
-            state.flow.rate_gbps = rate
-            if rate == state.rate_gbps:
-                continue  # untouched: the scheduled deadline stands
-            state.rate_gbps = rate
-            if rate > 0:
-                self._schedule_deadline(state)
-            else:
-                state.generation += 1  # starved: cancel any deadline
-
-    # -- vector backend ----------------------------------------------------
-    def _solve_vector(self) -> None:
-        stats = self.stats
         index = self._index
         roots: Set[int] = set()
         for hop in self._dirty:
-            # The python path re-reads link state per solve; the
-            # vector path refreshes exactly the dirtied columns, so
-            # the persistent capacity array is always current by the
-            # time a component gathers from it.
+            # Refresh exactly the dirtied columns, so the persistent
+            # capacity array is always current by the time a component
+            # gathers from it.
             index.set_capacity(hop, self._effective_capacity(hop))
             if self._members.get(hop):
                 roots.add(self._find(self._link_owner[hop]))
@@ -837,6 +716,10 @@ class FabricEngine:
                    if root not in self._comp_cache]
         if missing:
             self._compile_components(missing)
+        # Max-min allocations are separable by connected component, so
+        # solving only the touched components equals the global solve
+        # on their flows.
+        kernel = fill_kernel(self.solver)
         line_rate = self.fabric.host_line_rate_gbps
         now = self.sim.now
         for root in sorted(roots):
@@ -844,8 +727,7 @@ class FabricEngine:
             remaining = index.gather_capacity(entry.l2g)
             stats.link_visits += int(remaining.shape[0])
             stats.flows_resolved += entry.inc.n_alive
-            rates = progressive_fill_vector(
-                entry.inc, remaining, line_rate, stats)
+            rates = kernel(entry.inc, remaining, line_rate, stats)
             self._apply_rates(entry, rates, now)
         self._arm_deadline()
 
@@ -870,45 +752,43 @@ class FabricEngine:
             self._comp_cache[root] = _CompEntry(
                 inc=inc, l2g=l2g, rows=rows, flows=flows)
             # Memberships re-materialized into solver structures —
-            # the same ruler the dict paths count with.
+            # the same ruler the batch path counts with.
             self.stats.link_visits += inc.nnz
 
     def _apply_rates(self, entry: _CompEntry, rates, now: float) -> None:
         """Scatter one component's solved rates into the fluid arrays.
 
-        Deadlines move only where the rate actually changed (the
-        python path's ``rate == state.rate_gbps: continue``), and are
-        computed with the same expression — ``now + rem/(rate*1e9)``
-        — so they land on the same bits the per-flow timeouts would.
+        Deadlines move only where the rate actually changed, so an
+        untouched flow keeps its scheduled deadline bits; a changed
+        one is re-aimed with the batch loop's expression —
+        ``now + rem/(rate*1e9)`` — so both land on the same bits.
         """
         inc = entry.inc
-        vec = self._vec
+        fluid = self._fluid
         alive_idx = np.flatnonzero(inc.alive)
         arows = entry.rows[alive_idx]
         new = rates[alive_idx]
-        changed = new != vec.rate[arows]
+        changed = new != fluid.rate[arows]
         if changed.any():
             ch_rows = arows[changed]
             ch_new = new[changed]
-            vec.rate[ch_rows] = ch_new
-            vec.deadline[ch_rows] = np.inf  # starved: cancel deadline
+            fluid.rate[ch_rows] = ch_new
+            fluid.deadline[ch_rows] = np.inf  # starved: cancel deadline
             pos = ch_new > 0
             if pos.any():
                 pos_rows = ch_rows[pos]
-                vec.deadline[pos_rows] = now + \
-                    vec.rem[pos_rows] / (ch_new[pos] * 1e9)
-        # Attribute sync.  The python apply loop writes
-        # ``flow.rate_gbps`` unconditionally on every covering solve;
-        # an external reader (job sims, telemetry) can only tell that
-        # apart from changed-only sync on a row whose attribute was
-        # never written — a reused Flow object carrying a stale rate
-        # from an earlier run.  Writing every row once on its first
-        # covering solve (``synced``) and thereafter only on change
-        # leaves the attribute equal to the python path's at every
-        # observation point, without the O(component) python loop.
-        need = changed | ~vec.synced[arows]
+                fluid.deadline[pos_rows] = now + \
+                    fluid.rem[pos_rows] / (ch_new[pos] * 1e9)
+        # Attribute sync.  External readers (job sims, telemetry) see
+        # ``flow.rate_gbps`` after every covering solve.  A reused Flow
+        # object may carry a stale rate from an earlier run, so each
+        # row is written once on its first covering solve (``synced``)
+        # and thereafter only when its rate changes — the attribute
+        # always equals the current rate, without an O(component)
+        # python loop per solve.
+        need = changed | ~fluid.synced[arows]
         if need.any():
-            vec.synced[arows[need]] = True
+            fluid.synced[arows[need]] = True
             flows = entry.flows
             for i, value in zip(alive_idx[need].tolist(),
                                 new[need].tolist()):
@@ -917,51 +797,48 @@ class FabricEngine:
     def _arm_deadline(self) -> None:
         """(Re-)aim the single engine-level deadline event.
 
-        The vector backend keeps one absolute deadline per flow and
-        schedules exactly one event at their minimum — the same fire
-        time as the earliest of the python backend's per-flow timeouts
-        (min(now_i + d_i) is the earliest scheduled time, and
-        ``timeout_at`` lands on the stored bits without re-rounding).
-        A generation counter staleness-checks old firings, mirroring
-        the per-flow generation check.
+        Every flow keeps one absolute deadline; exactly one simulator
+        event is scheduled at their minimum (``timeout_at`` lands on
+        the stored bits without re-rounding).  A generation counter
+        staleness-checks firings of superseded armings.
         """
-        self._vec_gen += 1
-        vec = self._vec
-        n = vec.n
+        self._deadline_gen += 1
+        fluid = self._fluid
+        n = fluid.n
         if n == 0:
             return
-        dmin = vec.deadline[:n].min()
+        dmin = fluid.deadline[:n].min()
         if dmin == np.inf:
             return
-        generation = self._vec_gen
+        generation = self._deadline_gen
         self.sim.timeout_at(float(dmin)).add_callback(
             lambda _event, generation=generation:
-            self._on_vec_deadline(generation))
+            self._on_deadline(generation))
 
-    def _on_vec_deadline(self, generation: int) -> None:
-        if generation != self._vec_gen:
+    def _on_deadline(self, generation: int) -> None:
+        if generation != self._deadline_gen:
             return  # stale deadline from a superseded arming
         self.stats.events += 1
         now = self.sim.now
         self._advance_to(now)
-        vec = self._vec
-        n = vec.n
+        fluid = self._fluid
+        n = fluid.n
         if n:
-            expired = vec.alive[:n] & (vec.deadline[:n] <= now)
+            expired = fluid.alive[:n] & (fluid.deadline[:n] <= now)
             rows = np.flatnonzero(expired)
             if rows.size:
                 # Float residue kept these flows fractionally alive
-                # past their deadlines — the python backend's stall
-                # branch, vectorized: re-aim from the surviving
+                # past their deadlines: re-aim from the surviving
                 # residue, completing the flows whose residual delay
-                # is below the clock resolution.
+                # is below the clock resolution (a timeout could not
+                # advance time; the remainder is sub-resolution bits).
                 target = now + \
-                    vec.rem[rows] / (vec.rate[rows] * 1e9)
+                    fluid.rem[rows] / (fluid.rate[rows] * 1e9)
                 done = target == now
-                done_fids = [vec.fids[row]
+                done_fids = [fluid.fids[row]
                              for row in rows[done].tolist()]
                 live_rows = rows[~done]
-                vec.deadline[live_rows] = target[~done]
+                fluid.deadline[live_rows] = target[~done]
                 for fid in done_fids:
                     self._complete(fid)
         self._arm_deadline()

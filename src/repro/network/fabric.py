@@ -20,7 +20,7 @@ from ..simcore import SimulationError
 from ..topology.elements import Topology
 from .flows import Flow, FlowPath
 from .routing import EcmpRouter
-from .solver import fill_rates_python, resolve_backend, solve_incidence_vector
+from .solver import solve_incidence
 
 __all__ = ["DONE_BITS", "Fabric", "FabricRun", "LinkDir", "LinkLoad"]
 
@@ -122,9 +122,6 @@ class Fabric:
         self._hops_cache[path.flow_id] = (version, link_ids, hops)
         return hops
 
-    # Backwards-compatible alias (pre-engine name).
-    _directed_hops = directed_hops
-
     # -- bandwidth allocation --------------------------------------------------
     def max_min_rates(self, flows: List[Flow],
                       paths: Optional[Dict[int, FlowPath]] = None,
@@ -136,9 +133,11 @@ class Fabric:
         fair share for its unfrozen flows), freeze its flows at that
         share, remove the consumed capacity, and continue.  The loop
         itself lives in :mod:`repro.network.solver`; this adapter
-        builds the dict-shaped problem and dispatches to the backend
-        selected by ``self.solver`` (both backends return bit-identical
-        rates).  ``capacity_factors`` scales individual directed links
+        gathers the flows' hops and link capacities, and
+        :func:`~repro.network.solver.solve_incidence` compiles them
+        into one CSR problem for the fill kernel selected by
+        ``self.solver`` (both kernels return bit-identical rates).
+        ``capacity_factors`` scales individual directed links
         (e.g. PFC backpressure shrinking a hop's effective capacity).
         *stats*, a :class:`~repro.network.solver.SolverStats`, counts
         the per-link work for comparison against the incremental
@@ -152,8 +151,7 @@ class Fabric:
         }
 
         remaining: Dict[LinkDir, float] = {}
-        members: Dict[LinkDir, set] = {}
-        for fid, hops in hops_of.items():
+        for hops in hops_of.values():
             for hop in hops:
                 if hop not in remaining:
                     link = self.topology.links[hop[0]]
@@ -161,8 +159,6 @@ class Fabric:
                     if capacity_factors is not None:
                         factor = capacity_factors.get(hop, 1.0)
                     remaining[hop] = link.capacity_gbps * factor
-                    members[hop] = set()
-                members[hop].add(fid)
         if stats is not None:
             stats.solves += 1
             stats.flows_resolved += len(flow_by_id)
@@ -173,15 +169,9 @@ class Fabric:
             stats.link_visits += len(remaining)
 
         # Source line-rate cap is modelled as a virtual per-flow link.
-        line_rate = self.host_line_rate_gbps
-        backend = resolve_backend(self.solver)
-        if backend == "vector":
-            rates = solve_incidence_vector(
-                hops_of, remaining, line_rate, stats)
-        else:
-            rates = fill_rates_python(
-                remaining, members, hops_of, line_rate, stats)
-
+        rates = solve_incidence(hops_of, remaining,
+                                self.host_line_rate_gbps, stats,
+                                backend=self.solver)
         for fid, rate in rates.items():
             flow_by_id[fid].rate_gbps = rate
         return rates
@@ -354,7 +344,7 @@ class Fabric:
             # though the carried rate is capped — the behaviour the
             # monitoring system observes in Figure 9.
             demand = self.host_line_rate_gbps
-            for hop in self._directed_hops(paths[flow.flow_id]):
+            for hop in self.directed_hops(paths[flow.flow_id]):
                 load = loads.get(hop)
                 if load is None:
                     link = self.topology.links[hop[0]]

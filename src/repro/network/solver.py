@@ -1,18 +1,22 @@
-"""Max-min fair-share solver core: one kernel, two backends.
+"""Max-min fair-share solver core: one problem shape, two fill kernels.
 
-This module owns the progressive-filling loop that used to exist twice
-— nearly copy-pasted — in :meth:`Fabric.max_min_rates` and
-:meth:`FabricEngine._solve`.  Both call sites are now thin adapters
-over the two interchangeable backends defined here:
+Every max-min solve — :meth:`Fabric.max_min_rates` and each component
+solve of :class:`~repro.network.engine.FabricEngine` — is posed the
+same way: a flow×link incidence in CSR form (:class:`CompiledIncidence`,
+row = flow, column = directed link) plus a per-column capacity vector.
+The solver backend picks only the progressive-filling kernel that turns
+that problem into per-row rates (:func:`fill_kernel`):
 
-* ``python`` — the reference implementation, a dict-shaped loop that is
-  byte-for-byte the historical algorithm;
-* ``vector`` — a numpy kernel over a flow×link CSR-style incidence
-  representation (row = flow, column = directed link), with vectorized
-  share computation, batched bottleneck-group freezing via boolean
-  masks, and scatter-subtract of frozen rates.
+* ``python`` — :func:`fill_rates_python`, the reference: a pure-python
+  loop over the raw CSR rows.  It derives its own per-link counts and
+  member lists from ``indptr``/``mem_cols``/``alive`` and never reads
+  the compiled column view or the counts :meth:`CompiledIncidence.retire`
+  patches, so it stays an independent oracle for both;
+* ``vector`` — :func:`progressive_fill_vector`, a numpy kernel with
+  vectorized share computation, batched bottleneck-group freezing via
+  boolean masks, and scatter-subtract of frozen rates.
 
-**Bit-identity contract.**  The two backends return *identical floats*,
+**Bit-identity contract.**  The two kernels return *identical floats*,
 not merely close ones, because the solve is scan-order independent and
 the vector kernel performs exactly the element-wise operations of the
 reference:
@@ -31,23 +35,24 @@ reference:
   reassociated update (``remaining -= k * share``) would not.
 
 The validation harness pins this contract on every fuzz profile
-(``repro.validation.differential.check_solver_backends``), on top of
-the engine-vs-batch and flat-vs-folded ``==`` differentials that both
-backends must keep exact.
+(``repro.validation.differential.check_solver_backends``): finish
+times, event traces and :class:`SolverStats` must compare ``==``
+across backends, on top of the engine-vs-batch and flat-vs-folded
+``==`` differentials that both backends must keep exact.
 
 **Work accounting.**  :class:`SolverStats.link_visits` counts with one
 ruler across paths and backends:
 
 * +1 per (flow, hop) membership materialized into solver structures —
   the batch path rebuilds them every solve, the engine registers them
-  once per flow arrival/reroute (and re-materializes per component
-  compile under the vector backend);
+  once per flow arrival/reroute and re-materializes them per
+  component compile;
 * +1 per link capacity loaded into a solve's ``remaining`` vector;
 * +1 per live link per progressive-filling iteration.
 
 The per-hop subtractions of the freeze step are deliberately uncounted
-on both paths (they are proportional to the memberships already
-counted at materialization).
+(they are proportional to the memberships already counted at
+materialization).
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
     Iterator,
@@ -67,10 +73,7 @@ from typing import (
     Tuple,
 )
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 __all__ = [
     "BACKENDS",
@@ -78,21 +81,23 @@ __all__ = [
     "CompiledIncidence",
     "IncidenceIndex",
     "SolverStats",
-    "available_backends",
     "compile_component",
     "default_backend",
+    "fill_kernel",
     "fill_rates_python",
     "progressive_fill_vector",
     "resolve_backend",
     "set_default_backend",
-    "solve_incidence_vector",
+    "solve_incidence",
     "use_backend",
 ]
 
-HAVE_NUMPY = _np is not None
+#: numpy is a hard dependency; the flag stays exported because the
+#: benchmark child process (``bench/child.py``) reads it.
+HAVE_NUMPY = True
 
 #: The selectable backends.  "auto" is accepted wherever a backend name
-#: is, and resolves to vector-when-numpy-is-available.
+#: is, and resolves to vector.
 BACKENDS = ("python", "vector")
 
 #: Environment override for the process-wide default backend.
@@ -137,25 +142,13 @@ class SolverStats:
 _default_override: Optional[str] = None
 
 
-class SolverUnavailable(RuntimeError):
-    """Requested a backend whose dependencies are missing."""
-
-
-def available_backends() -> Tuple[str, ...]:
-    return BACKENDS if HAVE_NUMPY else ("python",)
-
-
 def _validate(name: str) -> str:
     if name == "auto":
-        return "vector" if HAVE_NUMPY else "python"
+        return "vector"
     if name not in BACKENDS:
         raise ValueError(
             f"unknown solver backend {name!r}; expected one of "
             f"{('auto',) + BACKENDS}")
-    if name == "vector" and not HAVE_NUMPY:
-        raise SolverUnavailable(
-            "solver backend 'vector' requires numpy, which is not "
-            "importable in this environment")
     return name
 
 
@@ -163,16 +156,15 @@ def default_backend() -> str:
     """The process-wide default backend.
 
     Priority: :func:`set_default_backend` override, then the
-    ``REPRO_SOLVER`` environment variable, then ``vector`` when numpy
-    is importable (the hot path should be fast by default), else
-    ``python``.
+    ``REPRO_SOLVER`` environment variable, then ``vector`` (the hot
+    path should be fast by default).
     """
     if _default_override is not None:
         return _default_override
     env = os.environ.get(ENV_VAR)
     if env:
         return _validate(env)
-    return "vector" if HAVE_NUMPY else "python"
+    return "vector"
 
 
 def set_default_backend(name: Optional[str]) -> None:
@@ -208,80 +200,20 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
         _default_override = previous
 
 
-# --------------------------------------------------------------------------
-# Python reference backend
-# --------------------------------------------------------------------------
+def fill_kernel(backend: str) -> Callable:
+    """The progressive-filling kernel of a resolved *backend*.
 
-def fill_rates_python(remaining: Dict[Hop, float],
-                      members: Mapping[Hop, Any],
-                      hops_of: Mapping[int, Sequence[Hop]],
-                      line_rate: float,
-                      stats: Optional[SolverStats] = None
-                      ) -> Dict[int, float]:
-    """Progressive filling over dict-shaped state (the reference).
-
-    ``remaining`` maps each directed link to its unconsumed capacity
-    and defines the scan order (insertion order); it is consumed in
-    place.  ``members`` maps each of those links to the set of flow
-    ids crossing it; ``hops_of`` maps every flow being solved to its
-    hop list.  The source line-rate cap is modelled as a virtual
-    per-flow link.  Returns the max-min rate per flow id.
-
-    Repeatedly: find the tightest link (smallest fair share among its
-    unfrozen flows), freeze every flow crossing a link tied at that
-    share, remove the consumed capacity, continue.  Active (unfrozen)
-    member counts are maintained incrementally and fully-frozen links
-    are pruned from the scan list, so each iteration costs
-    O(live links) instead of O(total memberships).
+    Kernels are called as ``kernel(inc, remaining, line_rate, stats)``
+    and return the rate per row of *inc*.  The kernel is read from this
+    module's globals at call time, so a wrapper installed over
+    ``progressive_fill_vector`` (the bench tracer) is the one that runs.
     """
-    rates: Dict[int, float] = {}
-    unfrozen = set(hops_of)
-    active_count = {hop: len(members[hop]) for hop in remaining}
-    scan: List[Hop] = list(remaining)
-    while unfrozen:
-        bottleneck_share = line_rate
-        tied: List[Hop] = []
-        live = []
-        for hop in scan:
-            count = active_count[hop]
-            if not count:
-                continue
-            live.append(hop)
-            share = remaining[hop] / count
-            if share < bottleneck_share:
-                bottleneck_share = share
-                tied = [hop]
-            elif tied and share == bottleneck_share:
-                tied.append(hop)
-        scan = live
-        if stats is not None:
-            stats.link_visits += len(live)
-        if not tied:
-            # Every remaining flow is line-rate limited.
-            for fid in unfrozen:
-                rates[fid] = line_rate
-                for hop in hops_of[fid]:
-                    remaining[hop] -= line_rate
-            break
-        # Water-filling: every link tied at the bottleneck share
-        # saturates together (freezing one tied link leaves the
-        # others' shares unchanged), so symmetric workloads freeze
-        # whole tie groups per iteration instead of one link each.
-        frozen_now = set()
-        for hop in tied:
-            frozen_now |= members[hop]
-        frozen_now &= unfrozen
-        for fid in frozen_now:
-            rates[fid] = bottleneck_share
-            for hop in hops_of[fid]:
-                remaining[hop] -= bottleneck_share
-                active_count[hop] -= 1
-        unfrozen -= frozen_now
-    return rates
+    return fill_rates_python if backend == "python" \
+        else progressive_fill_vector
 
 
 # --------------------------------------------------------------------------
-# Vector backend: incidence representation
+# Incidence representation
 # --------------------------------------------------------------------------
 
 def _concat_ranges(starts, lens):
@@ -350,10 +282,6 @@ class CompiledIncidence:
     # overhead — and the vectorized range concat above it.
     _SMALL_N = 64
 
-    def row_members(self, rows):
-        """Concatenated membership indices of *rows* (into mem_cols)."""
-        return _concat_ranges(self.indptr[rows], self.row_lens[rows])
-
     def rows_cols(self, rows):
         """Concatenated member columns of *rows*."""
         indptr = self.indptr
@@ -389,15 +317,96 @@ class CompiledIncidence:
         _np.subtract.at(self.base_count, cols, 1)
         return True
 
-    def alive_fids(self) -> List[int]:
-        return [self.fids[row]
-                for row in _np.flatnonzero(self.alive)]
+
+# --------------------------------------------------------------------------
+# Fill kernels
+# --------------------------------------------------------------------------
+
+def fill_rates_python(inc: CompiledIncidence, remaining,
+                      line_rate: float,
+                      stats: Optional[SolverStats] = None):
+    """The reference kernel: progressive filling in pure python.
+
+    Reads only the raw rows of *inc* — ``indptr``, ``mem_cols`` and
+    ``alive``, turned into lists — and derives its own per-link member
+    counts and member lists, so comparing it with the vector kernel
+    checks the compiled column view and the counts
+    :meth:`CompiledIncidence.retire` patches instead of trusting them.
+    *remaining* is the per-link capacity (not consumed).
+    Returns the rate per row as a float64 array (dead rows 0.0).
+
+    Repeatedly: find the tightest link (smallest fair share among its
+    unfrozen flows), freeze every flow crossing a link tied at that
+    share, remove the consumed capacity, continue.  The source
+    line-rate cap is modelled as a virtual per-flow link.  Active
+    member counts are maintained incrementally and fully-frozen links
+    are pruned from the scan list, so each iteration costs
+    O(live links) instead of O(total memberships).
+    """
+    indptr = inc.indptr.tolist()
+    mem_cols = inc.mem_cols.tolist()
+    alive = inc.alive.tolist()
+    remaining = remaining.tolist()
+    n_links = len(remaining)
+    cols_of: List[List[int]] = []
+    active_count = [0] * n_links
+    members: List[List[int]] = [[] for _ in range(n_links)]
+    unfrozen = set()
+    for row, live_row in enumerate(alive):
+        cols = mem_cols[indptr[row]:indptr[row + 1]]
+        cols_of.append(cols)
+        if not live_row:
+            continue
+        unfrozen.add(row)
+        for col in cols:
+            active_count[col] += 1
+            members[col].append(row)
+    rates = [0.0] * len(alive)
+    scan = list(range(n_links))
+    while unfrozen:
+        bottleneck_share = line_rate
+        tied: List[int] = []
+        live = []
+        for col in scan:
+            count = active_count[col]
+            if not count:
+                continue
+            live.append(col)
+            share = remaining[col] / count
+            if share < bottleneck_share:
+                bottleneck_share = share
+                tied = [col]
+            elif tied and share == bottleneck_share:
+                tied.append(col)
+        scan = live
+        if stats is not None:
+            stats.link_visits += len(live)
+        if not tied:
+            # Every remaining flow is line-rate limited.
+            for row in unfrozen:
+                rates[row] = line_rate
+            break
+        # Water-filling: every link tied at the bottleneck share
+        # saturates together (freezing one tied link leaves the
+        # others' shares unchanged), so symmetric workloads freeze
+        # whole tie groups per iteration instead of one link each.
+        frozen_now = set()
+        for col in tied:
+            frozen_now.update(members[col])
+        frozen_now &= unfrozen
+        for row in frozen_now:
+            rates[row] = bottleneck_share
+            for col in cols_of[row]:
+                remaining[col] -= bottleneck_share
+                active_count[col] -= 1
+        unfrozen -= frozen_now
+    return _np.array(rates, dtype=_np.float64)
 
 
 def progressive_fill_vector(inc: CompiledIncidence, remaining,
                             line_rate: float,
                             stats: Optional[SolverStats] = None):
-    """The vector kernel: progressive filling over compiled arrays.
+    """The numpy kernel: progressive filling over compiled arrays.
 
     *remaining* is the per-link unconsumed capacity (float64, consumed
     in place — pass a copy).  Returns the rate per row (dead rows stay
@@ -427,10 +436,7 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
         else:
             min_share = line_rate
         if not (min_share < line_rate):
-            # Every remaining flow is line-rate limited.  (The
-            # reference also drains `remaining` here; the dict is
-            # dead state after the break on both paths, so the
-            # kernel skips mirroring that final subtraction.)
+            # Every remaining flow is line-rate limited.
             rates[unfrozen] = line_rate
             break
         tied = scan[shares == min_share]
@@ -457,19 +463,19 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
     return rates
 
 
-def solve_incidence_vector(hops_of: Mapping[int, Sequence[Hop]],
-                           remaining: Mapping[Hop, float],
-                           line_rate: float,
-                           stats: Optional[SolverStats] = None
-                           ) -> Dict[int, float]:
-    """One-shot vector solve from dict-shaped inputs (batch adapter).
+def solve_incidence(hops_of: Mapping[int, Sequence[Hop]],
+                    remaining: Mapping[Hop, float],
+                    line_rate: float,
+                    stats: Optional[SolverStats] = None,
+                    backend: Optional[str] = None) -> Dict[int, float]:
+    """One-shot solve from dict-shaped inputs (batch adapter).
 
     *remaining* defines the link universe and initial capacities (its
     insertion order becomes the column order); *hops_of* the flows.
-    The input dict is not consumed.  Returns the rate per flow id,
-    bit-identical to :func:`fill_rates_python` on the same problem.
+    The problem is compiled once and handed to *backend*'s kernel
+    (default: the process default); the input dict is not consumed.
+    Returns the rate per flow id — bit-identical across backends.
     """
-    np_ = _np
     col_of: Dict[Hop, int] = {}
     for hop in remaining:
         col_of[hop] = len(col_of)
@@ -482,10 +488,10 @@ def solve_incidence_vector(hops_of: Mapping[int, Sequence[Hop]],
             mem_cols.append(col_of[hop])
         indptr.append(len(mem_cols))
     inc = CompiledIncidence(fids, indptr, mem_cols, len(col_of))
-    capacity = np_.fromiter(remaining.values(), dtype=np_.float64,
+    capacity = _np.fromiter(remaining.values(), dtype=_np.float64,
                             count=len(col_of))
-    rates = progressive_fill_vector(inc, capacity, line_rate, stats)
-    out = rates.tolist()
+    kernel = fill_kernel(resolve_backend(backend))
+    out = kernel(inc, capacity, line_rate, stats).tolist()
     return {fid: out[row] for row, fid in enumerate(fids)}
 
 
@@ -510,10 +516,6 @@ class IncidenceIndex:
         self._capacity = np_.zeros(64, dtype=np_.float64)
         self._flow_cols: Dict[int, Any] = {}
 
-    @property
-    def n_cols(self) -> int:
-        return len(self._col_of)
-
     def ensure_col(self, hop: Hop) -> int:
         col = self._col_of.get(hop)
         if col is None:
@@ -525,9 +527,6 @@ class IncidenceIndex:
                 grown[:self._capacity.shape[0]] = self._capacity
                 self._capacity = grown
         return col
-
-    def col(self, hop: Hop) -> Optional[int]:
-        return self._col_of.get(hop)
 
     def set_capacity(self, hop: Hop, value: float) -> None:
         self._capacity[self.ensure_col(hop)] = value

@@ -215,8 +215,8 @@ class Simulator:
         ``timeout(delay)`` fires at ``now + delay``, which re-rounds
         when the caller starts from an absolute deadline (``at - now``
         then ``now + (at - now)`` is not ``at`` bitwise).  Schedulers
-        that maintain absolute deadlines — the vector-backend fabric
-        engine keeps a whole array of them — need the event to land on
+        that maintain absolute deadlines — the fabric engine keeps a
+        whole array of them — need the event to land on
         the deadline's own bits, so this schedules at ``at`` verbatim.
         """
         if at < self._now:

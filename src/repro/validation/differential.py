@@ -37,7 +37,7 @@ from ..network.congestion import CongestionModel
 from ..network.fabric import Fabric, LinkLoad
 from ..network.flows import Flow, FlowPath, reset_flow_ids
 from ..network.packetsim import PacketQueueSim
-from ..network.solver import HAVE_NUMPY, use_backend
+from ..network.solver import use_backend
 from .oracles import Violation
 
 __all__ = [
@@ -94,16 +94,14 @@ def check_solver_backends(run_fn, label: str = "scenario"
     """Vector and python solver backends must agree bit-for-bit.
 
     *run_fn* rebuilds its whole world from a seed and returns a
-    comparable summary (finish times, rates, reroutes — anything but
-    event traces, which legitimately differ: the vector backend fires
-    one engine-level deadline event where the python backend fires one
-    timeout per flow).  The kernel in :mod:`repro.network.solver` uses
-    only element-wise operations and order-preserving tie detection,
-    so equality here is exact ``==`` — any mismatch is a backend bug,
-    not float noise.  Skipped (empty) when numpy is unavailable.
+    comparable summary (finish times, rates, reroutes, event traces,
+    solver work counters).  Both backends drive the same engine state
+    machine and differ only in the fill kernel of
+    :mod:`repro.network.solver`, whose vector form uses only
+    element-wise operations and order-preserving tie detection, so
+    equality here is exact ``==`` — any mismatch is a kernel bug, not
+    float noise.
     """
-    if not HAVE_NUMPY:
-        return []
     with use_backend("python"):
         reference = run_fn()
     with use_backend("vector"):

@@ -40,12 +40,10 @@ serving     rate-doubling monotonicity (Poisson superposition over the
 
 Every profile additionally runs the **solver-backends** differential:
 its determinism fingerprint is recomputed once under the pure-python
-progressive-filling backend and once under the vectorized kernel, and
-the two must compare exact ``==`` (skipped when numpy is absent).
-Event *traces* are the one artifact allowed to differ across backends
-— the vector engine fires a single fabric-level deadline event where
-the python engine arms one timeout per flow — so the fingerprints
-compared here deliberately exclude them.
+progressive-filling kernel and once under the vectorized kernel, and
+the two must compare exact ``==``.  Both kernels run inside the same
+engine state machine, so on the engine profiles the fingerprint
+includes the event trace and the solver work counters too.
 """
 
 from __future__ import annotations
@@ -232,13 +230,15 @@ def _run_engine_scenario(spec: ScenarioSpec):
 
 def _engine_fingerprint(spec: ScenarioSpec) -> Dict[str, Any]:
     """A comparable summary for the bit-identical-replay oracle."""
-    run, engine, injector, _, cancelled, _ = _run_engine_scenario(spec)
+    run, engine, injector, sim, cancelled, _ = _run_engine_scenario(spec)
     return {
         "finish": dict(run.finish_times_s),
         "cancelled": sorted(cancelled),
         "reroutes": dict(engine.reroutes),
         "log": [(event.at_s, event.action, event.target)
                 for event in injector.log],
+        "trace": list(sim.trace),
+        "stats": engine.stats.as_dict(),
     }
 
 

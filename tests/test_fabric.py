@@ -86,7 +86,7 @@ class TestMaxMinRates:
         rates = fabric.max_min_rates(flows, paths)
         usage = {}
         for flow in flows:
-            for hop in fabric._directed_hops(paths[flow.flow_id]):
+            for hop in fabric.directed_hops(paths[flow.flow_id]):
                 usage[hop] = usage.get(hop, 0.0) + rates[flow.flow_id]
         for (link_id, _), used in usage.items():
             assert used <= topo.links[link_id].capacity_gbps + 1e-6

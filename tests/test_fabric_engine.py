@@ -28,9 +28,13 @@ from repro.network import (
     reset_flow_ids,
     run_collective,
     run_collective_timed,
+    use_backend,
 )
+from repro.network.fabric import DONE_BITS
 from repro.simcore import SimulationError, Simulator
 from repro.topology import AstralParams, build_astral
+from repro.validation import ScenarioGenerator
+from repro.validation.runner import _engine_fingerprint
 
 
 @pytest.fixture(autouse=True)
@@ -158,10 +162,37 @@ class TestTimedBehaviour:
         path = fabric.router.path(flow)
         engine = FabricEngine(fabric)
         engine.set_capacity_factor(path.link_ids[0], 0.0)
+        flow.rate_gbps = 123.0  # stale attribute from an earlier run
         engine.submit(flow, path=path)
         with pytest.raises(SimulationError) as excinfo:
             engine.run()
         assert str(flow.flow_id) in str(excinfo.value)
+        # The first covering solve writes the attribute even though
+        # the solved rate (0.0) equals the fresh fluid row's.
+        assert flow.rate_gbps == 0.0
+
+    @pytest.mark.parametrize("action", ["starve", "cancel"])
+    def test_dropped_deadline_never_wakes_the_engine(self, action):
+        """A flow starved or cancelled mid-transfer drops its
+        completion deadline: the engine is never woken for it."""
+        fabric = Fabric(build_astral(AstralParams.small()))
+        flow = make_flow("p0.b0.h0", "p0.b0.h1", rail=0, size_bits=8e9)
+        other = make_flow("p0.b1.h0", "p0.b1.h1", rail=0,
+                          size_bits=8e10)
+        path = fabric.router.path(flow)
+        engine = FabricEngine(fabric)
+        engine.submit(flow, path=path)
+        engine.submit(other)
+        if action == "starve":
+            engine.set_capacity_factor(path.link_ids[0], 0.0, at=0.01)
+            with pytest.raises(SimulationError):
+                engine.run()
+        else:
+            engine.sim.timeout(0.01).add_callback(
+                lambda _event: engine.cancel(flow.flow_id))
+            engine.run()
+        # Two arrivals and the other flow's completion, nothing else.
+        assert engine.stats.events == 3
 
     def test_batch_starvation_raises_simulation_error(self):
         """Satellite fix: a dead link used to surface as a bare
@@ -175,6 +206,54 @@ class TestTimedBehaviour:
         with pytest.raises(SimulationError) as excinfo:
             fabric.complete_batch([flow])
         assert str(flow.flow_id) in str(excinfo.value)
+
+
+class TestDoneThreshold:
+    def test_residue_on_threshold_finishes_with_the_epoch(self):
+        """A flow whose residue lands exactly on DONE_BITS when another
+        flow's completion advances the clock finishes right there: the
+        threshold is inclusive in the engine as in the batch loop."""
+        fabric = Fabric(build_astral(AstralParams.tiny()))
+        rate = fabric.host_line_rate_gbps * 1e9
+        size_a = 1.90689e-06
+        advanced = rate * (size_a / rate)
+        size_b = advanced + DONE_BITS
+        # Precondition: B's residue at A's deadline is exactly the
+        # threshold (opposite directions, so each runs at line rate).
+        assert size_b - advanced == DONE_BITS
+        flows = [make_flow("p0.b0.h0", "p0.b0.h1", rail=0,
+                           size_bits=size_a),
+                 make_flow("p0.b0.h1", "p0.b0.h0", rail=0,
+                           size_bits=size_b)]
+        batch = fabric.complete_batch(flows)
+        run = fabric.complete(flows)
+        assert run.finish_times_s == batch.finish_times_s
+        assert run.finish_times_s[flows[1].flow_id] \
+            == run.finish_times_s[flows[0].flow_id]
+
+
+class TestFluidRows:
+    def test_long_run_compacts_rows_and_keeps_results(self):
+        """Two interleaved streams of back-to-back transfers: dead
+        fluid rows are compacted away while a live flow is in flight,
+        so the arrays stay bounded and every finish time stays exact
+        (each flow runs alone at line rate for exactly 1 s)."""
+        fabric = Fabric(build_astral(AstralParams.tiny()))
+        engine = FabricEngine(fabric)
+        size_bits = fabric.host_line_rate_gbps * 1e9
+        starts = {}
+        for i in range(400):
+            for src, dst, offset in (("p0.b0.h0", "p0.b0.h1", 0.0),
+                                     ("p0.b0.h1", "p0.b0.h0", 0.5)):
+                flow = make_flow(src, dst, rail=0, size_bits=size_bits)
+                flow.start_time_s = 2.0 * i + offset
+                starts[flow.flow_id] = flow.start_time_s
+                engine.submit(flow)
+        run = engine.run()
+        assert run.finish_times_s == {fid: start + 1.0
+                                      for fid, start in starts.items()}
+        # Compaction fires as soon as more than 256 rows exist.
+        assert engine._fluid.n <= 258
 
 
 class TestIncrementalSolve:
@@ -200,6 +279,7 @@ class TestIncrementalSolve:
             yield engine.sim.timeout(0.0105)
             probe["flows_resolved"] = engine.stats.flows_resolved
             probe["solves"] = engine.stats.solves
+            probe["cached"] = list(engine._comp_cache)
 
         engine.sim.process(_probe())
         engine.run()
@@ -209,6 +289,35 @@ class TestIncrementalSolve:
         # solve resolves 2 flows (a + late), never flow_b's component.
         assert probe["solves"] == 2
         assert probe["flows_resolved"] == 4
+        # The merge dropped flow_a's old compiled component: the cache
+        # holds live component roots only, never absorbed ones.
+        assert len(probe["cached"]) == 2
+        assert all(engine._find(root) == root
+                   for root in probe["cached"])
+
+    def test_resubmitted_flow_id_joins_its_cached_component(self):
+        """Re-using a finished flow's id (a stable QP) inside a live
+        component re-solves that component with the new transfer: the
+        run matches one where the transfer got a fresh id."""
+        fabric = Fabric(build_astral(AstralParams.tiny()))
+
+        def _flow(size_bits):
+            # One source port: every flow hashes onto the same path.
+            return make_flow("p0.b0.h0", "p0.b0.h1", rail=0,
+                             size_bits=size_bits, src_port=50000)
+
+        def _run(reuse_id):
+            engine = FabricEngine(fabric)
+            flows = [_flow(size) for size in (8e9, 8e10, 8e10)]
+            for flow in flows:
+                engine.submit(flow)
+            again = flows[0] if reuse_id else _flow(8e9)
+            engine.submit(again, start_time_s=0.5)
+            run = engine.run()
+            return [run.finish_times_s[flow.flow_id]
+                    for flow in (again, *flows[1:])]
+
+        assert _run(reuse_id=True) == _run(reuse_id=False)
 
     def test_incremental_does_less_link_work_than_batch(self):
         topology = build_astral(AstralParams.small())
@@ -439,3 +548,27 @@ class TestStaggeredStartRegression:
         for flow in flows:
             assert run.finish_times_s[flow.flow_id] == pytest.approx(
                 reference[flow.flow_id], abs=1e-6)
+
+
+class TestBackendIdentity:
+    """Both solver backends drive one engine state machine and differ
+    only in the fill kernel, so a fuzzed engine scenario must replay
+    ``==`` across them: finish times, event traces and work counters."""
+
+    ENGINE_PROFILES = ("timed", "degrade", "faulted")
+
+    def test_traces_and_stats_identical_across_backends(self):
+        generator = ScenarioGenerator(7)
+        specs = [spec for spec in map(generator.spec, range(40))
+                 if spec.profile in self.ENGINE_PROFILES]
+        assert {spec.profile for spec in specs} \
+            == set(self.ENGINE_PROFILES)
+        for spec in specs:
+            with use_backend("python"):
+                reference = _engine_fingerprint(spec)
+            with use_backend("vector"):
+                vectorized = _engine_fingerprint(spec)
+            assert reference["trace"], spec.index
+            assert vectorized["trace"] == reference["trace"], spec.index
+            assert vectorized["stats"] == reference["stats"], spec.index
+            assert vectorized == reference, spec.index

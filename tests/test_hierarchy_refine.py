@@ -20,12 +20,9 @@ from repro.monitoring import FaultSpec, Manifestation, RootCause
 from repro.monitoring.multijob import MultiJobRun
 from repro.network import Fabric, FabricEngine, make_flow
 from repro.network.flows import reset_flow_ids
-from repro.network.solver import HAVE_NUMPY, use_backend
+from repro.network.solver import use_backend
 from repro.resilience import FailureInjector, FaultDomain, expand_domains
 from repro.topology import AstralParams, build_astral
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not available")
 
 
 @pytest.fixture(autouse=True)
@@ -283,8 +280,6 @@ class TestBoundedDifferential:
 
         with use_backend("python"):
             reference = _run()
-        if not HAVE_NUMPY:
-            pytest.skip("numpy not available")
         with use_backend("vector"):
             assert_bit_identical(_run(), reference)
 
@@ -331,7 +326,6 @@ class TestFaultThenHealAtScale:
         assert restores and restores[0].at_s == pytest.approx(12.0)
         assert engine.fabric.topology.links[victim].healthy
 
-    @needs_numpy
     def test_heal_triggered_refold_under_vector_solver(self):
         """Fault clears -> the next run folds back to one pod class,
         and the refolded result is bit-identical to flat, all on the

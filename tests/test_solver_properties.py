@@ -5,33 +5,33 @@ subsets of capacitated links, including zero-capacity (dead) links,
 loose links that leave flows line-rate-capped, and tight links that
 force real contention — and checks, per problem:
 
-* the reference backend's allocation satisfies the max-min oracles
+* the reference kernel's allocation satisfies the max-min oracles
   (:func:`~repro.validation.check_incidence_solution`: feasibility,
   work conservation, KKT bottleneck condition);
-* the vector backend returns a bit-identical allocation (``==`` on
-  the rate dicts, no tolerance) with identical ``link_visits``;
+* the vector kernel returns a bit-identical allocation (``==`` on
+  the rate dicts, no tolerance) with identical ``link_visits`` — also
+  after rows are retired in place, where the vector kernel reads the
+  patched counts and the reference re-derives them from the raw rows;
 * repeated solves of the same problem are deterministic.
 
 Crafted edge cases (all links tied at one share, everything
 line-rate-capped, flows through dead links) pin the exact values.
 """
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.solver import (
-    HAVE_NUMPY,
+    CompiledIncidence,
     SolverStats,
     fill_rates_python,
-    solve_incidence_vector,
+    progressive_fill_vector,
+    solve_incidence,
 )
 from repro.validation import check_incidence_solution
 
 LINE_RATE = 100.0
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not available")
 
 
 # --------------------------------------------------------------------------
@@ -76,14 +76,15 @@ def incidence_problems(draw):
 
 
 def solve_python(hops_of, capacity, stats=None):
-    """Run the reference backend on a raw incidence problem."""
-    remaining = dict(capacity)
-    members = {hop: set() for hop in capacity}
-    for fid, hops in hops_of.items():
-        for hop in hops:
-            members[hop].add(fid)
-    return fill_rates_python(remaining, members, hops_of,
-                             LINE_RATE, stats)
+    """Run the reference kernel on a raw incidence problem."""
+    return solve_incidence(hops_of, capacity, LINE_RATE, stats,
+                           backend="python")
+
+
+def solve_vector(hops_of, capacity, stats=None):
+    """Run the vector kernel on a raw incidence problem."""
+    return solve_incidence(hops_of, capacity, LINE_RATE, stats,
+                           backend="vector")
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +111,6 @@ class TestReferenceBackend:
             == solve_python(hops_of, capacity)
 
 
-@needs_numpy
 class TestVectorBackend:
 
     @given(incidence_problems())
@@ -120,20 +120,50 @@ class TestVectorBackend:
         py_stats = SolverStats()
         vec_stats = SolverStats()
         py_rates = solve_python(hops_of, capacity, py_stats)
-        vec_rates = solve_incidence_vector(hops_of, capacity,
-                                           LINE_RATE, vec_stats)
+        vec_rates = solve_vector(hops_of, capacity, vec_stats)
         # Exact equality: same keys, same float bit patterns.
         assert vec_rates == py_rates
         assert vec_stats.link_visits == py_stats.link_visits
         assert vec_stats.solves == py_stats.solves
 
+    @given(incidence_problems(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_after_retire(self, problem, data):
+        """Retired rows: the vector kernel reads the counts and column
+        view :meth:`CompiledIncidence.retire` patched, the reference
+        re-derives them from ``alive`` and the raw rows."""
+        hops_of, capacity = problem
+        col_of = {hop: col for col, hop in enumerate(capacity)}
+        fids = list(hops_of)
+        indptr, mem_cols = [0], []
+        for fid in fids:
+            mem_cols.extend(col_of[hop] for hop in hops_of[fid])
+            indptr.append(len(mem_cols))
+        inc = CompiledIncidence(fids, indptr, mem_cols, len(col_of))
+        for fid in data.draw(st.lists(st.sampled_from(fids),
+                                      max_size=len(fids))):
+            inc.retire(fid)
+        remaining = np.fromiter(capacity.values(), dtype=np.float64)
+        py_stats = SolverStats()
+        vec_stats = SolverStats()
+        py_rates = fill_rates_python(inc, remaining.copy(), LINE_RATE,
+                                     py_stats)
+        vec_rates = progressive_fill_vector(inc, remaining.copy(),
+                                            LINE_RATE, vec_stats)
+        assert py_rates.tolist() == vec_rates.tolist()
+        assert vec_stats.link_visits == py_stats.link_visits
+        assert not py_rates[~inc.alive].any()
+        live = {fid: hops_of[fid] for fid in inc.fids
+                if inc.alive[inc.row_of[fid]]}
+        assert {fid: py_rates[inc.row_of[fid]] for fid in live} \
+            == solve_python(live, capacity)
+
     @given(incidence_problems())
     @settings(max_examples=40, deadline=None)
     def test_deterministic(self, problem):
         hops_of, capacity = problem
-        first = solve_incidence_vector(hops_of, capacity, LINE_RATE)
-        again = solve_incidence_vector(hops_of, capacity, LINE_RATE)
-        assert first == again
+        assert solve_vector(hops_of, capacity) \
+            == solve_vector(hops_of, capacity)
 
 
 # --------------------------------------------------------------------------
@@ -141,12 +171,9 @@ class TestVectorBackend:
 # --------------------------------------------------------------------------
 
 def both_backends(hops_of, capacity):
-    results = [solve_python(hops_of, capacity)]
-    if HAVE_NUMPY:
-        vec = solve_incidence_vector(hops_of, capacity, LINE_RATE)
-        assert vec == results[0]
-        results.append(vec)
-    return results[0]
+    rates = solve_python(hops_of, capacity)
+    assert solve_vector(hops_of, capacity) == rates
+    return rates
 
 
 class TestEdgeCases:
