@@ -8,6 +8,8 @@ crossovers fall.  Absolute numbers differ from the paper's testbed; the
 assertions encode the claims, not the constants.
 """
 
+import json
+
 import pytest
 
 from repro.network import reset_flow_ids
@@ -42,3 +44,22 @@ def _fmt(value):
 @pytest.fixture()
 def series_printer():
     return print_series
+
+
+def record_bench(path, key, result):
+    """Merge one scenario's numbers into the ``BENCH_*.json``
+    trajectory file at *path* (a :class:`pathlib.Path`), under *key*.
+    An unreadable file starts over empty."""
+    data = {}
+    if path.exists():
+        try:
+            data = json.loads(path.read_text())
+        except (ValueError, OSError):
+            data = {}
+    data[key] = result
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.fixture()
+def bench_record():
+    return record_bench

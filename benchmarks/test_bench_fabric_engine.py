@@ -147,18 +147,6 @@ def _measure(n_hosts, rails, solver="python", params=None,
     return result, dict(engine_run.finish_times_s)
 
 
-def _record(key, result):
-    """Merge one scenario's numbers into the trajectory file."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[key] = result
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _historical(key):
     if not BENCH_JSON.exists():
         return None
@@ -189,7 +177,8 @@ def _series(result):
     return rows
 
 
-def test_engine_vs_batch_smoke(benchmark, series_printer):
+def test_engine_vs_batch_smoke(benchmark, series_printer,
+                               bench_record):
     """64-host dual-rail all-to-all: the CI smoke point.
 
     The two rail planes are link-disjoint, so their completion events
@@ -203,7 +192,7 @@ def test_engine_vs_batch_smoke(benchmark, series_printer):
     """
     result, finish_py = benchmark.pedantic(
         _measure, args=(64, (0, 1)), rounds=1, iterations=1)
-    _record("alltoall_64host_2rail", result)
+    bench_record(BENCH_JSON, "alltoall_64host_2rail", result)
     series_printer(
         "Fabric engine vs epoch-global baseline (64 hosts, 2 rails)",
         _series(result), ["metric", "value"])
@@ -216,7 +205,8 @@ def test_engine_vs_batch_smoke(benchmark, series_printer):
     assert result["hops_cache_hits"] > 10 * result["hops_cache_misses"]
 
     vec_result, finish_vec = _measure(64, (0, 1), solver="vector")
-    _record("alltoall_64host_2rail_vector", vec_result)
+    bench_record(BENCH_JSON, "alltoall_64host_2rail_vector",
+                 vec_result)
     series_printer(
         "Vector backend, same scenario (64 hosts, 2 rails)",
         _series(vec_result), ["metric", "value"])
@@ -232,7 +222,8 @@ def test_engine_vs_batch_smoke(benchmark, series_printer):
 
 
 @pytest.mark.slow
-def test_engine_vs_batch_256host(benchmark, series_printer):
+def test_engine_vs_batch_256host(benchmark, series_printer,
+                                 bench_record):
     """Paper-scale point, pure-python backend: 256-host dual-rail
     all-to-all (130,560 flows).  This is the ~1 h historical baseline
     the vector speedup is measured against, so re-recording it is
@@ -242,7 +233,7 @@ def test_engine_vs_batch_256host(benchmark, series_printer):
                     "pure-python 256-host baseline")
     result, _ = benchmark.pedantic(
         _measure, args=(256, (0, 1)), rounds=1, iterations=1)
-    _record("alltoall_256host_2rail", result)
+    bench_record(BENCH_JSON, "alltoall_256host_2rail", result)
     series_printer(
         "Fabric engine vs epoch-global baseline (256 hosts, 2 rails)",
         _series(result), ["metric", "value"])
@@ -251,7 +242,8 @@ def test_engine_vs_batch_256host(benchmark, series_printer):
 
 
 @pytest.mark.slow
-def test_engine_vs_batch_256host_vector(benchmark, series_printer):
+def test_engine_vs_batch_256host_vector(benchmark, series_printer,
+                                        bench_record):
     """Paper-scale point under the vector backend.
 
     Same 130,560-flow scenario as ``alltoall_256host_2rail``; the
@@ -269,7 +261,8 @@ def test_engine_vs_batch_256host_vector(benchmark, series_printer):
         result["batch_speedup_vs_python"] = round(
             python_point["batch"]["wall_s"]
             / result["batch"]["wall_s"], 2)
-    _record("alltoall_256host_2rail_vector", result)
+    bench_record(BENCH_JSON, "alltoall_256host_2rail_vector",
+                 result)
     series_printer(
         "Vector solver backend (256 hosts, 2 rails)",
         _series(result), ["metric", "value"])
@@ -280,7 +273,8 @@ def test_engine_vs_batch_256host_vector(benchmark, series_printer):
 
 
 @pytest.mark.slow
-def test_engine_1024host_vector(benchmark, series_printer):
+def test_engine_1024host_vector(benchmark, series_printer,
+                                bench_record):
     """1024-host single-rail windowed all-to-all, vector engine only.
 
     The scale point the vectorization unlocks: four times the hosts of
@@ -298,7 +292,8 @@ def test_engine_1024host_vector(benchmark, series_printer):
                 "run_batch": False},
         rounds=1, iterations=1)
     result["window"] = A2A_WINDOW_1024
-    _record("a2a_w128_1024host_1rail_vector", result)
+    bench_record(BENCH_JSON, "a2a_w128_1024host_1rail_vector",
+                 result)
     series_printer(
         "Vector engine, 1024 hosts (window-128 all-to-all, 1 rail)",
         _series(result), ["metric", "value"])

@@ -13,7 +13,6 @@ assertion is gated on ``os.cpu_count()`` — a single-core container
 cannot speed anything up, but it must still match bit for bit.
 """
 
-import json
 import os
 import pathlib
 import time
@@ -44,19 +43,7 @@ def _timed_run(tmp_path, name, workers, use_cache=False):
     return report, wall
 
 
-def _record(key, result):
-    """Merge one scenario's numbers into the trajectory file."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[key] = result
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def test_fuzz_sweep_throughput(tmp_path, series_printer):
+def test_fuzz_sweep_throughput(tmp_path, series_printer, bench_record):
     serial, serial_wall = _timed_run(tmp_path, "serial", workers=1)
     parallel, parallel_wall = _timed_run(
         tmp_path, "parallel", workers=SWEEP_WORKERS)
@@ -89,7 +76,7 @@ def test_fuzz_sweep_throughput(tmp_path, series_printer):
         "warm_executed": warm.n_executed,
         "warm_cached": warm.n_cached,
     }
-    _record("fuzz_sweep_50case", result)
+    bench_record(BENCH_JSON, "fuzz_sweep_50case", result)
     series_printer(
         f"Farm fuzz sweep ({N_CASES} cases, {SWEEP_WORKERS} workers)",
         [(k, v) for k, v in result.items()], ["metric", "value"])

@@ -14,7 +14,6 @@ is tracked run over run.  All three points run in CI: the whole ladder
 is seconds, which is the result being recorded.
 """
 
-import json
 import pathlib
 import resource
 import time
@@ -62,18 +61,6 @@ def _measure(scale: str) -> dict:
     }
 
 
-def _record(key, result):
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[key] = result
-    BENCH_JSON.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _series(result):
     return [(key, result[key]) for key in (
         "gpus", "hosts", "jobs", "pod_classes", "engine_sims",
@@ -81,10 +68,11 @@ def _series(result):
         "wall_s", "peak_rss_mb")]
 
 
-def _bench(scale, benchmark, series_printer, wall_budget_s):
+def _bench(scale, benchmark, series_printer, bench_record,
+           wall_budget_s):
     result = benchmark.pedantic(
         _measure, args=(scale,), rounds=1, iterations=1)
-    _record(scale, result)
+    bench_record(BENCH_JSON, scale, result)
     series_printer(f"Hierarchical fold at {scale} GPUs",
                    _series(result), ["metric", "value"])
     assert result["exact"]
@@ -92,32 +80,35 @@ def _bench(scale, benchmark, series_printer, wall_budget_s):
     return result
 
 
-def test_hierarchy_4k(benchmark, series_printer):
+def test_hierarchy_4k(benchmark, series_printer, bench_record):
     """Laptop sanity scale: 4,096 GPUs, 8 tenants."""
-    result = _bench("4k", benchmark, series_printer, wall_budget_s=60)
+    result = _bench("4k", benchmark, series_printer, bench_record,
+                    wall_budget_s=60)
     assert result["fold_factor"] >= 4
 
 
-def test_hierarchy_64k(benchmark, series_printer):
+def test_hierarchy_64k(benchmark, series_printer, bench_record):
     """Datacenter-hall scale: 65,536 GPUs, 128 tenants."""
-    result = _bench("64k", benchmark, series_printer, wall_budget_s=120)
+    result = _bench("64k", benchmark, series_printer, bench_record,
+                    wall_budget_s=120)
     assert result["fold_factor"] >= 32
 
 
-def test_hierarchy_512k(benchmark, series_printer):
+def test_hierarchy_512k(benchmark, series_printer, bench_record):
     """The paper's full deployment: 524,288 GPUs, 2,048 tenants.
 
     The roadmap bar is five minutes; the fold delivers it with minutes
     to spare because only one representative block per class (two
     classes with ``tail_shapes=2``) ever touches the engine.
     """
-    result = _bench("512k", benchmark, series_printer,
+    result = _bench("512k", benchmark, series_printer, bench_record,
                     wall_budget_s=300)
     assert result["jobs"] == 2048
     assert result["fold_factor"] >= 256
 
 
-def test_hierarchy_512k_faulted(benchmark, series_printer):
+def test_hierarchy_512k_faulted(benchmark, series_printer,
+                                bench_record):
     """Full 512K deployment surviving a correlated optics-batch fault.
 
     One hard optics-batch domain event breaks a pod's symmetry;
@@ -160,7 +151,7 @@ def test_hierarchy_512k_faulted(benchmark, series_printer):
         }
 
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
-    _record("512k-faulted", result)
+    bench_record(BENCH_JSON, "512k-faulted", result)
     series_printer("Hierarchical fold at 512k GPUs, faulted",
                    [(key, result[key]) for key in (
                        "gpus", "jobs", "fault", "refine_levels",

@@ -12,7 +12,6 @@ tidal flattening metrics into ``BENCH_serving.json`` at the repo root
 so the trajectory is tracked run over run.
 """
 
-import json
 import pathlib
 import time
 
@@ -48,21 +47,9 @@ def _measure() -> dict:
     }
 
 
-def _record(result: dict) -> None:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["64k-diurnal"] = result
-    BENCH_JSON.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def test_bench_serving_diurnal_64k():
+def test_bench_serving_diurnal_64k(bench_record):
     result = _measure()
-    _record(result)
+    bench_record(BENCH_JSON, "64k-diurnal", result)
 
     # A simulated day at 64K GPUs stays interactive.
     assert result["wall_s"] < 30.0

@@ -10,7 +10,6 @@ asserts the replay lands on the live digest bit-for-bit, into
 over run.
 """
 
-import json
 import pathlib
 import time
 
@@ -59,21 +58,9 @@ def _measure() -> dict:
     }
 
 
-def _record(result: dict) -> None:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["64k-session"] = result
-    BENCH_JSON.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def test_bench_twin_64k_session():
+def test_bench_twin_64k_session(bench_record):
     result = _measure()
-    _record(result)
+    bench_record(BENCH_JSON, "64k-session", result)
 
     # The wall budget: standing up an 8K-host world stays interactive,
     # and the operator loop turns around far faster than real time.

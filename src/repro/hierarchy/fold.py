@@ -74,8 +74,7 @@ class EngineRunner:
         reset_flow_ids()
         topology = build_astral(params)
         fabric = Fabric(topology,
-                        host_line_rate_gbps=params.nic_port_gbps,
-                        solver=params.solver)
+                        host_line_rate_gbps=params.nic_port_gbps)
         outcomes = MultiJobRun(fabric, list(configs),
                                faults=faults or None).run()
         self.n_sims += 1

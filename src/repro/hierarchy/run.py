@@ -44,8 +44,7 @@ def build_flat_fabric(params: AstralParams) -> Fabric:
     """The flat reference fabric, built exactly as the fold's sub-sims
     build theirs (host line rate = NIC port rate)."""
     return Fabric(build_astral(params),
-                  host_line_rate_gbps=params.nic_port_gbps,
-                  solver=params.solver)
+                  host_line_rate_gbps=params.nic_port_gbps)
 
 
 def flat_job_configs(params: AstralParams, jobs: Sequence[HierJob],

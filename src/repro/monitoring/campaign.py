@@ -128,8 +128,7 @@ class FaultCampaign:
         reset_flow_ids()
         topology = build_astral(self.params)
         fabric = Fabric(topology,
-                        host_line_rate_gbps=self.params.nic_port_gbps,
-                        solver=self.params.solver)
+                        host_line_rate_gbps=self.params.nic_port_gbps)
         # Interleave blocks so the ring has cross-block (ToR-Agg-ToR)
         # legs — otherwise no fabric link is ever on a job path.
         ordered = sorted(topology.hosts(),

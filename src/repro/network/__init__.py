@@ -29,17 +29,9 @@ from .engine import FabricEngine, SolverStats
 from .fabric import Fabric, FabricRun, LinkLoad
 from .flows import Flow, FlowPath, make_flow, reset_flow_ids
 from .routing import EcmpRouter, RoutingError
-from .solver import (
-    BACKENDS,
-    HAVE_NUMPY,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
+from .solver import HAVE_NUMPY, resolve_backend, use_backend
 
 __all__ = [
-    "BACKENDS",
     "BottleneckResult",
     "BottleneckSim",
     "CollectiveConfig",
@@ -69,7 +61,6 @@ __all__ = [
     "all_to_all_flows",
     "collective_schedule",
     "crc16",
-    "default_backend",
     "make_flow",
     "reduce_scatter_flows",
     "reset_flow_ids",
@@ -79,7 +70,6 @@ __all__ = [
     "run_collective_timed",
     "send_recv_chain",
     "send_recv_flows",
-    "set_default_backend",
     "topology_ordered",
     "use_backend",
 ]

@@ -159,10 +159,8 @@ class ServingScenario:
 class ServingRun:
     """Execute one scenario; see the module docstring for the pipeline."""
 
-    def __init__(self, scenario: Optional[ServingScenario] = None,
-                 solver: Optional[str] = None):
+    def __init__(self, scenario: Optional[ServingScenario] = None):
         self.scenario = scenario or ServingScenario()
-        self.solver = solver
 
     def run(self) -> ServingReport:
         s = self.scenario
@@ -224,8 +222,7 @@ class ServingRun:
                         comm_size_bits=s.cosim_comm_bits,
                         kv_bits=s.kv_bits,
                         max_kv_flows=s.max_kv_flows),
-            kv_starts_s=kv_starts,
-            solver=self.solver).run()
+            kv_starts_s=kv_starts).run()
         kv_sorted = cosim.kv_transfer_s
         kv_mean = sum(kv_sorted) / len(kv_sorted) if kv_sorted else 0.0
         slo["kv_mean_s"] = round(kv_mean, 9)

@@ -55,14 +55,17 @@ class AstralParams:
     tor_agg_gbps: float = 400.0
     agg_core_gbps: float = 400.0
     tier3_oversubscription: float = 1.0
-    #: max-min solver backend for fabrics built from these params
-    #: ("python" / "vector" / "auto"); ``None`` follows the process
-    #: default (:func:`repro.network.solver.default_backend`).  Not a
-    #: physical dimension, but carried here because every subsystem
-    #: that builds a :class:`~repro.network.fabric.Fabric` starts from
-    #: an ``AstralParams`` — and the backends are bit-identical, so
-    #: this only selects wall-clock, never results.
+    #: always ``None``: kept only so stored reports and spec hashes
+    #: that serialize it still load.  Pick a fill kernel with
+    #: :func:`repro.network.solver.use_backend` instead.
     solver: "str | None" = None
+
+    def __post_init__(self) -> None:
+        if self.solver is not None:
+            raise ValueError(
+                f"AstralParams.solver must be None, got "
+                f"{self.solver!r}; pick a fill kernel with "
+                f"repro.network.solver.use_backend")
 
     @classmethod
     def small(cls) -> "AstralParams":
@@ -99,6 +102,15 @@ class AstralParams:
             aggs_per_group=2,
             cores_per_group=2,
         )
+
+    @classmethod
+    def named(cls, scale: str) -> "AstralParams":
+        """The laptop-scale instance called *scale*: ``tiny``,
+        ``small`` or ``cluster``."""
+        if scale not in ("tiny", "small", "cluster"):
+            raise ValueError(f"unknown scale {scale!r}; expected one of "
+                             f"('tiny', 'small', 'cluster')")
+        return getattr(cls, scale)()
 
     def with_oversubscription(self, ratio: float) -> "AstralParams":
         if ratio < 1.0:

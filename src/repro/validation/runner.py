@@ -55,7 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..network.engine import FabricEngine
 from ..network.fabric import Fabric
-from ..network.solver import resolve_backend, use_backend
+from ..network.solver import resolve_backend
 from ..resilience import FailureInjector
 from .differential import (
     check_engine_vs_batch,
@@ -603,15 +603,13 @@ _BATTERIES: Dict[str, Callable] = {
 # Entry points
 # --------------------------------------------------------------------------
 
-def run_case(seed: int, index: int, fast: bool = False,
-             solver: Optional[str] = None) -> CaseReport:
+def run_case(seed: int, index: int, fast: bool = False) -> CaseReport:
     """Regenerate and validate one scenario.
 
-    ``solver`` pins the max-min solver backend for the battery
-    (``"python"`` / ``"vector"`` / ``"auto"``); ``None`` follows the
-    process default.  The solver-backends differential inside each
-    battery still exercises *both* backends regardless — the pin only
-    selects which backend the primary oracles run on.
+    The primary oracles run on the fill kernel of the caller's
+    :func:`~repro.network.solver.use_backend` scope; the
+    solver-backends differential inside each battery exercises *both*
+    kernels regardless.
     """
     spec = ScenarioGenerator(seed).spec(index)
     report = CaseReport(seed=seed, index=index, family=spec.family,
@@ -619,8 +617,7 @@ def run_case(seed: int, index: int, fast: bool = False,
     battery = _BATTERIES[spec.profile]
     started = time.perf_counter()
     try:
-        with use_backend(solver):
-            report.checks, report.violations = battery(spec, fast)
+        report.checks, report.violations = battery(spec, fast)
     except Exception as exc:  # noqa: BLE001 — a crash is a finding
         trace = traceback.format_exc(limit=4)
         report.violations = [Violation(
@@ -635,8 +632,7 @@ def run_campaign(seed: int, n_cases: int,
                  progress: Optional[Callable[[CaseReport], None]] = None,
                  workers: int = 1,
                  use_cache: bool = False,
-                 cache_dir: Optional[str] = None,
-                 solver: Optional[str] = None
+                 cache_dir: Optional[str] = None
                  ) -> CampaignReport:
     """Validate ``n_cases`` scenarios (or an explicit index list).
 
@@ -645,19 +641,19 @@ def run_campaign(seed: int, n_cases: int,
     ``use_cache`` serves unchanged cases from the farm's
     content-addressed result cache (``cache_dir`` overrides its
     location).  Both paths produce bit-identical reports — the farm
-    route exists purely for wall-clock and memoization.  ``solver``
-    pins the max-min backend (see :func:`run_case`); the farm path
-    folds the *resolved* backend name into each task's content hash so
-    cached results never cross backends.
+    route exists purely for wall-clock and memoization.  Cases run on
+    the kernel of the caller's ``use_backend`` scope; the farm path
+    writes that backend's name into each task's params, so it reaches
+    worker processes and cached results never cross backends.
     """
     if workers > 1 or use_cache:
         return _run_campaign_farm(seed, n_cases, indices=indices,
                                   fast=fast, progress=progress,
                                   workers=workers, use_cache=use_cache,
-                                  cache_dir=cache_dir, solver=solver)
+                                  cache_dir=cache_dir)
     report = CampaignReport(seed=seed)
     for index in (indices if indices is not None else range(n_cases)):
-        case = run_case(seed, index, fast=fast, solver=solver)
+        case = run_case(seed, index, fast=fast)
         report.cases.append(case)
         if progress is not None:
             progress(case)
@@ -667,17 +663,16 @@ def run_campaign(seed: int, n_cases: int,
 def _run_campaign_farm(seed: int, n_cases: int,
                        indices: Optional[Sequence[int]],
                        fast: bool, progress, workers: int,
-                       use_cache: bool, cache_dir: Optional[str],
-                       solver: Optional[str] = None
+                       use_cache: bool, cache_dir: Optional[str]
                        ) -> CampaignReport:
     """The farm-backed campaign path (parallel and/or cached)."""
     from ..farm import FarmExecutor, ResultCache, TaskSpec
 
-    resolved = resolve_backend(solver)
+    backend = resolve_backend()
     specs = [
         TaskSpec("validation-case",
                  {"seed": seed, "index": int(index), "fast": fast,
-                  "solver": resolved},
+                  "solver": backend},
                  label=f"validate[{seed}:{index}]")
         for index in (indices if indices is not None
                       else range(n_cases))

@@ -8,8 +8,11 @@ wave-scheduled collectives, starvation diagnostics, and timestamp fault
 injection in the monitored job simulator.
 """
 
+import contextlib
 import dataclasses
+import json
 import random
+import signal
 
 import pytest
 
@@ -40,6 +43,20 @@ from repro.validation.runner import _engine_fingerprint
 @pytest.fixture(autouse=True)
 def _fresh_flow_ids():
     reset_flow_ids()
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail with :class:`TimeoutError` instead of hanging."""
+    def _expire(_signum, _frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _hosts(topology):
@@ -230,6 +247,27 @@ class TestDoneThreshold:
         assert run.finish_times_s == batch.finish_times_s
         assert run.finish_times_s[flows[1].flow_id] \
             == run.finish_times_s[flows[0].flow_id]
+
+
+class TestNoProgressGuard:
+    def test_wedged_deadline_raises_instead_of_spinning(self,
+                                                        monkeypatch):
+        """Without the sub-resolution re-aim, a flow whose residue
+        outlives its deadline re-arms the deadline at the same instant
+        forever.  The guard turns that wedge into a diagnosable error
+        that names the stuck flow."""
+        monkeypatch.setattr(FabricEngine, "_reaim_expired",
+                            lambda self, now: None)
+        topology = build_astral(AstralParams.small())
+        engine = FabricEngine(Fabric(topology))
+        engine.submit_many(
+            _random_flows(random.Random(0), _hosts(topology), 12))
+        with _time_limit(30.0), \
+                pytest.raises(SimulationError,
+                              match="made no progress") as excinfo:
+            engine.run()
+        stuck = json.loads(str(excinfo.value).split("before it: ")[1])
+        assert stuck and set(stuck) <= set(engine._states)
 
 
 class TestFluidRows:

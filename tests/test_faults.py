@@ -14,6 +14,8 @@ from repro.monitoring import (
     sample_faults,
 )
 
+from .hashseed import outputs_under_hash_seeds
+
 
 class TestTaxonomy:
     def test_manifestation_prevalence_sums_to_one(self):
@@ -167,8 +169,7 @@ class TestCrossProcessDeterminism:
     @staticmethod
     def _digest_script():
         return """
-import hashlib, json, sys
-sys.path.insert(0, "src")
+import hashlib, json
 from repro.cluster.recovery import RecoveryManager
 from repro.monitoring.faults import sample_faults
 
@@ -189,17 +190,6 @@ print(hashlib.sha256(
 """
 
     def test_draws_stable_across_hash_seeds(self):
-        import os
-        import subprocess
-        import sys
-
-        digests = set()
-        for hash_seed in ("0", "424242"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            out = subprocess.run(
-                [sys.executable, "-c", self._digest_script()],
-                capture_output=True, text=True, env=env, check=True,
-                cwd=os.path.dirname(os.path.dirname(
-                    os.path.abspath(__file__))))
-            digests.add(out.stdout.strip())
+        digests = {out.strip() for out in outputs_under_hash_seeds(
+            self._digest_script(), ("0", "424242"))}
         assert len(digests) == 1

@@ -1,8 +1,5 @@
 """Tests for the continuous-batching serving simulator."""
 
-import subprocess
-import sys
-
 import pytest
 
 from repro.seer import (
@@ -15,6 +12,8 @@ from repro.seer import (
     ServingSimulator,
     draw_requests,
 )
+
+from .hashseed import outputs_under_hash_seeds
 
 PARALLEL = ParallelismConfig(tp=8, pp=1, dp=1, ep=16)
 
@@ -168,18 +167,6 @@ print(json.dumps({
 class TestCrossProcessDeterminism:
     def test_digest_stable_across_hash_seeds(self):
         """The PR-3 hard bar: bit-identical under PYTHONHASHSEED."""
-        import os
-        import repro
-        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-        digests = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ,
-                       PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=src_dir)
-            out = subprocess.run(
-                [sys.executable, "-c", _SUBPROCESS_DIGEST],
-                capture_output=True, text=True, check=True,
-                env=env).stdout
-            digests.append(out)
+        digests = outputs_under_hash_seeds(_SUBPROCESS_DIGEST, ("1", "2"))
         assert digests[0] == digests[1]
         assert '"finish"' in digests[0]

@@ -28,6 +28,7 @@ from repro.network.solver import (
     fill_rates_python,
     progressive_fill_vector,
     solve_incidence,
+    use_backend,
 )
 from repro.validation import check_incidence_solution
 
@@ -77,14 +78,14 @@ def incidence_problems(draw):
 
 def solve_python(hops_of, capacity, stats=None):
     """Run the reference kernel on a raw incidence problem."""
-    return solve_incidence(hops_of, capacity, LINE_RATE, stats,
-                           backend="python")
+    with use_backend("python"):
+        return solve_incidence(hops_of, capacity, LINE_RATE, stats)
 
 
 def solve_vector(hops_of, capacity, stats=None):
     """Run the vector kernel on a raw incidence problem."""
-    return solve_incidence(hops_of, capacity, LINE_RATE, stats,
-                           backend="vector")
+    with use_backend("vector"):
+        return solve_incidence(hops_of, capacity, LINE_RATE, stats)
 
 
 # --------------------------------------------------------------------------
