@@ -329,6 +329,9 @@ class FabricEngine:
         With handlers the error is recorded in :attr:`stranded` and
         each handler is invoked; handlers typically :meth:`cancel` the
         flow and degrade the collective (ring repair) or fail the job.
+        A flow whose route is already cut when it arrives never goes in
+        flight: after the handlers run, its completion event resolves
+        with None, as :meth:`cancel` would resolve it.
         """
         self._stranded_handlers.append(handler)
 
@@ -444,9 +447,9 @@ class FabricEngine:
         fid = flow.flow_id
         if fid in self._states:
             raise SimulationError(f"flow {fid} arrived twice")
-        self._flows_seen[fid] = flow
         if size_bits <= _DONE_BITS:
             # Zero-size transfers finish the instant they start.
+            self._flows_seen[fid] = flow
             self._paths.setdefault(
                 fid, path or FlowPath(flow_id=fid,
                                       devices=[flow.src_host]))
@@ -455,7 +458,17 @@ class FabricEngine:
             state.done.succeed(self._clock)
             return
         if path is None:
-            path = self.fabric.router.path(flow)
+            try:
+                path = self.fabric.router.path(flow)
+            except RoutingError as exc:
+                # A fault cut the route before the flow arrived.  It
+                # never entered _states, so nothing can cancel it: once
+                # the handlers ran, resolve it exactly as cancel would.
+                self._strand(state, exc)
+                self.stranded.pop(fid, None)
+                state.done.succeed(None)
+                return
+        self._flows_seen[fid] = flow
         self._paths[fid] = path
         state.hops = self.fabric.directed_hops(path)
         self.stats.link_visits += len(state.hops)

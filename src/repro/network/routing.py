@@ -10,20 +10,31 @@ and the optimized ECMP controller corrects.
 
 Implementation notes:
 
-* Next-hop sets come from a BFS from the destination over healthy links.
-  Hosts never transit traffic, so BFS does not expand through them.
+* Next-hop sets come from a BFS over healthy links, seeded at the
+  destination.  Hosts never transit traffic, so BFS does not expand
+  through them.
 * Rail binding: on rail-aware fabrics the first hop must use the flow's
   source rail and the last hop the destination rail.  The BFS is seeded
   only through destination links whose ToR matches the destination rail,
   and the source host filters its candidate links by source rail.
-* Results are memoized per (destination, rail) and invalidated whenever
-  the topology's version counter changes (link failures, rewiring).
+* Seed-set sharing: a destination's *seed set* is its tuple of healthy,
+  rail-matching neighbours.  Under P3 wiring every host of a block has
+  the same seed set on a rail (its dual-ToR pair), so one BFS from the
+  seed set serves them all: a host's distance map is that shared map
+  with its own entry set to 0.  This is exact because the destination
+  is a host, and a host never expands in either BFS, so no other entry
+  can differ.  A switch destination would expand inside a shared BFS,
+  so it gets a BFS of its own.
+* Every (destination, rail) gets a distance map of its own (a copy of
+  the shared one plus one write), so no two destinations share a
+  mutable map.  Both caches are dropped whenever the topology's version
+  counter changes (link failures, rewiring).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..topology.elements import Device, DeviceKind, Link, Topology
 from .ecmp import EcmpHasher
@@ -74,35 +85,44 @@ class EcmpRouter:
         self.hasher = hasher or EcmpHasher()
         self._dist_cache: Dict[Tuple[str, Optional[int]],
                                Dict[str, int]] = {}
+        #: seed set -> BFS distances from it, shared by every host
+        #: destination with that seed set (see the module notes).
+        self._seed_cache: Dict[Tuple[str, ...], Dict[str, int]] = {}
         self._cache_version = topology.version
+        #: work counters: BFS runs (distance maps and partition floods),
+        #: and distance-map cache hits/misses.
+        self.bfs_runs = 0
+        self.dist_cache_hits = 0
+        self.dist_cache_misses = 0
 
     # -- distance maps -----------------------------------------------------
     def _invalidate_if_stale(self) -> None:
         if self._cache_version != self.topology.version:
             self._dist_cache.clear()
+            self._seed_cache.clear()
             self._cache_version = self.topology.version
 
-    def distances_to(self, dst_host: str, dst_rail: Optional[int]
-                     ) -> Dict[str, int]:
-        """Hop counts from every device to *dst_host* via *dst_rail*."""
-        self._invalidate_if_stale()
-        key = (dst_host, dst_rail)
-        cached = self._dist_cache.get(key)
-        if cached is not None:
-            return cached
-
-        topo = self.topology
-        dist: Dict[str, int] = {dst_host: 0}
-        frontier: deque[str] = deque()
-        # Seed only through the destination's rail-matching ToR links.
-        for link, neighbor in topo.neighbors(dst_host):
+    def _seeds(self, device: str, rail: Optional[int]) -> Tuple[str, ...]:
+        """*device*'s healthy, rail-matching neighbours, in link order."""
+        seeds: Dict[str, None] = {}
+        for link, neighbor in self.topology.neighbors(device):
             neighbor_rail = _rail_of(neighbor)
-            if (dst_rail is not None and neighbor_rail is not None
-                    and neighbor_rail != dst_rail):
+            if (rail is not None and neighbor_rail is not None
+                    and neighbor_rail != rail):
                 continue
-            if neighbor.name not in dist:
-                dist[neighbor.name] = 1
-                frontier.append(neighbor.name)
+            seeds[neighbor.name] = None
+        return tuple(seeds)
+
+    def _bfs(self, dist: Dict[str, int], seeds: Tuple[str, ...]
+             ) -> Dict[str, int]:
+        """Extend *dist* breadth-first from *seeds*, each at hop 1."""
+        self.bfs_runs += 1
+        topo = self.topology
+        frontier: deque[str] = deque()
+        for name in seeds:
+            if name not in dist:
+                dist[name] = 1
+                frontier.append(name)
         while frontier:
             current = frontier.popleft()
             device = topo.devices[current]
@@ -113,6 +133,28 @@ class EcmpRouter:
                 if neighbor.name not in dist:
                     dist[neighbor.name] = next_hops
                     frontier.append(neighbor.name)
+        return dist
+
+    def distances_to(self, dst_host: str, dst_rail: Optional[int]
+                     ) -> Dict[str, int]:
+        """Hop counts from every device to *dst_host* via *dst_rail*."""
+        self._invalidate_if_stale()
+        key = (dst_host, dst_rail)
+        cached = self._dist_cache.get(key)
+        if cached is not None:
+            self.dist_cache_hits += 1
+            return cached
+        self.dist_cache_misses += 1
+        # Seed only through the destination's rail-matching ToR links.
+        seeds = self._seeds(dst_host, dst_rail)
+        if self.topology.devices[dst_host].kind is DeviceKind.HOST:
+            shared = self._seed_cache.get(seeds)
+            if shared is None:
+                shared = self._seed_cache[seeds] = self._bfs({}, seeds)
+            dist = dict(shared)
+            dist[dst_host] = 0
+        else:
+            dist = self._bfs({dst_host: 0}, seeds)
         self._dist_cache[key] = dist
         return dist
 
@@ -167,29 +209,10 @@ class EcmpRouter:
         the sorted ids of unhealthy links on the reachable component's
         frontier — the cut whose repair would reconnect the pair.
         """
-        topo = self.topology
-        reached: Set[str] = {src}
-        frontier: deque[str] = deque()
-        for link, neighbor in topo.neighbors(src):
-            neighbor_rail = _rail_of(neighbor)
-            if (src_rail is not None and neighbor_rail is not None
-                    and neighbor_rail != src_rail):
-                continue
-            if neighbor.name not in reached:
-                reached.add(neighbor.name)
-                frontier.append(neighbor.name)
-        while frontier:
-            current = frontier.popleft()
-            if current == dst:
-                return None
-            if topo.devices[current].kind is DeviceKind.HOST:
-                continue
-            for link, neighbor in topo.neighbors(current):
-                if neighbor.name not in reached:
-                    reached.add(neighbor.name)
-                    frontier.append(neighbor.name)
+        reached = self._bfs({src: 0}, self._seeds(src, src_rail))
         if dst in reached:
             return None
+        topo = self.topology
         cut = {
             link.link_id
             for device in reached

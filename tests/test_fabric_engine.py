@@ -34,10 +34,12 @@ from repro.network import (
     use_backend,
 )
 from repro.network.fabric import DONE_BITS
+from repro.network.routing import PartitionError
+from repro.resilience import FailureInjector
 from repro.simcore import SimulationError, Simulator
 from repro.topology import AstralParams, build_astral
 from repro.validation import ScenarioGenerator
-from repro.validation.runner import _engine_fingerprint
+from repro.validation.runner import _engine_fingerprint, run_case
 
 
 @pytest.fixture(autouse=True)
@@ -529,6 +531,57 @@ class TestTimestampFaults:
         # Iterations after the storm crawl relative to the clean ones.
         assert late[-1].iteration_time_s \
             > early[0].iteration_time_s * 1.5
+
+
+class TestArrivalAfterCut:
+    """A fault that cuts a flow's route before the flow arrives strands
+    it at arrival: handlers see the error and its completion event
+    resolves with None, as a cancel would; with no handler the error
+    propagates out of run()."""
+
+    def _engine_with_cut_flow(self):
+        topology = build_astral(AstralParams.tiny())
+        engine = FabricEngine(Fabric(topology))
+        dst = "p0.b0.h1"
+        late = make_flow("p0.b0.h0", dst, rail=0, size_bits=8e9)
+        early = make_flow("p0.b1.h0", "p0.b1.h1", rail=0, size_bits=8e9)
+        done = engine.submit(late, start_time_s=0.5)
+        engine.submit(early)
+        FailureInjector(engine).kill_device(dst, at=0.1)
+        return engine, late, early, done
+
+    def test_handler_sees_partition_and_done_resolves_none(self):
+        engine, late, early, done = self._engine_with_cut_flow()
+        seen = []
+
+        def handler(flow, exc):
+            seen.append((flow.flow_id, exc))
+            # The flow never went in flight, so there is nothing to
+            # cancel; the engine resolves it itself.
+            assert not engine.cancel(flow.flow_id)
+
+        engine.on_stranded(handler)
+        run = engine.run()
+        assert [fid for fid, _ in seen] == [late.flow_id]
+        assert isinstance(seen[0][1], PartitionError)
+        assert done.triggered and done.value is None
+        assert late.flow_id not in run.finish_times_s
+        assert late.flow_id not in run.paths
+        assert early.flow_id in run.finish_times_s
+        assert engine.stranded == {}
+
+    def test_without_handler_the_error_raises(self):
+        engine, late, _, _ = self._engine_with_cut_flow()
+        with pytest.raises(PartitionError) as excinfo:
+            engine.run()
+        assert excinfo.value.flow_id == late.flow_id
+
+    def test_validation_case_no_longer_crashes(self):
+        """Links 2 and 3 die at 7.4 ms and 24.1 ms; flow 1 arrives at
+        25.4 ms with no route left."""
+        report = run_case(1, 243)
+        assert report.profile == "faulted"
+        assert report.violations == []
 
 
 class TestStaggeredStartRegression:

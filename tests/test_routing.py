@@ -1,16 +1,28 @@
 """Tests for ECMP routing over the fabric graphs."""
 
+import random
+from collections import deque
+
 import pytest
 
-from repro.network import EcmpRouter, RoutingError, make_flow, reset_flow_ids
+from repro.network import (
+    EcmpRouter,
+    Fabric,
+    RoutingError,
+    make_flow,
+    reset_flow_ids,
+)
 from repro.topology import (
     AstralParams,
+    CrossDcParams,
     DeviceKind,
     build_astral,
     build_clos,
+    build_cross_dc,
     build_rail_only,
     ClosParams,
 )
+from repro.topology.baselines import build_full_interconnect_tier2
 
 
 @pytest.fixture(autouse=True)
@@ -189,3 +201,157 @@ class TestRouterCaching:
         topo.fail_link(0)
         router.path(flow)
         assert router._cache_version == topo.version
+
+    @staticmethod
+    def _all_to_all(topo):
+        hosts = sorted(host.name for host in topo.hosts())
+        return [make_flow(src, dst, rail=rail, size_bits=8e9)
+                for rail in range(AstralParams.tiny().rails)
+                for src in hosts for dst in hosts if src != dst]
+
+    def test_one_bfs_per_block_and_rail(self):
+        """Every host of a block shares its dual-ToR pair on a rail, so
+        an all-to-all runs one BFS per (block, rail) seed set, not one
+        per (host, rail) destination."""
+        params = AstralParams.tiny()
+        topo = build_astral(params)
+        fabric = Fabric(topo)
+        fabric.resolve_paths(self._all_to_all(topo))
+        router = fabric.router
+        blocks = params.pods * params.blocks_per_pod
+        hosts = blocks * params.hosts_per_block
+        assert router.bfs_runs == blocks * params.rails
+        assert router.dist_cache_misses == hosts * params.rails
+        assert router.dist_cache_hits > router.dist_cache_misses
+        assert len(router._seed_cache) == blocks * params.rails
+
+    def test_fail_link_clears_both_caches(self):
+        topo = build_astral(AstralParams.tiny())
+        fabric = Fabric(topo)
+        fabric.resolve_paths(self._all_to_all(topo))
+        router = fabric.router
+        runs = router.bfs_runs
+        topo.fail_link(0)
+        router.distances_to(_host(0, 0, 0), 0)
+        assert router.bfs_runs == runs + 1
+        assert list(router._dist_cache) == [(_host(0, 0, 0), 0)]
+        assert len(router._seed_cache) == 1
+
+    def test_restore_link_rebuilds_both_caches(self):
+        topo = build_astral(AstralParams.tiny())
+        flows = self._all_to_all(topo)
+        fabric = Fabric(topo)
+        healthy = fabric.resolve_paths(flows)
+        router = fabric.router
+        maps = dict(router._dist_cache)
+        shared = dict(router._seed_cache)
+        runs = router.bfs_runs
+        topo.fail_link(0)
+        fabric.resolve_paths(flows)
+        topo.restore_link(0)
+        assert fabric.resolve_paths(flows) == healthy
+        assert router._dist_cache == maps
+        assert router._seed_cache == shared
+        # A failed host link splits its block's seed set: one more BFS.
+        assert router.bfs_runs == 3 * runs + 1
+
+
+def _oracle_distances(topo, dst_host, dst_rail):
+    """The per-destination BFS the shared seed-set maps replaced, kept
+    verbatim as an independent oracle."""
+    dist = {dst_host: 0}
+    frontier = deque()
+    # Seed only through the destination's rail-matching ToR links.
+    for link, neighbor in topo.neighbors(dst_host):
+        neighbor_rail = neighbor.rail
+        if (dst_rail is not None and neighbor_rail is not None
+                and neighbor_rail != dst_rail):
+            continue
+        if neighbor.name not in dist:
+            dist[neighbor.name] = 1
+            frontier.append(neighbor.name)
+    while frontier:
+        current = frontier.popleft()
+        device = topo.devices[current]
+        if device.kind is DeviceKind.HOST:
+            continue  # hosts never transit traffic
+        next_hops = dist[current] + 1
+        for link, neighbor in topo.neighbors(current):
+            if neighbor.name not in dist:
+                dist[neighbor.name] = next_hops
+                frontier.append(neighbor.name)
+    return dist
+
+
+class _OracleRouter(EcmpRouter):
+    """Routes with oracle maps; build one per topology state."""
+
+    def distances_to(self, dst_host, dst_rail):
+        key = (dst_host, dst_rail)
+        if key not in self._dist_cache:
+            self._dist_cache[key] = _oracle_distances(
+                self.topology, dst_host, dst_rail)
+        return self._dist_cache[key]
+
+
+TOPOLOGIES = {
+    "astral": lambda: build_astral(AstralParams.tiny()),
+    "clos": lambda: build_clos(ClosParams.tiny()),
+    "rail_only": lambda: build_rail_only(AstralParams.tiny()),
+    "tier2_full": lambda: build_full_interconnect_tier2(
+        AstralParams.tiny()),
+    "cross_dc": lambda: build_cross_dc(CrossDcParams()),
+}
+
+
+def _route(router, flow):
+    try:
+        return router.path(flow)
+    except RoutingError as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedDistanceOracle:
+    """Seed-set sharing must reproduce the per-destination BFS exactly,
+    under random link failures, for host and switch destinations."""
+
+    @staticmethod
+    def _fail_links(topo, rng):
+        # One of a host's rail-0 links: that host gets a seed set of
+        # its own while its block peers keep the shared one.
+        host = rng.choice(sorted(h.name for h in topo.hosts()))
+        rail0 = [link for link, neighbor in topo.neighbors(host)
+                 if neighbor.rail in (0, None)]
+        assert len(rail0) >= 2
+        topo.fail_link(rail0[0].link_id)
+        links = sorted(topo.links)
+        for link_id in rng.sample(links, len(links) // 10):
+            topo.fail_link(link_id)
+
+    @staticmethod
+    def _check(topo, router):
+        rails = sorted({d.rail for d in topo.devices.values()
+                        if d.rail is not None})
+        for name in topo.devices:
+            for rail in [None] + rails:
+                assert router.distances_to(name, rail) \
+                    == _oracle_distances(topo, name, rail), (name, rail)
+        oracle = _OracleRouter(topo)
+        hosts = sorted(host.name for host in topo.hosts())
+        for rail in rails:
+            for src in hosts:
+                for dst in hosts:
+                    if src != dst:
+                        flow = make_flow(src, dst, rail=rail,
+                                         size_bits=8e9)
+                        assert _route(router, flow) \
+                            == _route(oracle, flow)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_matches_per_destination_bfs(self, name, seed):
+        topo = TOPOLOGIES[name]()
+        router = EcmpRouter(topo)
+        self._check(topo, router)
+        self._fail_links(topo, random.Random(f"{name}-{seed}"))
+        self._check(topo, router)
