@@ -16,15 +16,25 @@ over simulated time:
 
 Rate allocation is **incremental max-min**: directed-hop lists are
 cached per flow, link member sets are maintained across events, and
-each event re-solves only the connected component of links touched by
-the changed flow (tracked with a union-find over flows) instead of the
-whole fabric.  Max-min allocations are separable by component, so the
-restricted solve returns exactly the rates a global solve would.  The
-union-find only ever merges; it is rebuilt from the live flow set when
-the active population has halved, so long multi-tenant runs do not
-degrade to one permanent super-component.  :class:`SolverStats` counts
-the work (solver calls, link visits) so the saving vs the epoch-global
-baseline is measurable — see ``benchmarks/test_bench_fabric_engine.py``.
+each event re-fills only the components of the flow/link sharing graph
+that hold a dirtied link, never the whole fabric.  Components are
+explicit labels (live flow → component id → its live flows); an
+arriving or rerouted flow merges every component its hops touch.
+Completions only remove flows, so a component may fall apart while it
+keeps one label.  Once a cached component has lost a sixteenth of its
+live rows since it was last known to be connected, the next solve that
+touches it labels the connected pieces of its live rows
+(:meth:`CompiledIncidence.live_pieces`), re-keys each piece as a
+component of its own, and fills only the pieces holding a dirtied
+link.  This is exact: progressive filling is
+separable by component bit for bit — a link's remaining capacity is
+reduced only by the freezes of its own flows, at the shares their own
+piece reaches — so a piece left alone already holds the rates a global
+solve would give it.  The labels hold live flows only, so their size
+follows the live population however many flow ids a run uses.
+:class:`SolverStats` counts the work (solver calls, link visits) so
+the saving vs the epoch-global baseline is measurable — see
+``benchmarks/test_bench_fabric_engine.py``.
 
 The fluid core is array-shaped and there is exactly one of it: per-flow
 ``remaining``/``rate``/absolute-``deadline`` rows (:class:`_FluidArrays`),
@@ -41,6 +51,7 @@ validation harness pins this).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
@@ -143,6 +154,9 @@ class _CompEntry:
     l2g: Any
     rows: Any
     flows: List[Flow]
+    #: live rows when the component was last known to be connected
+    #: (compiled, or labelled as one piece).
+    n_labelled: int
 
 
 class FabricEngine:
@@ -209,11 +223,13 @@ class FabricEngine:
         self.stranded: Dict[int, RoutingError] = {}
         self._stranded_handlers: List[
             Callable[[Flow, RoutingError], None]] = []
-        # Union-find over flow ids; links point at one member flow so a
-        # dirty link resolves to its component root in O(alpha).
-        self._dsu: Dict[int, int] = {}
-        self._link_owner: Dict[LinkDir, int] = {}
-        self._dsu_peak = 0
+        # Components of the flow/link sharing graph as explicit labels:
+        # each live flow maps to its component id, each component id to
+        # its live flows in join order.  A dirty link resolves to its
+        # component through any of its members.
+        self._comp_of: Dict[int, int] = {}
+        self._comp_fids: Dict[int, Dict[int, None]] = {}
+        self._comp_ids = itertools.count()
 
     # -- public interface -------------------------------------------------
     @property
@@ -307,17 +323,12 @@ class FabricEngine:
             if members is not None:
                 members.discard(fid)
             self._dirty.add(hop)
-        for hop in new_hops:
-            self._register_hop(fid, hop)
-            self._dirty.add(hop)
         self.stats.link_visits += len(new_hops)
         state.hops = new_hops
         self._index.register_flow(fid, new_hops)
-        # The flow's component changed shape: invalidate its compiled
-        # incidence.  Re-registration never moves the flow's own root
-        # (a union keeps the registering flow's root), so one pop
-        # covers its old and its merged component.
-        self._comp_cache.pop(self._find(fid), None)
+        # The flow stays in its component (which may now fall apart;
+        # a later split finds out) and joins the new hops' components.
+        self._join(fid, new_hops)
         return True
 
     def on_stranded(self, handler: Callable[[Flow, RoutingError], None]
@@ -355,7 +366,6 @@ class FabricEngine:
             self._dirty.add(hop)
         self.stranded.pop(flow_id, None)
         state.done.succeed(value)
-        self._maybe_rebuild_dsu()
         self._request_solve()
         return True
 
@@ -473,16 +483,9 @@ class FabricEngine:
         state.hops = self.fabric.directed_hops(path)
         self.stats.link_visits += len(state.hops)
         self._states[fid] = state
-        self._dsu_peak = max(self._dsu_peak, len(self._states))
-        for hop in state.hops:
-            self._register_hop(fid, hop)
-            self._dirty.add(hop)
         state.row = self._fluid.add(fid, size_bits)
         self._index.register_flow(fid, state.hops)
-        # A resubmitted flow id inherits its old union-find root, so
-        # its arrival can grow a component without triggering a union
-        # — invalidate the compiled incidence explicitly.
-        self._comp_cache.pop(self._find(fid), None)
+        self._join(fid, state.hops)
         self._request_solve()
 
     def _request_solve(self) -> None:
@@ -575,21 +578,22 @@ class FabricEngine:
         self._finish[fid] = self._clock
         self._last_finish = max(self._last_finish, self._clock)
         state.done.succeed(self._clock)
-        self._maybe_rebuild_dsu()
         self._request_solve()
 
     def _retire_row(self, fid: int, state: _FlowState) -> None:
         """Patch the fluid structures for a finished/cancelled flow."""
         fluid = self._fluid
         fluid.retire(state.row)
-        root = self._find(fid)
-        entry = self._comp_cache.get(root)
-        if entry is not None and entry.inc.retire(fid):
-            if entry.inc.n_alive * 2 < entry.inc.n_rows:
-                # Mostly-dead incidence: recompiling on next demand is
-                # cheaper than dragging the dead columns through every
-                # solve.
-                self._comp_cache.pop(root, None)
+        cid = self._comp_of.pop(fid)
+        group = self._comp_fids[cid]
+        del group[fid]
+        if not group:
+            del self._comp_fids[cid]
+            self._comp_cache.pop(cid, None)
+        else:
+            entry = self._comp_cache.get(cid)
+            if entry is not None:
+                entry.inc.retire(fid)
         self._index.drop_flow(fid)
         if fluid.n > 256 and fluid.n - fluid.n_alive > 2 * fluid.n_alive:
             self._compact_rows()
@@ -597,10 +601,9 @@ class FabricEngine:
     def _compact_rows(self) -> None:
         """Rebuild the fluid arrays with live rows only.
 
-        Triggered when dead rows outnumber live ones 2:1; separate
-        from the union-find rebuild because steady-state populations
-        (arrivals balancing completions) never halve the active count
-        but do accrete dead rows without bound.
+        Triggered when dead rows outnumber live ones 2:1, so
+        steady-state populations (arrivals balancing completions) do
+        not accrete dead rows without bound.
         """
         fluid = self._fluid
         keep = np.flatnonzero(fluid.alive[:fluid.n])
@@ -621,55 +624,70 @@ class FabricEngine:
         self._comp_cache.clear()
 
     # -- component tracking ------------------------------------------------
-    def _register_hop(self, fid: int, hop: LinkDir) -> None:
-        self._members.setdefault(hop, set()).add(fid)
-        owner = self._link_owner.get(hop)
-        if owner is None:
-            self._link_owner[hop] = fid
+    def _join(self, fid: int, hops: List[LinkDir]) -> None:
+        """Register *fid* on *hops* and merge every component it now
+        touches, its own included, into the largest of them."""
+        comp_of = self._comp_of
+        comp_fids = self._comp_fids
+        cache = self._comp_cache
+        touched: Dict[int, None] = {}
+        own = comp_of.get(fid)
+        if own is not None:
+            touched[own] = None
+        for hop in hops:
+            members = self._members.setdefault(hop, set())
+            if members:
+                touched[comp_of[next(iter(members))]] = None
+        for hop in hops:
+            self._members[hop].add(fid)
+            self._dirty.add(hop)
+        if not touched:
+            cid = next(self._comp_ids)
+            comp_fids[cid] = {}
         else:
-            self._union(fid, owner)
+            cid = max(touched, key=lambda c: len(comp_fids[c]))
+            group = comp_fids[cid]
+            for other in touched:
+                if other != cid:
+                    absorbed = comp_fids.pop(other)
+                    for member in absorbed:
+                        comp_of[member] = cid
+                    group.update(absorbed)
+                    cache.pop(other, None)
+            # The component grew: its compiled incidence is stale.
+            cache.pop(cid, None)
+        comp_fids[cid][fid] = None
+        comp_of[fid] = cid
 
-    def _find(self, fid: int) -> int:
-        dsu = self._dsu
-        root = fid
-        while dsu.get(root, root) != root:
-            root = dsu[root]
-        while fid != root:
-            parent = dsu.get(fid, root)
-            dsu[fid] = root
-            fid = parent
-        return root
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._dsu[rb] = ra
-            if self._comp_cache:
-                # Every structural component merge funnels through
-                # here, so popping both roots keeps the compiled
-                # incidence cache consistent.
-                self._comp_cache.pop(ra, None)
-                self._comp_cache.pop(rb, None)
-
-    def _maybe_rebuild_dsu(self) -> None:
-        """Re-derive components from the live flow set once it has
-        halved — union-find only merges, so without this a long run
-        would converge on one permanent super-component."""
-        if len(self._states) * 2 > self._dsu_peak:
+    def _split(self, cid: int, entry: _CompEntry) -> None:
+        """Re-key component *cid* into the connected pieces of its live
+        rows; the largest piece keeps *cid*, and each piece compiles
+        from its own flows when one of its links is next dirtied.  A
+        component still in one piece keeps its compiled incidence
+        unless most of its rows are dead."""
+        inc = entry.inc
+        pieces = inc.live_pieces()
+        if len(pieces) == 1:
+            if inc.n_alive * 2 < inc.n_rows:
+                # Mostly dead: recompiling is cheaper than dragging
+                # the dead columns through every solve.
+                del self._comp_cache[cid]
+            else:
+                entry.n_labelled = inc.n_alive
             return
-        self._dsu = {}
-        self._link_owner = {}
-        for hop, members in self._members.items():
-            for fid in members:
-                owner = self._link_owner.get(hop)
-                if owner is None:
-                    self._link_owner[hop] = fid
-                else:
-                    self._union(fid, owner)
-        self._dsu_peak = len(self._states)
-        # Roots were re-keyed wholesale; compiled components are keyed
-        # by root, so none of them can be trusted any more.
-        self._comp_cache.clear()
+        del self._comp_cache[cid]
+        fids = inc.fids
+        comp_of = self._comp_of
+        keep = max(range(len(pieces)), key=lambda i: pieces[i].shape[0])
+        for i, rows in enumerate(pieces):
+            group = dict.fromkeys(fids[row] for row in rows.tolist())
+            if i == keep:
+                self._comp_fids[cid] = group
+                continue
+            piece = next(self._comp_ids)
+            self._comp_fids[piece] = group
+            for member in group:
+                comp_of[member] = piece
 
     # -- rate allocation ---------------------------------------------------
     def _refresh_pfc_factors(self) -> None:
@@ -715,22 +733,36 @@ class FabricEngine:
         if self.pfc_spreading:
             self._refresh_pfc_factors()
         index = self._index
-        roots: Set[int] = set()
+        # One member flow per occupied dirty link names its component.
+        reps: List[int] = []
         for hop in self._dirty:
             # Refresh exactly the dirtied columns, so the persistent
             # capacity array is always current by the time a component
             # gathers from it.
             index.set_capacity(hop, self._effective_capacity(hop))
-            if self._members.get(hop):
-                roots.add(self._find(self._link_owner[hop]))
+            members = self._members.get(hop)
+            if members:
+                reps.append(next(iter(members)))
         self._dirty.clear()
-        if not roots:
+        if not reps:
             self._arm_deadline()
             return
+        comp_of = self._comp_of
+        cache = self._comp_cache
+        # Components only merge as flows join, so completions leave
+        # them over-approximate.  A cached one that has lost a
+        # sixteenth of its live rows since it was last known to be
+        # connected is split first, and only its dirtied pieces are
+        # filled.
+        for cid in sorted({comp_of[fid] for fid in reps}):
+            entry = cache.get(cid)
+            if entry is not None \
+                    and entry.inc.n_alive * 16 <= entry.n_labelled * 15:
+                self._split(cid, entry)
+        cids = sorted({comp_of[fid] for fid in reps})
         stats.solves += 1
-        stats.components_solved += len(roots)
-        missing = [root for root in roots
-                   if root not in self._comp_cache]
+        stats.components_solved += len(cids)
+        missing = [cid for cid in cids if cid not in cache]
         if missing:
             self._compile_components(missing)
         # Max-min allocations are separable by connected component, so
@@ -739,8 +771,8 @@ class FabricEngine:
         kernel = fill_kernel(self.backend)
         line_rate = self.fabric.host_line_rate_gbps
         now = self.sim.now
-        for root in sorted(roots):
-            entry = self._comp_cache[root]
+        for cid in cids:
+            entry = cache[cid]
             remaining = index.gather_capacity(entry.l2g)
             stats.link_visits += int(remaining.shape[0])
             stats.flows_resolved += entry.inc.n_alive
@@ -748,26 +780,21 @@ class FabricEngine:
             self._apply_rates(entry, rates, now)
         self._arm_deadline()
 
-    def _compile_components(self, roots: List[int]) -> None:
-        """Compile the incidence problems for *roots* in one pass.
-
-        A single O(active flows) grouping scan covers every missing
-        root — compiles are rare (component topology changed), solves
-        are not, so all per-flow python cost lives here.
-        """
-        groups: Dict[int, List[int]] = {root: [] for root in roots}
-        for fid in self._states:
-            root = self._find(fid)
-            if root in groups:
-                groups[root].append(fid)
+    def _compile_components(self, cids: List[int]) -> None:
+        """Compile the incidence problems of components *cids* from
+        their own flow lists — compiles are rare (component topology
+        changed), solves are not, so all per-flow python cost lives
+        here."""
         states = self._states
-        for root, fids in groups.items():
+        for cid in cids:
+            fids = list(self._comp_fids[cid])
             inc, l2g = compile_component(fids, self._index)
             rows = np.fromiter((states[fid].row for fid in fids),
                                dtype=np.int64, count=len(fids))
             flows = [states[fid].flow for fid in fids]
-            self._comp_cache[root] = _CompEntry(
-                inc=inc, l2g=l2g, rows=rows, flows=flows)
+            self._comp_cache[cid] = _CompEntry(
+                inc=inc, l2g=l2g, rows=rows, flows=flows,
+                n_labelled=len(fids))
             # Memberships re-materialized into solver structures —
             # the same ruler the batch path counts with.
             self.stats.link_visits += inc.nnz

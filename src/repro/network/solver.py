@@ -294,6 +294,57 @@ class CompiledIncidence:
         _np.subtract.at(self.base_count, cols, 1)
         return True
 
+    def live_pieces(self) -> List[Any]:
+        """The live rows, split into the connected pieces they form.
+
+        Two live rows are connected when a chain of live rows sharing
+        columns joins them; dead rows join nothing.  Returns one
+        ascending row array per piece, ordered by first row (none when
+        no row is live).
+
+        Min-label propagation: every column takes the least label of
+        its live rows, every row the least label of its columns, then
+        pointer jumping (a label is a row index no larger than its
+        row's, so ``label[label]`` never rises) collapses chains.  At
+        the fixed point each piece carries its first row as its label.
+        """
+        np_ = _np
+        n = self.n_rows
+        live = np_.flatnonzero(self.alive)
+        nnz = self.nnz
+        if live.shape[0] <= 1 or nnz == 0:
+            return [live[i:i + 1] for i in range(live.shape[0])]
+        # label[n] is the sentinel dead rows point at: it is larger
+        # than every live label, so it never lowers a column.
+        label = np_.full(n + 1, n, dtype=np_.int64)
+        label[live] = live
+        dead = np_.flatnonzero(~self.alive)
+        # reduceat runs over non-empty segments only: rows without
+        # memberships keep their own label, columns without members
+        # are never read.
+        cols = np_.flatnonzero(self.l_lens)
+        col_starts = self.l_indptr[cols]
+        rows = np_.flatnonzero(self.row_lens)
+        row_starts = self.indptr[rows]
+        col = np_.full(self.n_links, n, dtype=np_.int64)
+        while True:
+            col[cols] = np_.minimum.reduceat(label[self.l_rows], col_starts)
+            new = label.copy()
+            new[rows] = np_.minimum.reduceat(col[self.mem_cols], row_starts)
+            new[dead] = n
+            while True:
+                jumped = new[new]
+                if np_.array_equal(jumped, new):
+                    break
+                new = jumped
+            if np_.array_equal(new, label):
+                break
+            label = new
+        labels = label[live]
+        order = np_.argsort(labels, kind="stable")
+        cuts = np_.flatnonzero(np_.diff(labels[order])) + 1
+        return np_.split(live[order], cuts)
+
 
 # --------------------------------------------------------------------------
 # Fill kernels

@@ -35,6 +35,7 @@ from repro.network import (
 )
 from repro.network.fabric import DONE_BITS
 from repro.network.routing import PartitionError
+from repro.network.solver import CompiledIncidence, solve_incidence
 from repro.resilience import FailureInjector
 from repro.simcore import SimulationError, Simulator
 from repro.topology import AstralParams, build_astral
@@ -320,6 +321,7 @@ class TestIncrementalSolve:
             probe["flows_resolved"] = engine.stats.flows_resolved
             probe["solves"] = engine.stats.solves
             probe["cached"] = list(engine._comp_cache)
+            probe["live"] = list(engine._comp_fids)
 
         engine.sim.process(_probe())
         engine.run()
@@ -329,11 +331,10 @@ class TestIncrementalSolve:
         # solve resolves 2 flows (a + late), never flow_b's component.
         assert probe["solves"] == 2
         assert probe["flows_resolved"] == 4
-        # The merge dropped flow_a's old compiled component: the cache
-        # holds live component roots only, never absorbed ones.
+        # The merge dropped the absorbed compiled component: the cache
+        # holds live component ids only.
         assert len(probe["cached"]) == 2
-        assert all(engine._find(root) == root
-                   for root in probe["cached"])
+        assert set(probe["cached"]) <= set(probe["live"])
 
     def test_resubmitted_flow_id_joins_its_cached_component(self):
         """Re-using a finished flow's id (a stable QP) inside a live
@@ -374,6 +375,208 @@ class TestIncrementalSolve:
         engine.submit_many(flows)
         engine.run()
         assert engine.stats.link_visits < batch_stats.link_visits
+
+
+def _check_components(engine):
+    """Component bookkeeping invariants: every live flow is labelled
+    exactly once, every cached incidence belongs to a live component
+    and holds exactly that component's live flows."""
+    assert set(engine._comp_of) == set(engine._states)
+    assert sum(map(len, engine._comp_fids.values())) \
+        == len(engine._states)
+    for cid, fids in engine._comp_fids.items():
+        assert fids and all(engine._comp_of[fid] == cid for fid in fids)
+    assert set(engine._comp_cache) <= set(engine._comp_fids)
+    for cid, entry in engine._comp_cache.items():
+        inc = entry.inc
+        live = {inc.fids[row] for row in range(inc.n_rows)
+                if inc.alive[row]}
+        assert live == set(engine._comp_fids[cid])
+
+
+def _global_rates(engine):
+    """A from-scratch solve over every live flow of *engine*."""
+    hops_of = {fid: state.hops for fid, state in engine._states.items()}
+    capacity = {hop: engine._effective_capacity(hop)
+                for hops in hops_of.values() for hop in hops}
+    return solve_incidence(hops_of, capacity,
+                           engine.fabric.host_line_rate_gbps)
+
+
+def _after_each_solve(monkeypatch, check):
+    """Run ``check(engine)`` after every settled engine solve (no
+    dirtied link left over for a solve already requested); returns
+    the list of checked solves' ``flows_resolved`` counts."""
+    original = FabricEngine._solve
+    calls = []
+
+    def solve(self):
+        original(self)
+        if not self._dirty:
+            calls.append(self.stats.flows_resolved)
+            check(self)
+
+    monkeypatch.setattr(FabricEngine, "_solve", solve)
+    return calls
+
+
+class TestComponentSplit:
+    """Completions split a stale component into its connected pieces,
+    and only the pieces holding a dirtied link are re-filled.  Every
+    engine solve must leave each live flow at the rate a from-scratch
+    global solve gives it, ``==``."""
+
+    @pytest.mark.parametrize("backend", ["python", "vector"])
+    @pytest.mark.parametrize("params,seed", [
+        ("tiny", 0), ("tiny", 1), ("tiny", 2),
+        ("small", 3), ("small", 4), ("small", 5)])
+    def test_every_solve_matches_a_global_solve(self, monkeypatch,
+                                                params, seed, backend):
+        topology = build_astral(getattr(AstralParams, params)())
+        rng = random.Random(f"split-oracle:{params}:{seed}")
+        flows = _random_flows(rng, _hosts(topology), 60)
+        for flow in flows:
+            flow.start_time_s = rng.uniform(0.0, 2.0)
+        splits = []
+
+        def check(engine):
+            _check_components(engine)
+            reference = _global_rates(engine)
+            for fid in engine._states:
+                assert engine.rate_of(fid) == reference[fid], fid
+
+        real_pieces = CompiledIncidence.live_pieces
+
+        def pieces(inc):
+            found = real_pieces(inc)
+            splits.append(len(found))
+            return found
+
+        monkeypatch.setattr(CompiledIncidence, "live_pieces", pieces)
+        solves = _after_each_solve(monkeypatch, check)
+        with use_backend(backend):
+            engine = FabricEngine(Fabric(topology))
+            engine.submit_many(flows)
+            for flow in rng.sample(flows, 6):
+                engine.sim.timeout(rng.uniform(0.0, 3.0)).add_callback(
+                    lambda _event, fid=flow.flow_id: engine.cancel(fid))
+            link_ids = sorted(topology.links)
+            for _ in range(6):
+                engine.set_capacity_factor(
+                    rng.choice(link_ids), rng.choice((0.25, 0.5, 1.0)),
+                    at=rng.uniform(0.0, 3.0))
+            engine.run()
+        assert len(solves) > 20
+        assert splits, "no component was ever labelled"
+        assert not engine._comp_of and not engine._comp_fids
+
+    @staticmethod
+    def _bridged(fabric, hosts):
+        """Groups A and B of three flows each, joined only by a short
+        bridge flow: A shares the bridge's first directed hop, B its
+        last."""
+        src, dst = "p0.b0.h0", "p0.b1.h0"
+        bridge = make_flow(src, dst, rail=0, size_bits=1e9)
+        bridge_hops = fabric.directed_hops(fabric.router.path(bridge))
+
+        def hops(flow):
+            return fabric.directed_hops(fabric.router.path(flow))
+
+        def group(pairs, shared, avoid):
+            """Three flows over *pairs*, each on the *shared* hop and
+            off every hop in *avoid*; source ports pick the paths."""
+            found = []
+            for port in range(49152, 49152 + 400):
+                for a, b in pairs:
+                    if len(found) == 3:
+                        return found
+                    if any((f.src_host, f.dst_host) == (a, b)
+                           for f in found):
+                        continue
+                    flow = make_flow(a, b, rail=0, size_bits=4e10,
+                                     src_port=port)
+                    path_hops = hops(flow)
+                    if shared in path_hops and not avoid & set(path_hops):
+                        found.append(flow)
+            return found
+
+        group_a = group([(src, peer) for peer in hosts
+                         if peer.startswith("p0.b0.") and peer != src],
+                        bridge_hops[0], set(bridge_hops[1:]))
+        a_hops = {hop for flow in group_a for hop in hops(flow)}
+        group_b = group([(peer, dst) for peer in hosts
+                         if not peer.startswith("p0.b0.") and peer != dst],
+                        bridge_hops[-1], a_hops | set(bridge_hops[:-1]))
+        b_hops = {hop for flow in group_b for hop in hops(flow)}
+        # Preconditions: the bridge alone joins A and B.
+        assert len(group_b) == 3
+        assert bridge_hops[0] in a_hops and bridge_hops[-1] in b_hops
+        assert not a_hops & b_hops
+        return bridge, group_a, group_b
+
+    def test_bridge_completion_splits_the_component(self, monkeypatch):
+        fabric = Fabric(build_astral(AstralParams.small()))
+        bridge, group_a, group_b = self._bridged(
+            fabric, _hosts(fabric.topology))
+        a_only = fabric.router.path(group_a[0]).link_ids[-1]
+        records = []
+
+        def check(engine):
+            _check_components(engine)
+            records.append((engine.now, engine.stats.flows_resolved))
+
+        _after_each_solve(monkeypatch, check)
+        engine = FabricEngine(fabric)
+        engine.submit_many([bridge, *group_a, *group_b])
+        # An event in A after the bridge finished (at ~0.02 s).
+        engine.set_capacity_factor(a_only, 0.5, at=0.05)
+        engine.run()
+        finish = engine.finish_time(bridge.flow_id)
+        assert finish < 0.05 < min(
+            engine.finish_time(flow.flow_id)
+            for flow in (*group_a, *group_b))
+        resolved = dict(records)
+        times = sorted(resolved)
+        # One solve for all seven arrivals, one when the bridge left
+        # (both pieces hold one of its links), then the event in A
+        # re-fills exactly A's three live flows.
+        assert times[:3] == [0.0, finish, 0.05]
+        assert resolved[0.0] == 7
+        assert resolved[finish] - resolved[0.0] == 6
+        assert resolved[0.05] - resolved[finish] == 3
+
+    def test_long_stream_keeps_component_state_bounded(self,
+                                                       monkeypatch):
+        """Thousands of unique flow ids through a handful of live
+        flows: the component labels track the live flows only, and
+        cached incidences stay within twice the live rows."""
+        topology = build_astral(AstralParams.small())
+        fabric = Fabric(topology)
+        rng = random.Random("split-stream")
+        flows = _random_flows(rng, _hosts(topology), 2000)
+        size_s = 5e8 / (fabric.host_line_rate_gbps * 1e9)
+        for i, flow in enumerate(flows):
+            flow.size_bits = 5e8 * rng.uniform(1.0, 4.0)
+            flow.start_time_s = i * size_s / 8
+
+        peak = [0]
+
+        def check(engine):
+            live = len(engine._states)
+            assert len(engine._comp_of) == live
+            assert len(engine._comp_fids) <= live
+            rows = sum(entry.inc.n_rows
+                       for entry in engine._comp_cache.values())
+            assert rows <= 2 * live
+            peak[0] = max(peak[0], live)
+
+        solves = _after_each_solve(monkeypatch, check)
+        engine = FabricEngine(fabric)
+        engine.submit_many(flows)
+        run = engine.run()
+        assert len(run.finish_times_s) == len(flows)
+        assert len(solves) > len(flows)
+        assert peak[0] < 100, "the stream is meant to stay shallow"
 
 
 class TestMidFlightController:

@@ -12,7 +12,10 @@ force real contention — and checks, per problem:
   the rate dicts, no tolerance) with identical ``link_visits`` — also
   after rows are retired in place, where the vector kernel reads the
   patched counts and the reference re-derives them from the raw rows;
-* repeated solves of the same problem are deterministic.
+* repeated solves of the same problem are deterministic;
+* :meth:`~repro.network.solver.CompiledIncidence.live_pieces` groups
+  the live rows exactly as a flood fill does, and each piece solved
+  alone gets the whole problem's rates ``==``.
 
 Crafted edge cases (all links tied at one share, everything
 line-rate-capped, flows through dead links) pin the exact values.
@@ -88,6 +91,37 @@ def solve_vector(hops_of, capacity, stats=None):
         return solve_incidence(hops_of, capacity, LINE_RATE, stats)
 
 
+def compile_problem(hops_of, capacity):
+    """The problem's :class:`CompiledIncidence`, one column per link
+    of *capacity* in order, one row per flow of *hops_of*."""
+    col_of = {hop: col for col, hop in enumerate(capacity)}
+    fids = list(hops_of)
+    indptr, mem_cols = [0], []
+    for fid in fids:
+        mem_cols.extend(col_of[hop] for hop in hops_of[fid])
+        indptr.append(len(mem_cols))
+    return CompiledIncidence(fids, indptr, mem_cols, len(col_of))
+
+
+def flood_fill(fids, hops_of):
+    """The flows *fids* grouped into pieces joined by shared links:
+    each piece ascending, pieces ordered by their first flow."""
+    seen, pieces = set(), []
+    for start in fids:
+        if start in seen:
+            continue
+        piece, frontier = {start}, [start]
+        while frontier:
+            hops = set(hops_of[frontier.pop()])
+            for other in fids:
+                if other not in piece and hops & set(hops_of[other]):
+                    piece.add(other)
+                    frontier.append(other)
+        seen |= piece
+        pieces.append(sorted(piece))
+    return pieces
+
+
 # --------------------------------------------------------------------------
 # Randomized properties
 # --------------------------------------------------------------------------
@@ -134,13 +168,8 @@ class TestVectorBackend:
         view :meth:`CompiledIncidence.retire` patched, the reference
         re-derives them from ``alive`` and the raw rows."""
         hops_of, capacity = problem
-        col_of = {hop: col for col, hop in enumerate(capacity)}
+        inc = compile_problem(hops_of, capacity)
         fids = list(hops_of)
-        indptr, mem_cols = [0], []
-        for fid in fids:
-            mem_cols.extend(col_of[hop] for hop in hops_of[fid])
-            indptr.append(len(mem_cols))
-        inc = CompiledIncidence(fids, indptr, mem_cols, len(col_of))
         for fid in data.draw(st.lists(st.sampled_from(fids),
                                       max_size=len(fids))):
             inc.retire(fid)
@@ -165,6 +194,47 @@ class TestVectorBackend:
         hops_of, capacity = problem
         assert solve_vector(hops_of, capacity) \
             == solve_vector(hops_of, capacity)
+
+
+class TestLivePieces:
+    """:meth:`CompiledIncidence.live_pieces` against a python flood
+    fill, and the separability the engine's component split rests on:
+    each piece solved alone gets the rates of the whole live problem,
+    bit for bit."""
+
+    @given(incidence_problems(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_pieces_are_the_connected_live_rows(self, problem, data):
+        hops_of, capacity = problem
+        inc = compile_problem(hops_of, capacity)
+        fids = list(hops_of)
+        for fid in data.draw(st.lists(st.sampled_from(fids),
+                                      max_size=len(fids))):
+            inc.retire(fid)
+        live = [fid for fid in fids if inc.alive[inc.row_of[fid]]]
+        pieces = [[inc.fids[row] for row in rows.tolist()]
+                  for rows in inc.live_pieces()]
+        assert pieces == flood_fill(live, hops_of)
+        if not live:
+            return
+        whole = solve_python({fid: hops_of[fid] for fid in live},
+                             capacity)
+        for piece in pieces:
+            alone = solve_python({fid: hops_of[fid] for fid in piece},
+                                 capacity)
+            assert alone == {fid: whole[fid] for fid in piece}
+
+    def test_long_chain_is_one_piece(self):
+        # A path graph needs many propagation rounds; retiring the
+        # middle flow cuts it in two.
+        hops_of = {fid: (f"l{fid}", f"l{fid + 1}") for fid in range(40)}
+        capacity = {f"l{i}": 10.0 for i in range(41)}
+        inc = compile_problem(hops_of, capacity)
+        assert [rows.tolist() for rows in inc.live_pieces()] \
+            == [list(range(40))]
+        inc.retire(17)
+        assert [rows.tolist() for rows in inc.live_pieces()] \
+            == [list(range(17)), list(range(18, 40))]
 
 
 # --------------------------------------------------------------------------
