@@ -32,6 +32,20 @@ reduced only by the freezes of its own flows, at the shares their own
 piece reaches — so a piece left alone already holds the rates a global
 solve would give it.  The labels hold live flows only, so their size
 follows the live population however many flow ids a run uses.
+
+A dense pattern is still one big component, so each cached component
+also keeps the record of its last fill
+(:class:`~repro.network.solver.FillRecord`: the capacities it
+gathered, each row's freeze round — which also marks the rows it saw
+live — each round's share, and the frozen rows' columns in freeze
+order).
+When the capacities are bit-equal and only completions touched the
+component since, the next fill replays the rounds before the earliest
+round a completed flow froze in and runs the kernel from there; any
+other change — a capacity or PFC factor, a compile after an arrival,
+reroute or split — fills cold.  The resumed fill is bit-identical to a
+cold one (see :mod:`repro.network.solver`).
+
 :class:`SolverStats` counts the work (solver calls, link visits) so
 the saving vs the epoch-global baseline is measurable — see
 ``benchmarks/test_bench_fabric_engine.py``.
@@ -39,7 +53,8 @@ the saving vs the epoch-global baseline is measurable — see
 The fluid core is array-shaped and there is exactly one of it: per-flow
 ``remaining``/``rate``/absolute-``deadline`` rows (:class:`_FluidArrays`),
 one compiled :class:`~repro.network.solver.CompiledIncidence` per
-component (cached, and patched in place as flows finish), and a single
+component (cached, patched in place as flows finish, and remapped
+rather than dropped when dead fluid rows are compacted), and a single
 engine-level deadline event at the minimum of the deadline array.  The
 backend of the :func:`~repro.network.solver.use_backend` scope the
 engine is built in picks only the progressive-filling kernel a compiled
@@ -65,6 +80,7 @@ from .flows import Flow, FlowPath
 from .routing import RoutingError
 from .solver import (
     CompiledIncidence,
+    FillRecord,
     IncidenceIndex,
     SolverStats,
     compile_component,
@@ -157,6 +173,8 @@ class _CompEntry:
     #: live rows when the component was last known to be connected
     #: (compiled, or labelled as one piece).
     n_labelled: int
+    #: the last fill's freeze order, which the next fill resumes from.
+    record: FillRecord
 
 
 class FabricEngine:
@@ -620,8 +638,13 @@ class FabricEngine:
         for row, fid in enumerate(fresh.fids):
             self._states[fid].row = row
         self._fluid = fresh
-        # Cached components index into the old row space.
-        self._comp_cache.clear()
+        # Cached components keep their incidences and fill records:
+        # their live rows move to the new row space, and a dead row is
+        # never used to index the fluid arrays.
+        new_row = np.full(fluid.n, -1, dtype=np.int64)
+        new_row[keep] = np.arange(n, dtype=np.int64)
+        for entry in self._comp_cache.values():
+            entry.rows = new_row[entry.rows]
 
     # -- component tracking ------------------------------------------------
     def _join(self, fid: int, hops: List[LinkDir]) -> None:
@@ -773,10 +796,14 @@ class FabricEngine:
         now = self.sim.now
         for cid in cids:
             entry = cache[cid]
-            remaining = index.gather_capacity(entry.l2g)
-            stats.link_visits += int(remaining.shape[0])
+            capacity = index.gather_capacity(entry.l2g)
+            stats.link_visits += int(capacity.shape[0])
             stats.flows_resolved += entry.inc.n_alive
-            rates = kernel(entry.inc, remaining, line_rate, stats)
+            # Warm when only completions touched the component since its
+            # last fill: the rounds they cannot reach are replayed.
+            remaining = entry.record.resume(entry.inc, capacity)
+            rates = kernel(entry.inc, remaining, line_rate, stats,
+                           entry.record)
             self._apply_rates(entry, rates, now)
         self._arm_deadline()
 
@@ -794,7 +821,7 @@ class FabricEngine:
             flows = [states[fid].flow for fid in fids]
             self._comp_cache[cid] = _CompEntry(
                 inc=inc, l2g=l2g, rows=rows, flows=flows,
-                n_labelled=len(fids))
+                n_labelled=len(fids), record=FillRecord(inc))
             # Memberships re-materialized into solver structures —
             # the same ruler the batch path counts with.
             self.stats.link_visits += inc.nnz

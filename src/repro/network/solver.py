@@ -43,6 +43,32 @@ reference:
   reference's repeated per-flow subtractions bit-for-bit.  A
   reassociated update (``remaining -= k * share``) would not.
 
+**Resuming a fill.**  A kernel handed a :class:`FillRecord` starts
+from its prefix instead of round 0 and records the round each row
+freezes in.  :meth:`FillRecord.resume` keeps the prefix when the
+capacity vector is bit-equal to the last fill's and the only change
+since is retired rows.  Rounds before ``r``, the earliest round a
+retired row froze in, are then the cold fill's rounds exactly:
+
+* a column of a retired row was never tied before ``r`` (else that
+  row would have frozen there), so its share stayed above the minimum;
+* retiring a row only lowers its columns' counts, and with a
+  non-negative residue a lower count never lowers a share (division is
+  monotone in the divisor), so those columns stay above the minimum,
+  and every other column sees exactly the old counts and subtractions;
+* the prefix is replayed with one ``np.subtract.at`` over the member
+  columns the record kept in freeze order — round-major, and the
+  kernel's own sorted-row order within a round — so each column sees
+  the cold fill's subtractions in the cold fill's order, bit for bit.
+
+A prefix with a negative share or leaving a negative residue on a
+retired row's column is dropped (``r = 0``): a smaller count could
+then lower a share.  From round ``r`` the kernel runs its normal loop,
+and its state there — residue, counts, unfrozen rows, live columns —
+is the cold fill's, so rates, freeze rounds and the ``link_visits`` of
+the rounds it runs are the cold fill's too.  A fresh record is the
+cold start, ``r = 0``.
+
 The validation harness pins this contract on every fuzz profile
 (``repro.validation.differential.check_solver_backends``): finish
 times, event traces and :class:`SolverStats` must compare ``==``
@@ -61,7 +87,9 @@ ruler across paths and backends:
 
 The per-hop subtractions of the freeze step are deliberately uncounted
 (they are proportional to the memberships already counted at
-materialization).
+materialization).  Rounds replayed from a :class:`FillRecord` are not
+link visits either: a replay only makes those uncounted subtractions,
+and the capacity load of a resumed solve is counted as for any solve.
 """
 
 from __future__ import annotations
@@ -87,6 +115,7 @@ import numpy as _np
 __all__ = [
     "HAVE_NUMPY",
     "CompiledIncidence",
+    "FillRecord",
     "IncidenceIndex",
     "SolverStats",
     "compile_component",
@@ -180,8 +209,10 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
 def fill_kernel(backend: str) -> Callable:
     """The progressive-filling kernel of a resolved *backend* name.
 
-    Kernels are called as ``kernel(inc, remaining, line_rate, stats)``
-    and return the rate per row of *inc*.  The kernel is read from this
+    Kernels are called as ``kernel(inc, remaining, line_rate, stats,
+    record)`` and return the rate per row of *inc*; the optional
+    :class:`FillRecord` is the start state and receives each row's
+    freeze round.  The kernel is read from this
     module's globals at call time, so a wrapper installed over
     ``progressive_fill_vector`` (the bench tracer) is the one that runs.
     """
@@ -346,21 +377,88 @@ class CompiledIncidence:
         return np_.split(live[order], cuts)
 
 
+class FillRecord:
+    """The freeze order one fill of a :class:`CompiledIncidence` left
+    behind, and what the fill started from.
+
+    ``round_of[row]`` is the round in which the row froze (-1: dead, or
+    not frozen yet), so after a fill ``round_of >= 0`` is the live-row
+    mask the fill saw.  ``shares[k]`` is the share round *k* froze its
+    rows at — the line rate for a closing round of line-rate-limited
+    rows.  ``cols`` holds the member columns of the rows each round
+    froze, round after round and in sorted-row order within a round;
+    round *k*'s run is ``cols[starts[k]:starts[k + 1]]`` (a closing
+    round adds none).  ``capacity`` is the capacity vector the fill
+    started from.  Both kernels read a record as their start state and
+    append the rounds they run to it; a fresh record is a cold start.
+    """
+
+    __slots__ = ("capacity", "round_of", "shares", "cols", "starts")
+
+    def __init__(self, inc: CompiledIncidence):
+        self.capacity = None
+        self.round_of = _np.full(inc.n_rows, -1, dtype=_np.int64)
+        self.shares: List[float] = []
+        self.cols = _np.empty(inc.nnz, dtype=_np.int64)
+        self.starts: List[int] = [0]
+
+    def resume(self, inc: CompiledIncidence, capacity):
+        """Ready the next fill of *inc* from *capacity*.
+
+        Keeps the rounds of the last fill that the changes since cannot
+        reach, replays their subtractions, and returns the residue to
+        hand a kernel together with this record.  The prefix survives
+        only when *capacity* is bit-equal to the last fill's and the
+        only change since is retired rows: then rounds before
+        ``r = min(round of the retired rows)`` are unchanged (see the
+        module docstring).  Otherwise ``r = 0``, a cold start.
+        *capacity* is kept, not consumed.
+        """
+        np_ = _np
+        round_of = self.round_of
+        r = 0
+        if self.capacity is not None and np_.array_equal(
+                self.capacity.view(np_.int64), capacity.view(np_.int64)):
+            retired = np_.flatnonzero((round_of >= 0) & ~inc.alive)
+            r = int(round_of[retired].min()) if retired.size \
+                else len(self.shares)
+        remaining = capacity.copy()
+        if 0 < r < len(self.shares):
+            # ``cols`` is round-major: each column sees the
+            # subtractions of a cold fill in the same order.
+            share = np_.array(self.shares[:r])
+            starts = np_.array(self.starts[:r + 1])
+            np_.subtract.at(remaining, self.cols[:starts[-1]],
+                            np_.repeat(share, np_.diff(starts)))
+            if share.min() < 0 or \
+                    (remaining[inc.rows_cols(retired)] < 0).any():
+                # A negative residue: a smaller count could lower a
+                # retired column's share, so the prefix may not hold.
+                r = 0
+                remaining = capacity.copy()
+        round_of[round_of >= r] = -1
+        del self.shares[r:]
+        del self.starts[r + 1:]
+        self.capacity = capacity
+        return remaining
+
+
 # --------------------------------------------------------------------------
 # Fill kernels
 # --------------------------------------------------------------------------
 
 def fill_rates_python(inc: CompiledIncidence, remaining,
                       line_rate: float,
-                      stats: Optional[SolverStats] = None):
+                      stats: Optional[SolverStats] = None,
+                      record: Optional[FillRecord] = None):
     """The reference kernel: progressive filling in pure python.
 
     Reads only the raw rows of *inc* — ``indptr``, ``mem_cols`` and
     ``alive``, turned into lists — and derives its own per-link member
-    counts and member lists, so comparing it with the vector kernel
-    checks the compiled column view and the counts
-    :meth:`CompiledIncidence.retire` patches instead of trusting them.
-    *remaining* is the per-link capacity (not consumed).
+    counts and member lists from the rows still to freeze, so comparing
+    it with the vector kernel checks the compiled column view and the
+    counts :meth:`CompiledIncidence.retire` patches instead of trusting
+    them.  *remaining* is the per-link capacity (not consumed).
     Returns the rate per row as a float64 array (dead rows 0.0).
 
     Repeatedly: find the tightest link (smallest fair share among its
@@ -370,26 +468,41 @@ def fill_rates_python(inc: CompiledIncidence, remaining,
     member counts are maintained incrementally and fully-frozen links
     are pruned from the scan list, so each iteration costs
     O(live links) instead of O(total memberships).
+
+    With a *record* the fill starts from its replayed prefix (see
+    :meth:`FillRecord.resume`; *remaining* is then the replayed
+    residue) and appends the rounds it runs to it.
     """
+    if record is None:
+        record = FillRecord(inc)
     indptr = inc.indptr.tolist()
     mem_cols = inc.mem_cols.tolist()
     alive = inc.alive.tolist()
     remaining = remaining.tolist()
+    round_of = record.round_of.tolist()
+    shares = record.shares
+    starts = record.starts
+    # Columns of the rows this call freezes, appended after the prefix.
+    base = starts[-1]
+    frozen_cols: List[int] = []
     n_links = len(remaining)
     cols_of: List[List[int]] = []
     active_count = [0] * n_links
     members: List[List[int]] = [[] for _ in range(n_links)]
     unfrozen = set()
+    rates = [0.0] * len(alive)
     for row, live_row in enumerate(alive):
         cols = mem_cols[indptr[row]:indptr[row + 1]]
         cols_of.append(cols)
         if not live_row:
             continue
+        if round_of[row] >= 0:
+            rates[row] = shares[round_of[row]]
+            continue
         unfrozen.add(row)
         for col in cols:
             active_count[col] += 1
             members[col].append(row)
-    rates = [0.0] * len(alive)
     scan = list(range(n_links))
     while unfrozen:
         bottleneck_share = line_rate
@@ -413,6 +526,9 @@ def fill_rates_python(inc: CompiledIncidence, remaining,
             # Every remaining flow is line-rate limited.
             for row in unfrozen:
                 rates[row] = line_rate
+                round_of[row] = len(shares)
+            shares.append(line_rate)
+            starts.append(base + len(frozen_cols))
             break
         # Water-filling: every link tied at the bottleneck share
         # saturates together (freezing one tied link leaves the
@@ -422,18 +538,25 @@ def fill_rates_python(inc: CompiledIncidence, remaining,
         for col in tied:
             frozen_now.update(members[col])
         frozen_now &= unfrozen
-        for row in frozen_now:
+        for row in sorted(frozen_now):
             rates[row] = bottleneck_share
+            round_of[row] = len(shares)
+            frozen_cols.extend(cols_of[row])
             for col in cols_of[row]:
                 remaining[col] -= bottleneck_share
                 active_count[col] -= 1
+        shares.append(bottleneck_share)
+        starts.append(base + len(frozen_cols))
         unfrozen -= frozen_now
+    record.round_of[:] = round_of
+    record.cols[base:base + len(frozen_cols)] = frozen_cols
     return _np.array(rates, dtype=_np.float64)
 
 
 def progressive_fill_vector(inc: CompiledIncidence, remaining,
                             line_rate: float,
-                            stats: Optional[SolverStats] = None):
+                            stats: Optional[SolverStats] = None,
+                            record: Optional[FillRecord] = None):
     """The numpy kernel: progressive filling over compiled arrays.
 
     *remaining* is the per-link unconsumed capacity (float64, consumed
@@ -441,16 +564,31 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
     at 0.0).  Every operation is element-wise or an order-independent
     comparison min, so the result is bit-identical to
     :func:`fill_rates_python` on the same problem — see the module
-    docstring for why.
+    docstring for why.  A *record* is read and extended exactly as
+    the reference kernel does.
     """
     np_ = _np
     n = inc.n_rows
+    if record is None:
+        record = FillRecord(inc)
+    round_of = record.round_of
+    shares = record.shares
+    starts = record.starts
+    frozen_cols = record.cols
+    end = starts[-1]
     rates = np_.zeros(n, dtype=np_.float64)
-    if inc.n_alive == 0:
-        return rates
-    unfrozen = inc.alive.copy()
-    n_unfrozen = int(inc.n_alive)
     counts = inc.base_count.copy()
+    unfrozen = inc.alive.copy()
+    if shares:
+        # Rows of the replayed prefix keep their rounds' shares and
+        # leave the counts of their columns.
+        done = np_.flatnonzero(round_of >= 0)
+        rates[done] = np_.array(shares)[round_of[done]]
+        unfrozen[done] = False
+        counts -= np_.bincount(frozen_cols[:end], minlength=inc.n_links)
+        n_unfrozen = int(inc.n_alive) - int(done.size)
+    else:
+        n_unfrozen = int(inc.n_alive)
     scan = np_.arange(inc.n_links, dtype=np_.int64)
     while n_unfrozen:
         live_counts = counts[scan]
@@ -459,15 +597,18 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
         if stats is not None:
             stats.link_visits += int(scan.size)
         if scan.size:
-            shares = remaining[scan] / live_counts[live]
-            min_share = shares.min()
+            shares_now = remaining[scan] / live_counts[live]
+            min_share = shares_now.min()
         else:
             min_share = line_rate
         if not (min_share < line_rate):
             # Every remaining flow is line-rate limited.
             rates[unfrozen] = line_rate
+            round_of[unfrozen] = len(shares)
+            shares.append(line_rate)
+            starts.append(end)
             break
-        tied = scan[shares == min_share]
+        tied = scan[shares_now == min_share]
         cand = inc.link_rows(tied)
         cand = cand[unfrozen[cand]]
         # A flow crossing several tied links must freeze (and
@@ -483,11 +624,16 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
         else:
             rows = cand
         rates[rows] = min_share
+        round_of[rows] = len(shares)
+        shares.append(float(min_share))
         unfrozen[rows] = False
         n_unfrozen -= int(rows.size)
         cols = inc.rows_cols(rows)
         np_.subtract.at(remaining, cols, min_share)
         np_.subtract.at(counts, cols, 1)
+        frozen_cols[end:end + cols.shape[0]] = cols
+        end += cols.shape[0]
+        starts.append(end)
     return rates
 
 

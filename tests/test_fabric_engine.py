@@ -14,6 +14,7 @@ import json
 import random
 import signal
 
+import numpy as np
 import pytest
 
 from repro.monitoring import (
@@ -577,6 +578,66 @@ class TestComponentSplit:
         assert len(run.finish_times_s) == len(flows)
         assert len(solves) > len(flows)
         assert peak[0] < 100, "the stream is meant to stay shallow"
+
+
+class TestCompaction:
+    """Compacting the fluid rows keeps every cached component: its
+    live rows are remapped to the new row space, so its incidence and
+    fill record survive, and each solve still matches a global one."""
+
+    def test_compaction_keeps_compiled_components(self, monkeypatch):
+        fabric = Fabric(build_astral(AstralParams.tiny()))
+        line_bits = fabric.host_line_rate_gbps * 1e9
+        # A: four long flows sharing one host uplink, one component
+        # that lives through the whole stream and loses rows to it.
+        long_flows = [make_flow("p0.b1.h0", dst, rail=0,
+                                size_bits=line_bits * 60.0 * (i + 1))
+                      for i, dst in enumerate(
+                          ("p0.b1.h1", "p1.b0.h0", "p1.b0.h1",
+                           "p1.b1.h0"))]
+        # B: back-to-back transfers that churn the fluid rows.
+        stream = []
+        for i in range(300):
+            for src, dst, offset in (("p0.b0.h0", "p0.b0.h1", 0.0),
+                                     ("p0.b0.h1", "p0.b0.h0", 0.5)):
+                flow = make_flow(src, dst, rail=0, size_bits=line_bits)
+                flow.start_time_s = 2.0 * i + offset
+                stream.append(flow)
+        kept = []
+        real_compact = FabricEngine._compact_rows
+
+        def compact(engine):
+            before = dict(engine._comp_cache)
+            real_compact(engine)
+            assert engine._comp_cache == before
+            fluid = engine._fluid
+            for entry in before.values():
+                rows = np.flatnonzero(entry.inc.alive)
+                assert [fluid.fids[row]
+                        for row in entry.rows[rows].tolist()] \
+                    == [entry.inc.fids[row] for row in rows.tolist()]
+            kept.append((engine.now, len(before)))
+
+        def check(engine):
+            _check_components(engine)
+            reference = _global_rates(engine)
+            for fid in engine._states:
+                assert engine.rate_of(fid) == reference[fid], fid
+
+        monkeypatch.setattr(FabricEngine, "_compact_rows", compact)
+        solves = _after_each_solve(monkeypatch, check)
+        engine = FabricEngine(fabric)
+        engine.submit_many(long_flows)
+        engine.submit_many(stream)
+        run = engine.run()
+        assert len(run.finish_times_s) == len(long_flows) + len(stream)
+        assert len(solves) > len(stream)
+        assert len(kept) >= 2 and min(n for _, n in kept) >= 1
+        # A flow of A finished after a compaction while the rest of A
+        # was live: A's kept entry was re-filled over remapped rows.
+        finish = sorted(run.finish_times_s[flow.flow_id]
+                        for flow in long_flows)
+        assert kept[0][0] < finish[-2]
 
 
 class TestMidFlightController:

@@ -15,7 +15,11 @@ force real contention — and checks, per problem:
 * repeated solves of the same problem are deterministic;
 * :meth:`~repro.network.solver.CompiledIncidence.live_pieces` groups
   the live rows exactly as a flood fill does, and each piece solved
-  alone gets the whole problem's rates ``==``.
+  alone gets the whole problem's rates ``==``;
+* a fill resumed from a :class:`~repro.network.solver.FillRecord`
+  after retirements gives a cold fill's rates and freeze order bit for
+  bit under both kernels, with equal ``link_visits`` across kernels,
+  and a changed capacity restarts it cold.
 
 Crafted edge cases (all links tied at one share, everything
 line-rate-capped, flows through dead links) pin the exact values.
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.network.solver import (
     CompiledIncidence,
+    FillRecord,
     SolverStats,
     fill_rates_python,
     progressive_fill_vector,
@@ -235,6 +240,121 @@ class TestLivePieces:
         inc.retire(17)
         assert [rows.tolist() for rows in inc.live_pieces()] \
             == [list(range(17)), list(range(18, 40))]
+
+
+KERNELS = (fill_rates_python, progressive_fill_vector)
+
+
+def bits(rates):
+    """Float bit patterns, so ``==`` tells 0.0 from -0.0."""
+    return rates.view(np.int64).tolist()
+
+
+def fill(kernel, inc, capacity, record, stats=None):
+    """One engine-style fill: resume *record*, then run *kernel*."""
+    remaining = record.resume(inc, capacity)
+    return kernel(inc, remaining, LINE_RATE, stats, record)
+
+
+def cold_fill(kernel, inc, capacity):
+    """A from-scratch fill of *inc*'s live rows and its record."""
+    record = FillRecord(inc)
+    rates = kernel(inc, capacity.copy(), LINE_RATE, None, record)
+    return rates, record
+
+
+class TestWarmStart:
+    """:meth:`FillRecord.resume` keeps the rounds a retirement cannot
+    reach and replays them; the kernels run the rest.  Every resumed
+    fill must equal a cold fill of the same live rows, bit for bit."""
+
+    @given(incidence_problems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_resume_after_retire_equals_cold_fill(self, problem, data):
+        hops_of, capacity = problem
+        cap = np.fromiter(capacity.values(), dtype=np.float64)
+        fids = list(hops_of)
+        batches = data.draw(st.lists(
+            st.lists(st.sampled_from(fids), unique=True,
+                     max_size=len(fids)),
+            min_size=1, max_size=3))
+        visits = {}
+        for kernel in KERNELS:
+            inc = compile_problem(hops_of, capacity)
+            record = FillRecord(inc)
+            fill(kernel, inc, cap.copy(), record)
+            visits[kernel] = []
+            for batch in batches:
+                for fid in batch:
+                    inc.retire(fid)
+                stats = SolverStats()
+                warm = fill(kernel, inc, cap.copy(), record, stats)
+                cold, cold_record = cold_fill(kernel, inc, cap)
+                assert bits(warm) == bits(cold)
+                assert record.shares == cold_record.shares
+                assert record.round_of.tolist() \
+                    == cold_record.round_of.tolist()
+                assert record.starts == cold_record.starts
+                end = record.starts[-1]
+                assert record.cols[:end].tolist() \
+                    == cold_record.cols[:end].tolist()
+                visits[kernel].append(stats.link_visits)
+        assert visits[fill_rates_python] \
+            == visits[progressive_fill_vector]
+
+    @given(incidence_problems(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_changed_capacity_fills_cold(self, problem, data):
+        hops_of, capacity = problem
+        cap = np.fromiter(capacity.values(), dtype=np.float64)
+        changed = cap.copy()
+        changed[data.draw(st.integers(0, cap.shape[0] - 1))] += 1.0
+        fids = list(hops_of)
+        retired = data.draw(st.lists(st.sampled_from(fids), unique=True,
+                                     max_size=len(fids)))
+        for kernel in KERNELS:
+            inc = compile_problem(hops_of, capacity)
+            record = FillRecord(inc)
+            fill(kernel, inc, cap.copy(), record)
+            for fid in retired:
+                inc.retire(fid)
+            remaining = record.resume(inc, changed.copy())
+            assert record.shares == []
+            assert (record.round_of == -1).all()
+            assert bits(remaining) == bits(changed)
+            warm = kernel(inc, remaining, LINE_RATE, None, record)
+            assert bits(warm) == bits(cold_fill(kernel, inc, changed)[0])
+
+    @given(incidence_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_nothing_retired_returns_the_last_rates(self, problem):
+        hops_of, capacity = problem
+        cap = np.fromiter(capacity.values(), dtype=np.float64)
+        for kernel in KERNELS:
+            inc = compile_problem(hops_of, capacity)
+            record = FillRecord(inc)
+            first = fill(kernel, inc, cap.copy(), record)
+            stats = SolverStats()
+            again = fill(kernel, inc, cap.copy(), record, stats)
+            assert bits(again) == bits(first)
+            assert stats.link_visits == 0
+
+    def test_negative_residue_fills_cold(self):
+        # l0 freezes flow 0 first (share -1.5 < -1.0).  Retiring flow 2
+        # drops l1's count, which lowers its negative share to -2.0:
+        # the first round changes, so the prefix must not be kept.
+        hops_of = {0: ("l0",), 1: ("l1",), 2: ("l1",)}
+        capacity = {"l0": -1.5, "l1": -2.0}
+        cap = np.fromiter(capacity.values(), dtype=np.float64)
+        for kernel in KERNELS:
+            inc = compile_problem(hops_of, capacity)
+            record = FillRecord(inc)
+            fill(kernel, inc, cap.copy(), record)
+            assert record.shares == [-1.5, -1.0]
+            inc.retire(2)
+            warm = fill(kernel, inc, cap.copy(), record)
+            assert record.shares == [-2.0, -1.5]
+            assert bits(warm) == bits(cold_fill(kernel, inc, cap)[0])
 
 
 # --------------------------------------------------------------------------
