@@ -9,7 +9,7 @@ UDP source port.  This module provides:
 
 * :class:`FiveTuple` — the flow key shared with the monitoring system
   (it is the join key between QP metadata and network-layer telemetry).
-* :func:`crc16` — a bitwise CRC-16/CCITT, linear over GF(2).
+* :func:`crc16` — CRC-16/CCITT, linear over GF(2).
 * :class:`EcmpHasher` — per-switch hash that maps a five-tuple to an
   index among ``n`` candidate next hops.  All switches in a fabric
   share one hash function by default, which is precisely what produces
@@ -18,40 +18,19 @@ UDP source port.  This module provides:
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 __all__ = ["FiveTuple", "crc16", "EcmpHasher"]
 
-_CRC16_POLY = 0x1021  # CRC-16/CCITT
-
-
-def _crc16_table(poly: int):
-    """Per-byte CRC remainders (the classic byte-at-a-time table)."""
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ poly) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC16_TABLE = _crc16_table(_CRC16_POLY)
-
 
 def crc16(data: bytes, seed: int = 0) -> int:
-    """CRC-16/CCITT, table-driven.  Linear over GF(2) in the message
-    bits; value-identical to the bitwise definition (the table folds
-    the 8 shift/xor steps per byte into one lookup)."""
-    crc = seed & 0xFFFF
-    table = _CRC16_TABLE
-    for byte in data:
-        crc = ((crc << 8) & 0xFF00) ^ table[(crc >> 8) ^ byte]
-    return crc
+    """CRC-16/CCITT (polynomial 0x1021, non-reflected), computed in C by
+    :func:`binascii.crc_hqx`.  Linear over GF(2) in the message bits;
+    value-identical to the bitwise definition (8 shift/xor steps per
+    byte)."""
+    return binascii.crc_hqx(data, seed & 0xFFFF)
 
 
 @dataclass(frozen=True)

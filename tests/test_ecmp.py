@@ -7,6 +7,19 @@ from hypothesis import strategies as st
 from repro.network import EcmpHasher, FiveTuple, crc16
 
 
+def _crc16_bitwise(data, seed):
+    """CRC-16/CCITT by its definition: 8 shift/xor steps per byte."""
+    crc = seed & 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+    return crc
+
+
 class TestCrc16:
     def test_known_value_stable(self):
         # Regression anchor: the hash must be stable across runs since
@@ -22,6 +35,14 @@ class TestCrc16:
     def test_output_is_16_bit(self):
         for data in (b"a", b"abc", b"\xff" * 64):
             assert 0 <= crc16(data) <= 0xFFFF
+
+    @given(st.binary(max_size=64), st.integers(min_value=0,
+                                               max_value=(1 << 20) - 1))
+    @settings(max_examples=300)
+    def test_matches_bitwise_definition(self, data, seed):
+        """The C implementation is the bitwise CRC, seeds past 16 bits
+        included (only their low 16 bits count)."""
+        assert crc16(data, seed=seed) == _crc16_bitwise(data, seed)
 
     @given(st.binary(min_size=1, max_size=32), st.binary(min_size=1,
                                                          max_size=32))

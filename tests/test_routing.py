@@ -6,16 +6,23 @@ from collections import deque
 import pytest
 
 from repro.network import (
+    EcmpHasher,
     EcmpRouter,
     Fabric,
+    FlowPath,
     RoutingError,
     make_flow,
     reset_flow_ids,
 )
+from repro.network.routing import PartitionError
 from repro.topology import (
     AstralParams,
     CrossDcParams,
     DeviceKind,
+    Host,
+    PortRef,
+    Switch,
+    Topology,
     build_astral,
     build_clos,
     build_cross_dc,
@@ -197,10 +204,17 @@ class TestRouterCaching:
         flow = make_flow(_host(0, 0, 0), _host(0, 1, 0), rail=0,
                          size_bits=8e9)
         router.path(flow)
-        assert router._dist_cache
+        key = (flow.dst_host, 0)
+        routes, _ = router._dist_cache[key]
+        assert list(router._seed_cache.values()) == [routes]
+        runs = router.bfs_runs
         topo.fail_link(0)
         router.path(flow)
         assert router._cache_version == topo.version
+        # The version bump dropped both caches: fresh routes, one BFS.
+        assert router._dist_cache[key][0] is not routes
+        assert routes not in router._seed_cache.values()
+        assert router.bfs_runs == runs + 1
 
     @staticmethod
     def _all_to_all(topo):
@@ -224,6 +238,10 @@ class TestRouterCaching:
         assert router.dist_cache_misses == hosts * params.rails
         assert router.dist_cache_hits > router.dist_cache_misses
         assert len(router._seed_cache) == blocks * params.rails
+        # No per-destination copies: every host destination holds its
+        # seed set's one shared routes object.
+        assert {id(routes) for routes, _ in router._dist_cache.values()} \
+            == {id(routes) for routes in router._seed_cache.values()}
 
     def test_fail_link_clears_both_caches(self):
         topo = build_astral(AstralParams.tiny())
@@ -237,21 +255,31 @@ class TestRouterCaching:
         assert list(router._dist_cache) == [(_host(0, 0, 0), 0)]
         assert len(router._seed_cache) == 1
 
+    @staticmethod
+    def _by_value(router):
+        """Both caches by value: per (destination, rail) its distances
+        and index; per seed set its distances and memoised next hops."""
+        maps = {key: (routes.dist.tolist(), target)
+                for key, (routes, target) in router._dist_cache.items()}
+        shared = {seeds: (routes.dist.tolist(),
+                          {device: hops.tolist()
+                           for device, hops in routes.hops.items()})
+                  for seeds, routes in router._seed_cache.items()}
+        return maps, shared
+
     def test_restore_link_rebuilds_both_caches(self):
         topo = build_astral(AstralParams.tiny())
         flows = self._all_to_all(topo)
         fabric = Fabric(topo)
         healthy = fabric.resolve_paths(flows)
         router = fabric.router
-        maps = dict(router._dist_cache)
-        shared = dict(router._seed_cache)
+        maps, shared = self._by_value(router)
         runs = router.bfs_runs
         topo.fail_link(0)
         fabric.resolve_paths(flows)
         topo.restore_link(0)
         assert fabric.resolve_paths(flows) == healthy
-        assert router._dist_cache == maps
-        assert router._seed_cache == shared
+        assert self._by_value(router) == (maps, shared)
         # A failed host link splits its block's seed set: one more BFS.
         assert router.bfs_runs == 3 * runs + 1
 
@@ -283,15 +311,96 @@ def _oracle_distances(topo, dst_host, dst_rail):
     return dist
 
 
-class _OracleRouter(EcmpRouter):
-    """Routes with oracle maps; build one per topology state."""
+class _OracleRouter:
+    """The dict router the compiled one replaced, kept verbatim as an
+    independent oracle: per-destination BFS maps, next hops by dict
+    lookups over ``Topology.neighbors``, and a dict partition flood.
+    Build one per topology state."""
+
+    def __init__(self, topology):
+        self.topology = topology
+        self.hasher = EcmpHasher()
+        self._maps = {}
 
     def distances_to(self, dst_host, dst_rail):
         key = (dst_host, dst_rail)
-        if key not in self._dist_cache:
-            self._dist_cache[key] = _oracle_distances(
+        if key not in self._maps:
+            self._maps[key] = _oracle_distances(
                 self.topology, dst_host, dst_rail)
-        return self._dist_cache[key]
+        return self._maps[key]
+
+    def next_hop_links(self, device, flow):
+        topo = self.topology
+        dst_rail = EcmpRouter._dst_rail(flow)
+        dist = self.distances_to(flow.dst_host, dst_rail)
+
+        if device == flow.src_host:
+            rail_neighbors = []
+            for link, neighbor in topo.neighbors(device):
+                neighbor_rail = neighbor.rail
+                if neighbor_rail is not None and neighbor_rail != flow.rail:
+                    continue
+                neighbor_dist = dist.get(neighbor.name)
+                if neighbor_dist is not None:
+                    rail_neighbors.append((neighbor_dist, link))
+            if not rail_neighbors:
+                return []
+            best = min(d for d, _ in rail_neighbors)
+            candidates = [link for d, link in rail_neighbors if d == best]
+            candidates.sort(key=lambda link: link.link_id)
+            return candidates
+
+        here = dist.get(device)
+        if here is None:
+            return []
+        candidates = []
+        for link, neighbor in topo.neighbors(device):
+            if dist.get(neighbor.name, float("inf")) == here - 1:
+                candidates.append(link)
+        candidates.sort(key=lambda link: link.link_id)
+        return candidates
+
+    def partition_cut(self, src, dst, src_rail=None):
+        # The flood from src is the per-destination BFS toward src.
+        reached = _oracle_distances(self.topology, src, src_rail)
+        if dst in reached:
+            return None
+        topo = self.topology
+        cut = {
+            link.link_id
+            for device in reached
+            for link in topo.links_of(device)
+            if not link.healthy
+        }
+        return tuple(sorted(cut))
+
+    def _no_route(self, device, flow):
+        cut = self.partition_cut(flow.src_host, flow.dst_host,
+                                 src_rail=flow.rail)
+        if cut is not None:
+            return PartitionError(flow.src_host, flow.dst_host,
+                                  flow.rail, cut, flow_id=flow.flow_id)
+        return RoutingError(
+            f"no route from {device} to {flow.dst_host} "
+            f"(flow {flow.flow_id}, rail {flow.rail})")
+
+    def path(self, flow, max_hops=16):
+        device = flow.src_host
+        route = FlowPath(flow_id=flow.flow_id, devices=[device])
+        for _ in range(max_hops):
+            if device == flow.dst_host:
+                return route
+            candidates = self.next_hop_links(device, flow)
+            if not candidates:
+                raise self._no_route(device, flow)
+            index = self.hasher.select(flow.five_tuple, len(candidates),
+                                       salt=device)
+            link = candidates[index]
+            device = link.other(device)
+            route.devices.append(device)
+            route.link_ids.append(link.link_id)
+        raise RoutingError(
+            f"path exceeded {max_hops} hops for flow {flow.flow_id}")
 
 
 TOPOLOGIES = {
@@ -308,15 +417,65 @@ def _route(router, flow):
     try:
         return router.path(flow)
     except RoutingError as exc:
-        return type(exc), str(exc)
+        return type(exc), getattr(exc, "cut", None), str(exc)
+
+
+def _check_against_oracle(topo, router, ports=(None,)):
+    """Distances, paths, error types and partition cuts all `==` the
+    oracle's, for every host pair and (source, destination) rail."""
+    rails = sorted({d.rail for d in topo.devices.values()
+                    if d.rail is not None})
+    for name in topo.devices:
+        for rail in [None] + rails:
+            assert router.distances_to(name, rail) \
+                == _oracle_distances(topo, name, rail), (name, rail)
+    oracle = _OracleRouter(topo)
+    hosts = sorted(host.name for host in topo.hosts())
+    for rail in rails or [0]:
+        for src in hosts:
+            for dst in hosts:
+                if src == dst:
+                    continue
+                assert router.partition_cut(src, dst, rail) \
+                    == oracle.partition_cut(src, dst, rail), (src, dst)
+                for dst_rail in rails or [0]:
+                    for port in ports:
+                        flow = make_flow(src, dst, rail=rail,
+                                         size_bits=8e9, src_port=port,
+                                         dst_rail=dst_rail)
+                        assert _route(router, flow) \
+                            == _route(oracle, flow), flow
 
 
 class TestSharedDistanceOracle:
-    """Seed-set sharing must reproduce the per-destination BFS exactly,
-    under random link failures, for host and switch destinations."""
+    """The compiled router must reproduce the dict router exactly, under
+    random link failures and a miswire, for host and switch
+    destinations."""
 
     @staticmethod
-    def _fail_links(topo, rng):
+    def _miswire(topo, rng):
+        """Swap the switch ends of two of a host's uplinks in place, as
+        a cabling fault in ``monitoring.jobsim`` does: endpoints and
+        adjacency lists are edited directly, then the version bumps."""
+        host = rng.choice(sorted(h.name for h in topo.hosts()))
+        link, *others = topo.links_of(host)
+        partner = next(other for other in others
+                       if other.other(host) != link.other(host))
+        link_sw = link.endpoint(link.other(host))
+        partner_sw = partner.endpoint(partner.other(host))
+        for swapped, new_end in ((link, partner_sw), (partner, link_sw)):
+            if swapped.a.device == host:
+                swapped.b = new_end
+            else:
+                swapped.a = new_end
+        topo._adjacency[link_sw.device].remove(link.link_id)
+        topo._adjacency[link_sw.device].append(partner.link_id)
+        topo._adjacency[partner_sw.device].remove(partner.link_id)
+        topo._adjacency[partner_sw.device].append(link.link_id)
+        topo.version += 1
+
+    @classmethod
+    def _fail_links(cls, topo, rng):
         # One of a host's rail-0 links: that host gets a seed set of
         # its own while its block peers keep the shared one.
         host = rng.choice(sorted(h.name for h in topo.hosts()))
@@ -324,34 +483,53 @@ class TestSharedDistanceOracle:
                  if neighbor.rail in (0, None)]
         assert len(rail0) >= 2
         topo.fail_link(rail0[0].link_id)
+        cls._miswire(topo, rng)
         links = sorted(topo.links)
         for link_id in rng.sample(links, len(links) // 10):
             topo.fail_link(link_id)
-
-    @staticmethod
-    def _check(topo, router):
-        rails = sorted({d.rail for d in topo.devices.values()
-                        if d.rail is not None})
-        for name in topo.devices:
-            for rail in [None] + rails:
-                assert router.distances_to(name, rail) \
-                    == _oracle_distances(topo, name, rail), (name, rail)
-        oracle = _OracleRouter(topo)
-        hosts = sorted(host.name for host in topo.hosts())
-        for rail in rails:
-            for src in hosts:
-                for dst in hosts:
-                    if src != dst:
-                        flow = make_flow(src, dst, rail=rail,
-                                         size_bits=8e9)
-                        assert _route(router, flow) \
-                            == _route(oracle, flow)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
     def test_matches_per_destination_bfs(self, name, seed):
         topo = TOPOLOGIES[name]()
         router = EcmpRouter(topo)
-        self._check(topo, router)
+        _check_against_oracle(topo, router)
         self._fail_links(topo, random.Random(f"{name}-{seed}"))
-        self._check(topo, router)
+        _check_against_oracle(topo, router)
+
+
+def _beyond_destination_topology():
+    """Host ``dst`` on rail-0 ToR ``t0`` and rail-1 ToR ``t1``; host
+    ``src`` on ``t1`` only; both ToRs under one Agg.
+
+    Toward ``dst`` on rail 0 the seed set is ``{t0}``.  Its BFS reaches
+    ``dst`` and the Agg at 2 and ``t1`` at 3, so at ``t1`` the shared
+    distances offer both the Agg and ``dst`` (a non-rail-matching
+    neighbour of the destination, one hop beyond it) as one hop
+    closer.  Only the destination rule, which reads ``dst`` as 0,
+    drops the ``t1``-``dst`` link.  No fabric family has this shape.
+    """
+    topo = Topology("beyond-destination")
+    topo.add_device(Host("dst", DeviceKind.HOST))
+    topo.add_device(Host("src", DeviceKind.HOST))
+    topo.add_device(Switch("t0", DeviceKind.TOR, rail=0))
+    topo.add_device(Switch("t1", DeviceKind.TOR, rail=1))
+    topo.add_device(Switch("agg", DeviceKind.AGG))
+    for a, b in (("dst", "t0"), ("dst", "t1"), ("src", "t1"),
+                 ("t0", "agg"), ("t1", "agg")):
+        topo.add_link(PortRef(a, 0), PortRef(b, 0), 400.0)
+    return topo
+
+
+class TestDestinationRule:
+    def test_link_to_destination_beyond_it_is_dropped(self):
+        topo = _beyond_destination_topology()
+        router, oracle = EcmpRouter(topo), _OracleRouter(topo)
+        assert topo.link_between("t1", "dst")
+        flow = make_flow("src", "dst", rail=1, size_bits=8e9, dst_rail=0)
+        assert router.distances_to("dst", 0)["t1"] == 3
+        assert router.next_hop_links("t1", flow) \
+            == oracle.next_hop_links("t1", flow) \
+            == topo.link_between("t1", "agg")
+        assert router.path(flow).devices == ["src", "t1", "agg", "t0", "dst"]
+        _check_against_oracle(topo, router, ports=range(49152, 49152 + 16))
