@@ -31,10 +31,13 @@ sub-simulation's co-residents generate), every fault target resolves
 to a block (host or ToR name) or to its own job,
 the group's pods are a single pod of pod-local ring tenants, the
 line-rate certificate pins every healthy flow to the host line rate,
-and a blast-radius probe on a one-block topology confirms the target's
-cut set strands nothing beyond the block
+and a blast-radius probe confirms the target's cut set strands nothing
+beyond the block
 (:func:`repro.topology.blast_radius.device_blast_radius` /
-:func:`~repro.topology.blast_radius.impacted_hosts`).  Hash-free
+:func:`~repro.topology.blast_radius.impacted_hosts`).  The probe runs
+on a minimal block (one pod, one block, one Agg per group, one Core
+per group), whose evidence provably equals the full-width block's:
+see :func:`_probe_evidence`.  Hash-free
 effects are the host-scoped ones (crash / hang / compute-only config
 error), job-state faults (which pick victims by position, not name),
 and telemetry-only switch drops; congestive effects (ECN storms, PFC
@@ -149,20 +152,45 @@ def _device_block(target: str) -> Optional[Tuple[int, int]]:
     return None
 
 
+def _probe_params(params: AstralParams) -> AstralParams:
+    """The minimal block :func:`_probe_evidence` runs on: one pod, one
+    block, one Agg per ToR group and one Core per core group; rails,
+    NIC ports and hosts per block keep their full width."""
+    return dc_replace(params, pods=1, blocks_per_pod=1,
+                      aggs_per_group=1, cores_per_group=1)
+
+
 @lru_cache(maxsize=256)
-def _probe_evidence(sub_params: AstralParams,
+def _probe_evidence(probe_params: AstralParams,
                     target: str) -> Tuple[int, int]:
     """(stranded_gpus, n_impacted_hosts) of *target* failing on the
-    one-block probe topology.
+    minimal probe block (:func:`_probe_params`).
 
     The probe is the same blast-radius measurement the topology layer
     publishes, run in block-relative coordinates: it proves the
     device's cut set (host links, or ToR host-links plus its uplinks —
     both present in every bounded sub-topology) strands nothing beyond
-    the block.  Cached per (sub-params, renamed target); the topology
-    is rebuilt per entry and mutations are restore-on-exit.
+    the block.
+
+    The minimal block gives exactly the full-width block's evidence.
+    The target is a host or a ToR (:func:`_device_block`).  The minimal
+    block is a subgraph of the full-width one, with the same hosts, the
+    same host–ToR wiring and the same failed links, so any path it has
+    the full block has too.  Conversely, mapping Agg(r, g, k) to
+    Agg(r, g, 0) and Core(k, c) to Core(0, 0) sends every healthy
+    full-width path to a healthy minimal one, because failing a host or
+    a ToR never removes an Agg–Core link or another ToR's uplinks.  So
+    every host reaches the probe host on a rail in one block exactly
+    when it does in the other: stranded GPUs and hosts are equal.  The
+    cordon set (hosts wired to the target) depends only on the
+    host–ToR wiring, and the default probe host is the same because
+    hosts are built first.  NIC ports must not shrink: they set the
+    ToR groups, hence whether a ToR failure strands its hosts.
+
+    Cached per (probe params, renamed target); the topology is rebuilt
+    per entry and mutations are restore-on-exit.
     """
-    topology = build_astral(sub_params)
+    topology = build_astral(probe_params)
     radius = device_blast_radius(topology, target)
     return radius.stranded_gpus, len(impacted_hosts(topology, target))
 
@@ -221,9 +249,8 @@ def _fault_evidence(params: AstralParams, name: str, fault: FaultSpec,
             blocks=job.blocks,
             note=f"target pod {pod} is outside job {job.name!r}'s "
                  "placement")
-    probe_params = dc_replace(params, pods=1, blocks_per_pod=1)
     renamed = rename_device(fault.target, {pod: 0}, {block: 0})
-    stranded, impacted = _probe_evidence(probe_params, renamed)
+    stranded, impacted = _probe_evidence(_probe_params(params), renamed)
     if stranded:
         return FaultEvidence(
             name=name, target=fault.target, scope="pod",

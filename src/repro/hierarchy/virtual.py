@@ -165,14 +165,6 @@ class PlacedJob:
         return tuple((block, host) for _, block, host in self.coords)
 
 
-def _host_at(params: AstralParams, index: int) -> Coord:
-    per_block = params.hosts_per_block
-    per_pod = params.blocks_per_pod * per_block
-    pod, rest = divmod(index, per_pod)
-    block, host = divmod(rest, per_block)
-    return pod, block, host
-
-
 def place_jobs(params: AstralParams,
                jobs: Sequence[HierJob]) -> List[PlacedJob]:
     """Contiguously place *jobs* on the virtual fabric, in order.
@@ -184,21 +176,27 @@ def place_jobs(params: AstralParams,
     explicit ``hosts`` are honoured verbatim (and may overlap the
     cursor only if the caller wants them to: explicitly-placed hosts
     are reserved before the cursor starts).
+
+    The cursor takes whole slices of a block at a time; only a block
+    holding a reserved host is walked host by host, to skip it.
     """
-    total = params.pods * params.blocks_per_pod * params.hosts_per_block
+    per_block = params.hosts_per_block
+    n_blocks = params.pods * params.blocks_per_pod
+    total = n_blocks * per_block
     names = [job.name for job in jobs]
     if len(set(names)) != len(names):
         raise ValueError("job names must be unique")
-    reserved = set()
+    reserved: Dict[Tuple[int, int], set] = {}
     for job in jobs:
         for host in job.hosts:
-            coord = parse_host(host)
-            if coord in reserved:
+            pod, block, index = parse_host(host)
+            taken = reserved.setdefault((pod, block), set())
+            if index in taken:
                 raise ValueError(
                     f"host {host} pinned by more than one job")
-            reserved.add(coord)
+            taken.add(index)
     placed: List[PlacedJob] = []
-    cursor = 0
+    block_cursor = offset = 0      # next block (pod-major), host in it
     for job in jobs:
         if job.hosts:
             coords = tuple(parse_host(host) for host in job.hosts)
@@ -206,19 +204,30 @@ def place_jobs(params: AstralParams,
                                     coords=coords))
             continue
         coords_list: List[Coord] = []
+        hosts: List[str] = []
         while len(coords_list) < job.n_hosts:
-            if cursor >= total:
+            if block_cursor >= n_blocks:
                 raise ValueError(
                     f"cluster exhausted placing job {job.name!r}: "
                     f"{total} hosts, need {job.n_hosts} more")
-            coord = _host_at(params, cursor)
-            cursor += 1
-            if coord in reserved:
-                continue
-            coords_list.append(coord)
-        coords = tuple(coords_list)
-        placed.append(PlacedJob(
-            job=job,
-            hosts=tuple(host_name(*coord) for coord in coords),
-            coords=coords))
+            pod, block = divmod(block_cursor, params.blocks_per_pod)
+            taken = reserved.get((pod, block), ())
+            want = job.n_hosts - len(coords_list)
+            if taken:
+                picked = []
+                while offset < per_block and len(picked) < want:
+                    if offset not in taken:
+                        picked.append(offset)
+                    offset += 1
+            else:
+                picked = range(offset, min(per_block, offset + want))
+                offset = picked.stop
+            prefix = f"p{pod}.b{block}.h"
+            coords_list += [(pod, block, index) for index in picked]
+            hosts += [f"{prefix}{index}" for index in picked]
+            if offset >= per_block:
+                block_cursor += 1
+                offset = 0
+        placed.append(PlacedJob(job=job, hosts=tuple(hosts),
+                                coords=tuple(coords_list)))
     return placed

@@ -15,12 +15,17 @@ Design principles implemented here:
 
 At paper scale (8 pods x 64 blocks x 128 hosts x 8 GPUs = 512K GPUs) the
 graph has ~78K devices; tests use scaled-down parameter sets, which the
-construction supports uniformly.
+construction supports uniformly.  Device names are computed once per
+builder call and shared by devices and links; every link is streamed
+through :meth:`~repro.topology.elements.Topology.add_links` in link-id
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
+from typing import Dict, Iterator, List, Tuple
 
 from .elements import (
     DeviceKind,
@@ -192,17 +197,30 @@ def build_astral(params: AstralParams | None = None) -> Topology:
     params = params or AstralParams()
     params.validate()
     topo = Topology(name="astral")
+    pods, blocks = range(params.pods), range(params.blocks_per_pod)
+    rails, groups = range(params.rails), range(params.tor_groups)
+    ranks = range(params.aggs_per_group)
+    # Name tables, shared by the devices and their links.
+    tors = {(pod, block): [_tor_name(pod, block, rail, group)
+                           for rail in rails for group in groups]
+            for pod in pods for block in blocks}
+    aggs = {pod: [[_agg_name(pod, rail, group, rank) for rank in ranks]
+                  for rail in rails for group in groups]
+            for pod in pods}
+    cores = [[_core_name(core_group, index)
+              for index in range(params.cores_per_group)]
+             for core_group in range(params.core_groups)]
 
     # Hosts with GPUs and rail NICs.
-    for pod in range(params.pods):
-        for block in range(params.blocks_per_pod):
+    for pod in pods:
+        for block in blocks:
             for index in range(params.hosts_per_block):
                 name = _host_name(pod, block, index)
                 host = Host(
                     name=name, kind=DeviceKind.HOST, pod=pod, block=block,
                     rank=index,
                 )
-                for rail in range(params.rails):
+                for rail in rails:
                     host.gpus.append(
                         Gpu(name=f"{name}.gpu{rail}", host=name, rail=rail)
                     )
@@ -218,86 +236,78 @@ def build_astral(params: AstralParams | None = None) -> Topology:
                 topo.add_device(host)
 
     # ToR switches (tier 1): one per (pod, block, rail, group).
-    for pod in range(params.pods):
-        for block in range(params.blocks_per_pod):
-            for rail in range(params.rails):
-                for group in range(params.tor_groups):
-                    topo.add_device(Switch(
-                        name=_tor_name(pod, block, rail, group),
-                        kind=DeviceKind.TOR,
-                        pod=pod, block=block, rail=rail, group=group,
-                    ))
+    for (pod, block), names in tors.items():
+        for name, (rail, group) in zip(names, product(rails, groups)):
+            topo.add_device(Switch(
+                name=name, kind=DeviceKind.TOR,
+                pod=pod, block=block, rail=rail, group=group,
+            ))
 
     # Agg switches (tier 2): one per (pod, rail, group, rank) — P1.
-    for pod in range(params.pods):
-        for rail in range(params.rails):
-            for group in range(params.tor_groups):
-                for rank in range(params.aggs_per_group):
-                    topo.add_device(Switch(
-                        name=_agg_name(pod, rail, group, rank),
-                        kind=DeviceKind.AGG,
-                        pod=pod, rail=rail, group=group, rank=rank,
-                    ))
+    for pod, per_group in aggs.items():
+        for names, (rail, group) in zip(per_group,
+                                        product(rails, groups)):
+            for rank, name in enumerate(names):
+                topo.add_device(Switch(
+                    name=name, kind=DeviceKind.AGG,
+                    pod=pod, rail=rail, group=group, rank=rank,
+                ))
 
     # Core switches (tier 3): one group per Agg rank.
-    for core_group in range(params.core_groups):
-        for index in range(params.cores_per_group):
+    for core_group, names in enumerate(cores):
+        for index, name in enumerate(names):
             topo.add_device(Switch(
-                name=_core_name(core_group, index),
-                kind=DeviceKind.CORE,
+                name=name, kind=DeviceKind.CORE,
                 group=core_group, rank=index,
             ))
 
+    topo.add_links(_astral_links(params, tors, aggs, cores))
+    return topo
+
+
+def _astral_links(params: AstralParams,
+                  tors: Dict[Tuple[int, int], List[str]],
+                  aggs: Dict[int, List[List[str]]],
+                  cores: List[List[str]],
+                  ) -> Iterator[Tuple[PortRef, PortRef, float]]:
+    """Every link of :func:`build_astral`'s fabric as ``(a, b, gbps)``,
+    in link-id order.  The name tables are indexed as built there:
+    ``tors[pod, block]`` and ``aggs[pod]`` by ``rail * tor_groups +
+    group`` (which is also the host NIC port number), and
+    ``cores[rank]`` by core index."""
+    hosts_per_block = params.hosts_per_block
+
     # Host -> ToR links (P3: port g of rail-r NIC to group-g ToR).
-    for pod in range(params.pods):
-        for block in range(params.blocks_per_pod):
-            for index in range(params.hosts_per_block):
-                host = _host_name(pod, block, index)
-                for rail in range(params.rails):
-                    for group in range(params.tor_groups):
-                        topo.add_link(
-                            PortRef(host, rail * params.nic_ports + group),
-                            PortRef(_tor_name(pod, block, rail, group),
-                                    index),
-                            params.nic_port_gbps,
-                        )
+    gbps = params.nic_port_gbps
+    for (pod, block), tor_row in tors.items():
+        for index in range(hosts_per_block):
+            host = _host_name(pod, block, index)
+            for port, tor in enumerate(tor_row):
+                yield PortRef(host, port), PortRef(tor, index), gbps
 
     # ToR -> Agg links (every ToR reaches every Agg of its group).
-    for pod in range(params.pods):
-        for block in range(params.blocks_per_pod):
-            for rail in range(params.rails):
-                for group in range(params.tor_groups):
-                    tor = _tor_name(pod, block, rail, group)
-                    for rank in range(params.aggs_per_group):
-                        topo.add_link(
-                            PortRef(tor, params.hosts_per_block + rank),
-                            PortRef(_agg_name(pod, rail, group, rank),
-                                    block),
-                            params.tor_agg_gbps,
-                        )
+    gbps = params.tor_agg_gbps
+    for (pod, block), tor_row in tors.items():
+        for tor, agg_row in zip(tor_row, aggs[pod]):
+            for rank, agg in enumerate(agg_row):
+                yield (PortRef(tor, hosts_per_block + rank),
+                       PortRef(agg, block), gbps)
 
     # Agg -> Core links (same-rank Aggs share a core group).  The uplink
     # capacity is scaled so total Agg up-capacity equals its down-capacity
     # divided by the requested tier-3 oversubscription; at paper scale
     # (64 blocks, 64 cores/group, 400G everywhere) this is exactly
-    # ``agg_core_gbps``.
+    # ``agg_core_gbps``.  An Agg's port on a core is its flat
+    # (pod, rail, group) index.
     uplink_gbps = (
         params.blocks_per_pod * params.tor_agg_gbps
         / params.cores_per_group / params.tier3_oversubscription
     )
-    for pod in range(params.pods):
-        for rail in range(params.rails):
-            for group in range(params.tor_groups):
-                for rank in range(params.aggs_per_group):
-                    agg = _agg_name(pod, rail, group, rank)
-                    agg_index = (
-                        (pod * params.rails + rail) * params.tor_groups
-                        + group
-                    )
-                    for core in range(params.cores_per_group):
-                        topo.add_link(
-                            PortRef(agg, params.blocks_per_pod + core),
-                            PortRef(_core_name(rank, core), agg_index),
-                            uplink_gbps,
-                        )
-    return topo
+    agg_index = 0
+    for per_group in aggs.values():
+        for agg_row in per_group:
+            for agg, core_row in zip(agg_row, cores):
+                for core, name in enumerate(core_row):
+                    yield (PortRef(agg, params.blocks_per_pod + core),
+                           PortRef(name, agg_index), uplink_gbps)
+            agg_index += 1

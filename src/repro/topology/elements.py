@@ -11,6 +11,12 @@ keeps exactly the attributes those claims depend on:
 * links carry capacity and direction-of-climb (host→ToR→Agg→Core is "up");
 * hosts carry GPUs and NICs, with each NIC bound to one GPU rail and
   exposing two ports (the paper's 2x200G dual-port NIC).
+
+Links and their endpoints are by far the most numerous records (a
+paper-scale block alone has ~68K links), so :class:`Link` and
+:class:`PortRef` are slotted: no per-instance ``__dict__``, and no
+attribute beyond their declared fields.  Builders that emit many links
+hand them to :meth:`Topology.add_links` in one call.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ class DeviceKind(enum.Enum):
         }[self]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortRef:
     """A (device, port index) endpoint of a link."""
 
@@ -128,7 +134,7 @@ class Switch(Device):
     radix: int = 128
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     """A bidirectional link between two device ports.
 
@@ -186,12 +192,15 @@ class Topology:
         self.version += 1
         return device
 
-    def add_link(self, a: PortRef, b: PortRef, capacity_gbps: float) -> Link:
+    def _check_link(self, a: PortRef, b: PortRef) -> None:
         for ref in (a, b):
             if ref.device not in self.devices:
                 raise TopologyError(f"unknown device in link: {ref.device}")
         if a.device == b.device:
             raise TopologyError(f"self-link on {a.device}")
+
+    def add_link(self, a: PortRef, b: PortRef, capacity_gbps: float) -> Link:
+        self._check_link(a, b)
         link = Link(self._next_link_id, a, b, capacity_gbps)
         self._next_link_id += 1
         self.links[link.link_id] = link
@@ -199,6 +208,36 @@ class Topology:
         self._adjacency[b.device].append(link.link_id)
         self.version += 1
         return link
+
+    def add_links(self, specs: Iterable[Tuple[PortRef, PortRef, float]]
+                  ) -> List[Link]:
+        """Add every ``(a, b, capacity_gbps)`` of *specs*, in order.
+
+        Equivalent to calling :meth:`add_link` once per spec — same
+        checks and error text, same ids, same adjacency order, one
+        ``version`` bump per link — except that it is all or nothing:
+        every spec is checked before the topology changes, so a failing
+        call adds no link.
+        """
+        devices = self.devices
+        new: List[Link] = []
+        link_id = self._next_link_id
+        for a, b, capacity_gbps in specs:
+            a_device, b_device = a.device, b.device
+            # Inline test; _check_link raises add_link's exact error.
+            if (a_device not in devices or b_device not in devices
+                    or a_device == b_device):
+                self._check_link(a, b)
+            new.append(Link(link_id, a, b, capacity_gbps))
+            link_id += 1
+        adjacency = self._adjacency
+        self.links.update((link.link_id, link) for link in new)
+        for link in new:
+            adjacency[link.a.device].append(link.link_id)
+            adjacency[link.b.device].append(link.link_id)
+        self._next_link_id = link_id
+        self.version += len(new)
+        return new
 
     # -- queries ---------------------------------------------------------
     def device(self, name: str) -> Device:

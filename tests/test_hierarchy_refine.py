@@ -12,17 +12,23 @@ refolds under the vector solver, and a double fault in two pods
 sharing a cross-pod tenant (one merged group, never two).
 """
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hierarchy import (HierJob, HierarchicalRun, build_flat_fabric,
                              flat_job_configs, plan_refined_group)
+from repro.hierarchy.refine import _probe_evidence, _probe_params
 from repro.monitoring import FaultSpec, Manifestation, RootCause
 from repro.monitoring.multijob import MultiJobRun
 from repro.network import Fabric, FabricEngine, make_flow
 from repro.network.flows import reset_flow_ids
 from repro.network.solver import use_backend
 from repro.resilience import FailureInjector, FaultDomain, expand_domains
-from repro.topology import AstralParams, build_astral
+from repro.topology import AstralParams, DeviceKind, build_astral
+from repro.topology.blast_radius import device_blast_radius, impacted_hosts
 
 
 @pytest.fixture(autouse=True)
@@ -188,6 +194,58 @@ class TestLadderPlanning:
             HierarchicalRun(tiny(), block_jobs(tiny()), refine="best")
         with pytest.raises(ValueError, match="refine mode"):
             plan_refined_group(tiny(), object(), mode="best")
+
+
+def _probe_triple(params, target):
+    """(stranded_gpus, stranded_hosts, n_impacted) of failing *target*
+    on ``build_astral(params)``, or ``"no probe host"`` when the target
+    is the block's only host."""
+    topology = build_astral(params)
+    try:
+        radius = device_blast_radius(topology, target)
+    except StopIteration:
+        return "no probe host"
+    return (radius.stranded_gpus, radius.stranded_hosts,
+            len(impacted_hosts(topology, target)))
+
+
+class TestMinimalProbe:
+    """The blast-radius probe runs on a minimal block (one Agg and one
+    Core per group); its evidence must equal the full-width block's
+    for every host and ToR target."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(hosts=st.integers(1, 6), rails=st.integers(1, 4),
+           nic_ports=st.integers(1, 3), aggs=st.integers(1, 4),
+           cores=st.integers(1, 4))
+    def test_minimal_probe_matches_full_width(self, hosts, rails,
+                                              nic_ports, aggs, cores):
+        full = AstralParams(pods=1, blocks_per_pod=1,
+                            hosts_per_block=hosts, gpus_per_host=rails,
+                            nic_ports=nic_ports, aggs_per_group=aggs,
+                            cores_per_group=cores)
+        # Pods and blocks beyond the first are never in the probe.
+        minimal = _probe_params(replace(full, pods=3, blocks_per_pod=2))
+        assert (minimal.pods, minimal.blocks_per_pod) == (1, 1)
+        targets = [device.name
+                   for device in build_astral(full).devices.values()
+                   if device.kind in (DeviceKind.HOST, DeviceKind.TOR)]
+        for target in targets:
+            expected = _probe_triple(full, target)
+            assert _probe_triple(minimal, target) == expected, target
+            if expected != "no probe host":
+                assert _probe_evidence(minimal, target) \
+                    == (expected[0], expected[2])
+
+    def test_single_port_nics_strand_on_a_tor_failure(self):
+        """The non-zero side of the evidence: with one NIC port a ToR
+        failure strands its rail, and the minimal probe says so."""
+        params = AstralParams(pods=1, blocks_per_pod=1, hosts_per_block=3,
+                              gpus_per_host=2, nic_ports=1,
+                              aggs_per_group=3, cores_per_group=2)
+        triple = _probe_triple(_probe_params(params), "p0.b0.r1.g0.tor")
+        assert triple == _probe_triple(params, "p0.b0.r1.g0.tor")
+        assert triple == (2, 2, 3)
 
 
 class TestBoundedDifferential:

@@ -1,11 +1,16 @@
 """Placement, signatures, the line-rate certificate, and fold planning."""
 
-import pytest
+from typing import List
 
-from repro.hierarchy import (HierJob, detect_symmetry, job_shape,
-                             line_rate_certificate, place_jobs)
-from repro.hierarchy.virtual import (parse_host, pod_of_device,
-                                     rename_device, rename_host)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.hierarchy import (HierJob, PlacedJob, detect_symmetry,
+                             job_shape, line_rate_certificate, place_jobs)
+from repro.hierarchy.virtual import (Coord, host_name, parse_host,
+                                     pod_of_device, rename_device,
+                                     rename_host)
 from repro.monitoring import FaultSpec, Manifestation, RootCause
 from repro.topology import AstralParams
 
@@ -84,6 +89,120 @@ class TestPlacement:
         with pytest.raises(ValueError, match="unique"):
             place_jobs(tiny(), [HierJob("x", n_hosts=1),
                                 HierJob("x", n_hosts=1)])
+
+
+def _host_at(params: AstralParams, index: int) -> Coord:
+    per_block = params.hosts_per_block
+    per_pod = params.blocks_per_pod * per_block
+    pod, rest = divmod(index, per_pod)
+    block, host = divmod(rest, per_block)
+    return pod, block, host
+
+
+def _oracle_place_jobs(params, jobs) -> List[PlacedJob]:
+    """The per-host placement loop ``place_jobs`` replaced, kept
+    verbatim as the oracle: one cursor step and one reserved-set probe
+    per host."""
+    total = params.pods * params.blocks_per_pod * params.hosts_per_block
+    names = [job.name for job in jobs]
+    if len(set(names)) != len(names):
+        raise ValueError("job names must be unique")
+    reserved = set()
+    for job in jobs:
+        for host in job.hosts:
+            coord = parse_host(host)
+            if coord in reserved:
+                raise ValueError(
+                    f"host {host} pinned by more than one job")
+            reserved.add(coord)
+    placed: List[PlacedJob] = []
+    cursor = 0
+    for job in jobs:
+        if job.hosts:
+            coords = tuple(parse_host(host) for host in job.hosts)
+            placed.append(PlacedJob(job=job, hosts=tuple(job.hosts),
+                                    coords=coords))
+            continue
+        coords_list: List[Coord] = []
+        while len(coords_list) < job.n_hosts:
+            if cursor >= total:
+                raise ValueError(
+                    f"cluster exhausted placing job {job.name!r}: "
+                    f"{total} hosts, need {job.n_hosts} more")
+            coord = _host_at(params, cursor)
+            cursor += 1
+            if coord in reserved:
+                continue
+            coords_list.append(coord)
+        coords = tuple(coords_list)
+        placed.append(PlacedJob(
+            job=job,
+            hosts=tuple(host_name(*coord) for coord in coords),
+            coords=coords))
+    return placed
+
+
+def _outcome(place, params, jobs):
+    try:
+        return place(params, jobs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def placement_cases(draw):
+    pods, blocks = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    per_block = draw(st.integers(1, 5))
+    params = AstralParams(pods=pods, blocks_per_pod=blocks,
+                          hosts_per_block=per_block, gpus_per_host=1,
+                          aggs_per_group=1, cores_per_group=1)
+    per_pod = blocks * per_block
+    # Pinned coordinates reach one past every dimension, so some lie
+    # off the cursor's path; one case in ten may pin a host twice.
+    coord = st.tuples(st.integers(0, pods), st.integers(0, blocks),
+                      st.integers(0, per_block))
+    allow_double = draw(st.integers(0, 9)) == 0
+    pinned = set()
+    jobs = []
+    for index in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 2)) == 0:
+            pins = draw(st.lists(coord, min_size=1, max_size=3,
+                                 unique=True))
+            if not allow_double:
+                pins = [c for c in pins if c not in pinned] or pins[:0]
+            if pins:
+                pinned.update(pins)
+                jobs.append(HierJob(f"pin{index}", hosts=tuple(
+                    host_name(*c) for c in pins)))
+                continue
+        # Sizes straddle block and pod boundaries; long lists exhaust
+        # the cluster.
+        jobs.append(HierJob(f"job{index}", n_hosts=draw(
+            st.integers(1, per_pod + per_block))))
+    return params, jobs
+
+
+class TestPlacementDifferential:
+    """Block-slice placement against the per-host cursor it replaced:
+    equal placements, or the same ValueError text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=placement_cases())
+    def test_matches_per_host_oracle(self, case):
+        params, jobs = case
+        assert _outcome(place_jobs, params, jobs) \
+            == _outcome(_oracle_place_jobs, params, jobs)
+
+    def test_skips_pins_inside_a_slice(self):
+        params = tiny()
+        jobs = [HierJob("pin", hosts=("p0.b0.h1", "p0.b1.h3",
+                                      "p1.b0.h9")),
+                HierJob("a", n_hosts=5), HierJob("b", n_hosts=6)]
+        placed = place_jobs(params, jobs)
+        assert placed == _oracle_place_jobs(params, jobs)
+        assert placed[1].hosts == ("p0.b0.h0", "p0.b0.h2", "p0.b0.h3",
+                                   "p0.b1.h0", "p0.b1.h1")
+        assert placed[2].hosts[0] == "p0.b1.h2"
 
 
 class TestJobShape:

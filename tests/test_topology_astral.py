@@ -1,5 +1,8 @@
 """Tests for the Astral topology builder (paper §2.1, Figure 3)."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.topology import (
@@ -7,6 +10,21 @@ from repro.topology import (
     DeviceKind,
     TopologyError,
     build_astral,
+)
+from repro.topology.astral import (
+    _agg_name,
+    _core_name,
+    _host_name,
+    _tor_name,
+)
+from repro.topology.elements import (
+    Gpu,
+    Host,
+    Link,
+    Nic,
+    PortRef,
+    Switch,
+    Topology,
 )
 
 
@@ -164,3 +182,214 @@ class TestTopologyPrimitives:
         assert link.other(link.b.device) == link.a.device
         with pytest.raises(TopologyError):
             link.other("nope")
+
+
+def _reference_build_astral(params: AstralParams) -> Topology:
+    """The per-link builder ``build_astral`` replaced, kept verbatim as
+    the wiring oracle: one ``add_link`` call per link."""
+    params.validate()
+    topo = Topology(name="astral")
+
+    # Hosts with GPUs and rail NICs.
+    for pod in range(params.pods):
+        for block in range(params.blocks_per_pod):
+            for index in range(params.hosts_per_block):
+                name = _host_name(pod, block, index)
+                host = Host(
+                    name=name, kind=DeviceKind.HOST, pod=pod, block=block,
+                    rank=index,
+                )
+                for rail in range(params.rails):
+                    host.gpus.append(
+                        Gpu(name=f"{name}.gpu{rail}", host=name, rail=rail)
+                    )
+                    host.nics.append(
+                        Nic(
+                            name=f"{name}.nic{rail}",
+                            host=name,
+                            rail=rail,
+                            ports=params.nic_ports,
+                            port_gbps=params.nic_port_gbps,
+                        )
+                    )
+                topo.add_device(host)
+
+    # ToR switches (tier 1): one per (pod, block, rail, group).
+    for pod in range(params.pods):
+        for block in range(params.blocks_per_pod):
+            for rail in range(params.rails):
+                for group in range(params.tor_groups):
+                    topo.add_device(Switch(
+                        name=_tor_name(pod, block, rail, group),
+                        kind=DeviceKind.TOR,
+                        pod=pod, block=block, rail=rail, group=group,
+                    ))
+
+    # Agg switches (tier 2): one per (pod, rail, group, rank) — P1.
+    for pod in range(params.pods):
+        for rail in range(params.rails):
+            for group in range(params.tor_groups):
+                for rank in range(params.aggs_per_group):
+                    topo.add_device(Switch(
+                        name=_agg_name(pod, rail, group, rank),
+                        kind=DeviceKind.AGG,
+                        pod=pod, rail=rail, group=group, rank=rank,
+                    ))
+
+    # Core switches (tier 3): one group per Agg rank.
+    for core_group in range(params.core_groups):
+        for index in range(params.cores_per_group):
+            topo.add_device(Switch(
+                name=_core_name(core_group, index),
+                kind=DeviceKind.CORE,
+                group=core_group, rank=index,
+            ))
+
+    # Host -> ToR links (P3: port g of rail-r NIC to group-g ToR).
+    for pod in range(params.pods):
+        for block in range(params.blocks_per_pod):
+            for index in range(params.hosts_per_block):
+                host = _host_name(pod, block, index)
+                for rail in range(params.rails):
+                    for group in range(params.tor_groups):
+                        topo.add_link(
+                            PortRef(host, rail * params.nic_ports + group),
+                            PortRef(_tor_name(pod, block, rail, group),
+                                    index),
+                            params.nic_port_gbps,
+                        )
+
+    # ToR -> Agg links (every ToR reaches every Agg of its group).
+    for pod in range(params.pods):
+        for block in range(params.blocks_per_pod):
+            for rail in range(params.rails):
+                for group in range(params.tor_groups):
+                    tor = _tor_name(pod, block, rail, group)
+                    for rank in range(params.aggs_per_group):
+                        topo.add_link(
+                            PortRef(tor, params.hosts_per_block + rank),
+                            PortRef(_agg_name(pod, rail, group, rank),
+                                    block),
+                            params.tor_agg_gbps,
+                        )
+
+    # Agg -> Core links (same-rank Aggs share a core group).
+    uplink_gbps = (
+        params.blocks_per_pod * params.tor_agg_gbps
+        / params.cores_per_group / params.tier3_oversubscription
+    )
+    for pod in range(params.pods):
+        for rail in range(params.rails):
+            for group in range(params.tor_groups):
+                for rank in range(params.aggs_per_group):
+                    agg = _agg_name(pod, rail, group, rank)
+                    agg_index = (
+                        (pod * params.rails + rail) * params.tor_groups
+                        + group
+                    )
+                    for core in range(params.cores_per_group):
+                        topo.add_link(
+                            PortRef(agg, params.blocks_per_pod + core),
+                            PortRef(_core_name(rank, core), agg_index),
+                            uplink_gbps,
+                        )
+    return topo
+
+
+def _wiring(topo: Topology):
+    """Everything the builder decides about links, as plain values."""
+    return (
+        [(link_id, link.link_id, link.a, link.b, link.capacity_gbps,
+          link.healthy) for link_id, link in topo.links.items()],
+        topo._adjacency,
+        topo.version,
+        topo._next_link_id,
+    )
+
+
+WIRING_PARAMS = {
+    "tiny": AstralParams.tiny(),
+    "small": AstralParams.small(),
+    "cluster": AstralParams.cluster(),
+    "nic_ports=1": replace(AstralParams.small(), nic_ports=1),
+    "nic_ports=3": replace(AstralParams.small(), nic_ports=3),
+    "oversubscribed": AstralParams.small().with_oversubscription(2.0),
+}
+
+
+class TestWiringIdentity:
+    """``build_astral`` wires in bulk through ``Topology.add_links``;
+    the result must be the per-link builder's, id for id."""
+
+    @pytest.mark.parametrize("label", sorted(WIRING_PARAMS))
+    def test_links_adjacency_and_version_match_reference(self, label):
+        params = WIRING_PARAMS[label]
+        built = build_astral(params)
+        reference = _reference_build_astral(params)
+        assert list(built.devices) == list(reference.devices)
+        assert _wiring(built) == _wiring(reference)
+
+    def _pair(self):
+        return (_reference_build_astral(AstralParams.tiny()),
+                build_astral(AstralParams.tiny()))
+
+    @pytest.mark.parametrize("a, b", [
+        (PortRef("nope", 0), PortRef("p0.b0.h0", 0)),
+        (PortRef("p0.b0.h0", 0), PortRef("nope", 0)),
+        (PortRef("p0.b0.h0", 0), PortRef("p0.b0.h0", 1)),
+        (PortRef("nope", 0), PortRef("nope", 1)),
+    ], ids=["unknown-a", "unknown-b", "self-link", "unknown-self"])
+    def test_add_links_raises_add_link_text_and_adds_nothing(self, a, b):
+        one_by_one, bulk = self._pair()
+        with pytest.raises(TopologyError) as single:
+            one_by_one.add_link(a, b, 1.0)
+        before = _wiring(bulk)
+        good = (PortRef("p0.b0.h0", 99), PortRef("p0.b0.h1", 99), 1.0)
+        with pytest.raises(TopologyError) as batch:
+            bulk.add_links([good, (a, b, 1.0), good])
+        assert str(batch.value) == str(single.value)
+        # All or nothing: the good spec before the bad one is not kept.
+        assert _wiring(bulk) == before
+
+    def test_add_links_returns_links_in_id_order(self):
+        topo = build_astral(AstralParams.tiny())
+        first = topo._next_link_id
+        specs = [(PortRef("p0.b0.h0", 90 + i), PortRef("p0.b0.h1", 90 + i),
+                  float(i)) for i in range(3)]
+        added = topo.add_links(iter(specs))
+        assert [link.link_id for link in added] == [first, first + 1,
+                                                    first + 2]
+        assert [topo.links[link.link_id] for link in added] == added
+
+
+class TestSlottedRecords:
+    """Links and ports are slotted records: they pickle by value and
+    refuse undeclared attributes."""
+
+    def test_topology_pickle_round_trip(self):
+        topo = build_astral(AstralParams.tiny())
+        topo.fail_link(3)
+        clone = pickle.loads(pickle.dumps(topo))
+        assert clone.links == topo.links
+        assert clone._adjacency == topo._adjacency
+        assert clone.version == topo.version
+        assert not clone.links[3].healthy
+
+    def test_undeclared_link_attribute_rejected(self):
+        link = Link(0, PortRef("a", 0), PortRef("b", 0), 100.0)
+        assert not hasattr(link, "__dict__")
+        with pytest.raises(AttributeError):
+            link.note = "state hung on a link"
+        link.healthy = False        # declared fields stay writable
+
+    def test_undeclared_port_attribute_rejected(self):
+        port = PortRef("a", 0)
+        assert not hasattr(port, "__dict__")
+        # A frozen slotted dataclass's __setattr__ raises TypeError
+        # rather than AttributeError for an undeclared name on some
+        # CPython versions; either way nothing can be attached.
+        with pytest.raises((AttributeError, TypeError)):
+            port.note = "state hung on a port"
+        assert not hasattr(port, "note")
+        with pytest.raises(AttributeError):
+            port.port = 1
