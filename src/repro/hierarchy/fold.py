@@ -5,15 +5,18 @@ Two granularities, chosen per pod class:
 * **Block fold** — when every local job of the class fits in a single
   block, blocks within the representative pod are themselves grouped
   by signature and one representative *block* is engine-simulated on a
-  minimal 1-pod/1-block topology.  Single-block traffic is ToR-local
-  (host -> ToR -> host, 2 hops), so the Agg/Core tiers are provably
-  untouched and the sub-topology shrinks them to 1 — at paper scale
-  this turns a 8192-host pod into one 128-host simulation.
+  minimal 1-pod/1-block topology — at paper scale this turns a
+  8192-host pod into one 128-host simulation.
 * **Pod fold** — otherwise the representative pod runs whole, on a
   1-pod topology containing only the blocks its jobs occupy
   (compacted, order-preserving).  ToR->Agg wiring and capacities are
   invariant under block compaction, which is what the line-rate
   certificate's boundary-leg analysis relies on.
+
+Both build their sub-topology with :func:`pod_local_params`, which
+keeps full width only in the tiers a pod-local flow can route over:
+the Core tier shrinks to one switch per group always, and the Agg
+tier too for a single block.
 
 Replication is pure bookkeeping: member jobs are matched to rep jobs
 k-th to k-th under the canonical (shape, positions, name) sort that
@@ -44,7 +47,37 @@ from .compose import scaled_compute_s
 from .symmetry import PodClass, block_signature, job_shape
 from .virtual import PlacedJob, rename_host
 
-__all__ = ["EngineRunner", "fold_pod_class"]
+__all__ = ["EngineRunner", "fold_pod_class", "pod_local_params"]
+
+
+def pod_local_params(params: AstralParams, n_blocks: int) -> AstralParams:
+    """The sub-topology of a pod-local sub-simulation over *n_blocks*
+    (compacted) blocks: one pod, one Core per core group, and — for a
+    single block — one Agg per ToR group.  Rails, NIC ports, hosts per
+    block, capacities and (across blocks) the Agg width are kept.
+
+    Exact, never approximate:
+
+    * Every flow of a pod-local sub-simulation is a same-rail leg
+      between two hosts of its one pod: ``JobSim._endpoints`` puts
+      every endpoint on ``config.rail``, and jobs are renamed into
+      pod 0.
+    * Such a path is host–ToR–host (same block) or host–ToR–Agg–ToR–
+      host.  A Core detour is at least 2 hops longer, so no shortest
+      path, no ECMP candidate set and no hashed walk reaches a Core;
+      inside a single block none reaches an Agg either.
+    * Cores are added last and Agg->Core links are wired last
+      (:func:`~repro.topology.astral.build_astral`), so every other
+      device index, link id and capacity is unchanged.  Shrinking the
+      Aggs of one block moves only devices and links no walk visits.
+
+    The Agg width stays across blocks: it sets the ToR's ECMP
+    candidate sets, hence which uplink each cross-block leg hashes
+    onto.
+    """
+    aggs = 1 if n_blocks == 1 else params.aggs_per_group
+    return replace(params, pods=1, blocks_per_pod=n_blocks,
+                   aggs_per_group=aggs, cores_per_group=1)
 
 
 class EngineRunner:
@@ -120,10 +153,7 @@ def _fold_rep_blocks(params: AstralParams, rep_jobs: List[PlacedJob],
         block_classes.setdefault(
             block_signature(by_block[block]), []).append(block)
 
-    # Single-block traffic never leaves its ToRs, so the Agg/Core
-    # tiers are dead weight: shrink them to the minimum.
-    sub = replace(params, pods=1, blocks_per_pod=1,
-                  aggs_per_group=1, cores_per_group=1)
+    sub = pod_local_params(params, 1)
     outcomes: Dict[str, JobOutcome] = {}
     for blocks in block_classes.values():
         rep_block = blocks[0]
@@ -153,7 +183,7 @@ def _solve_rep_pod(params: AstralParams, rep_jobs: List[PlacedJob],
                           for b in placed.blocks})
     block_map = {block: index
                  for index, block in enumerate(used_blocks)}
-    sub = replace(params, pods=1, blocks_per_pod=len(used_blocks))
+    sub = pod_local_params(params, len(used_blocks))
     configs = [
         _config_for(
             placed,

@@ -7,8 +7,8 @@ every pod it touches.  Refinement answers *how much* of the broken pod
 must be simulated exactly, walking an escalation ladder:
 
 * **block** — the fault's cut set stays inside a known block set, so
-  only the touched blocks (plus the shared ToR->Agg uplink tier, which
-  every bounded sub-topology keeps at full width) run on the engine;
+  only the touched blocks (plus, across blocks, the shared ToR->Agg
+  uplink tier at full width) run on the engine;
   the pod's healthy blocks keep folding through the same
   representative-block path the pod classes use, so their sub-sims
   memo-hit against the healthy classes.
@@ -49,9 +49,11 @@ solve epochs reschedule its flows.
 Within a bounded pod, blocks are grouped into connected components
 (jobs union the blocks they span; each fault unions its target block
 with its job's blocks).  Components containing a fault run exactly on
-a ``pods=1, blocks_per_pod=len(component)`` sub-topology with the agg
-tier preserved; healthy single-block components fold by block
-signature; healthy multi-block components run as compacted pod slices.
+the pod-local sub-topology of their blocks
+(:func:`~repro.hierarchy.fold.pod_local_params`: one Core per group,
+and full Agg width only when the component spans blocks); healthy
+single-block components fold by block signature; healthy multi-block
+components run as compacted pod slices.
 Per-component simulation is exact for the same reason the fold is:
 certified traffic never contends across components, so separate clocks
 observe identical allocations.
@@ -74,7 +76,7 @@ from ..topology.astral import AstralParams, build_astral
 from ..topology.blast_radius import device_blast_radius, impacted_hosts
 from .compose import scaled_compute_s
 from .fold import (EngineRunner, _config_for, _fold_rep_blocks,
-                   _solve_rep_pod)
+                   _solve_rep_pod, pod_local_params)
 from .symmetry import RefinedGroup, SymmetryMap, line_rate_certificate
 from .virtual import PlacedJob, parse_host, rename_device, rename_host
 
@@ -153,11 +155,11 @@ def _device_block(target: str) -> Optional[Tuple[int, int]]:
 
 
 def _probe_params(params: AstralParams) -> AstralParams:
-    """The minimal block :func:`_probe_evidence` runs on: one pod, one
-    block, one Agg per ToR group and one Core per core group; rails,
-    NIC ports and hosts per block keep their full width."""
-    return dc_replace(params, pods=1, blocks_per_pod=1,
-                      aggs_per_group=1, cores_per_group=1)
+    """The minimal block :func:`_probe_evidence` runs on: the one-block
+    pod-local sub-topology (one pod, one block, one Agg per ToR group
+    and one Core per core group); rails, NIC ports and hosts per block
+    keep their full width."""
+    return pod_local_params(params, 1)
 
 
 @lru_cache(maxsize=256)
@@ -308,11 +310,14 @@ def _run_group_pod(params: AstralParams, group: RefinedGroup,
     The group runs on a ``pods=len(group)`` sub-topology with the full
     block range preserved (an escalated fault's blast radius may reach
     any block-level device) and only pod indices rebased; fault targets
-    are renamed with the same map.  Core switch names are pod-free and
-    pass through untouched.  When *every* pod is refined the pod map is
-    the identity, the sub-topology equals the flat one, and — because
-    group jobs keep their original placement order, hence their
-    original flow ids — the result is bit-identical to a flat
+    are renamed with the same map.  Agg and Core widths stay too, unlike
+    :func:`~repro.hierarchy.fold.pod_local_params`: escalated switch
+    fail-stops can leave two hosts with no live ToR group in common,
+    and then their path climbs to the Core tier.  Core switch names are
+    pod-free and pass through untouched.  When *every* pod is refined
+    the pod map is the identity, the sub-topology equals the flat one,
+    and — because group jobs keep their original placement order, hence
+    their original flow ids — the result is bit-identical to a flat
     :class:`MultiJobRun`: full unfold degenerates to flat, by
     construction rather than by approximation.
     """
@@ -393,10 +398,11 @@ def _run_group_bounded(params: AstralParams, group: RefinedGroup,
         blocks = sorted(comp_blocks[root])
         block_map = {block: index
                      for index, block in enumerate(blocks)}
-        # Touched blocks plus the shared ToR->Agg uplink tier: block
-        # count compacts, agg/core widths stay — ToR->Agg wiring and
-        # capacities are invariant under block compaction.
-        sub = dc_replace(params, pods=1, blocks_per_pod=len(blocks))
+        # Touched blocks only: block count compacts (ToR->Agg wiring
+        # and capacities are invariant under it), the Core tier shrinks
+        # to one switch per group, and the Agg tier keeps its full
+        # width only across blocks.
+        sub = pod_local_params(params, len(blocks))
         names = {placed.name for placed in jobs}
         configs = [
             _config_for(

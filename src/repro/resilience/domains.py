@@ -218,14 +218,18 @@ def expand_domains(params: AstralParams, placed: Sequence,
     dropped.  Expansion order is deterministic, so the same document
     always yields the same fault map.
     """
+    # Every member target lies in its domain's (pod, block)
+    # (_domain_targets), so only those blocks' hosts and residents are
+    # indexed, in placement order — not every host of the cluster.
+    hit = {(domain.pod, domain.block) for domain in domains}
     owner: Dict[str, str] = {}
     by_block: Dict[tuple, List] = {}
     for placed_job in placed:
-        for host in placed_job.hosts:
-            owner[host] = placed_job.name
-        for coord in placed_job.coords:
-            by_block.setdefault((coord[0], coord[1]),
-                                []).append(placed_job)
+        for host, (pod, block, _) in zip(placed_job.hosts,
+                                         placed_job.coords):
+            if (pod, block) in hit:
+                owner[host] = placed_job.name
+                by_block.setdefault((pod, block), []).append(placed_job)
     faults: Dict[str, FaultSpec] = {}
     for domain in domains:
         for spec in domain_fault_specs(params, domain):

@@ -159,6 +159,15 @@ class AstralParams:
             raise TopologyError("need at least one pod and block")
         if self.nic_ports < 1:
             raise TopologyError("NICs need at least one port")
+        for name in ("hosts_per_block", "gpus_per_host",
+                     "aggs_per_group", "cores_per_group"):
+            value = getattr(self, name)
+            if value < 1:
+                raise TopologyError(f"{name} must be >= 1: {value}")
+        for name in ("nic_port_gbps", "tor_agg_gbps", "agg_core_gbps"):
+            value = getattr(self, name)
+            if not value > 0:      # also rejects NaN
+                raise TopologyError(f"{name} must be > 0: {value}")
         if self.tier3_oversubscription < 1.0:
             raise TopologyError("tier-3 oversubscription must be >= 1")
 

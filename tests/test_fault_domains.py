@@ -8,7 +8,11 @@ detect->localize loop provably misses, while the same domain in hard
 mode is caught and repaired.
 """
 
+from typing import Dict, List
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import RecoveryManager
 from repro.core.placement import GpuAllocator
@@ -143,6 +147,90 @@ class TestExpandDomains:
         faults = expand_domains(params, placed, [domain])
         assert list(faults) == ["j1"]
         assert faults["j1"].target.endswith(".tor")
+
+
+def _reference_expand_domains(params, placed, domains):
+    """The expansion that indexed every host of the cluster, kept
+    verbatim as the oracle for the block-restricted index."""
+    owner: Dict[str, str] = {}
+    by_block: Dict[tuple, List] = {}
+    for placed_job in placed:
+        for host in placed_job.hosts:
+            owner[host] = placed_job.name
+        for coord in placed_job.coords:
+            by_block.setdefault((coord[0], coord[1]),
+                                []).append(placed_job)
+    faults = {}
+    for domain in domains:
+        for spec in domain_fault_specs(params, domain):
+            if spec.target.endswith(".tor"):
+                residents = by_block.get((domain.pod, domain.block), [])
+                name = next((p.name for p in residents
+                             if p.name not in faults), None)
+            else:
+                name = owner.get(spec.target)
+            if name is None or name in faults:
+                continue
+            faults[name] = spec
+    return faults
+
+
+@st.composite
+def _cluster_and_domains(draw):
+    params = AstralParams(
+        pods=draw(st.integers(1, 3)), blocks_per_pod=draw(st.integers(1, 3)),
+        hosts_per_block=draw(st.integers(1, 6)),
+        gpus_per_host=draw(st.integers(1, 3)),
+        nic_ports=draw(st.integers(1, 2)), aggs_per_group=1,
+        cores_per_group=1)
+    every_host = [f"p{pod}.b{block}.h{host}"
+                  for pod in range(params.pods)
+                  for block in range(params.blocks_per_pod)
+                  for host in range(params.hosts_per_block)]
+    # Pinned jobs take explicit hosts (anywhere, any order); cursor
+    # jobs fill what is left.  Leaving hosts idle is allowed.
+    free = list(every_host)
+    pinned = []
+    for index in range(draw(st.integers(0, 3))):
+        if not free:
+            break
+        hosts = draw(st.lists(st.sampled_from(free), min_size=1,
+                              max_size=min(4, len(free)), unique=True))
+        free = [h for h in free if h not in hosts]
+        pinned.append(HierJob(f"pin{index}", n_hosts=len(hosts),
+                              hosts=tuple(hosts)))
+    budget = len(free)
+    cursor = []
+    for index in range(draw(st.integers(0, 6))):
+        if budget == 0:
+            break
+        n_hosts = draw(st.integers(1, min(budget, 8)))
+        budget -= n_hosts
+        cursor.append(HierJob(f"cur{index}", n_hosts=n_hosts))
+    jobs = draw(st.permutations(pinned + cursor))
+    domains = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(DOMAIN_KINDS))
+        pool = (params.gpus_per_host * params.nic_ports
+                if kind == "switch-asic" else params.hosts_per_block)
+        domains.append(FaultDomain(
+            kind, pod=draw(st.integers(0, params.pods - 1)),
+            block=draw(st.integers(0, params.blocks_per_pod - 1)),
+            size=draw(st.integers(1, pool)),
+            mode=draw(st.sampled_from(["hard", "gray"])),
+            seed=draw(st.integers(0, 50))))
+    return params, place_jobs(params, jobs), domains
+
+
+class TestExpandDomainsOracle:
+    """Indexing only the blocks a domain can hit changes no fault map."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_cluster_and_domains())
+    def test_block_restricted_index_matches_full_index(self, case):
+        params, placed, domains = case
+        assert expand_domains(params, placed, domains) \
+            == _reference_expand_domains(params, placed, domains)
 
 
 class TestFaultDocument:

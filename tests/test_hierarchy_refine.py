@@ -9,22 +9,28 @@ and the reason), not just the final numbers.  The fault-then-heal
 scenarios from the issue ride here too: a link flap inside the
 hold-down window while a refined group's tenants are live, a heal that
 refolds under the vector solver, and a double fault in two pods
-sharing a cross-pod tenant (one merged group, never two).
+sharing a cross-pod tenant (one merged group, never two).  Pod-local
+sub-simulations, which drop the tiers no same-rail leg inside a pod
+can reach, are held ``==`` to the full-width sub-topology.
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hierarchy import (HierJob, HierarchicalRun, build_flat_fabric,
                              flat_job_configs, plan_refined_group)
+from repro.hierarchy.fold import EngineRunner, pod_local_params
 from repro.hierarchy.refine import _probe_evidence, _probe_params
 from repro.monitoring import FaultSpec, Manifestation, RootCause
+from repro.monitoring.jobsim import JobConfig
 from repro.monitoring.multijob import MultiJobRun
 from repro.network import Fabric, FabricEngine, make_flow
 from repro.network.flows import reset_flow_ids
+from repro.network.routing import EcmpRouter
 from repro.network.solver import use_backend
 from repro.resilience import FailureInjector, FaultDomain, expand_domains
 from repro.topology import AstralParams, DeviceKind, build_astral
@@ -430,4 +436,166 @@ class TestFaultThenHealAtScale:
         assert any("cross-pod tenant" in reason
                    for reason in run.refine_plans[0].reasons)
         assert_bit_identical(run.report.outcomes,
+                             run_flat(params, jobs, faults=faults))
+
+
+@st.composite
+def _pod_local_case(draw):
+    """A pods=1 fabric, 1-3 same-rail jobs on disjoint hosts of it
+    (single- or multi-block, ring or all-to-all), and in-certificate
+    faults on some of them."""
+    full = AstralParams(
+        pods=1, blocks_per_pod=draw(st.integers(1, 3)),
+        hosts_per_block=draw(st.integers(2, 6)),
+        gpus_per_host=draw(st.integers(1, 3)),
+        nic_ports=draw(st.integers(1, 2)),
+        aggs_per_group=draw(st.integers(1, 4)),
+        cores_per_group=draw(st.integers(1, 4)))
+    free = [(block, host) for block in range(full.blocks_per_pod)
+            for host in range(full.hosts_per_block)]
+    configs, faults = [], {}
+    for index in range(draw(st.integers(1, 3))):
+        pool = free
+        if pool and draw(st.booleans()):          # single-block job
+            block = draw(st.sampled_from(sorted({b for b, _ in free})))
+            pool = [slot for slot in free if slot[0] == block]
+        if len(pool) < 2:
+            break
+        picked = draw(st.lists(st.sampled_from(pool), min_size=2,
+                               max_size=min(6, len(pool)), unique=True))
+        free = [slot for slot in free if slot not in picked]
+        hosts = tuple(f"p0.b{block}.h{host}" for block, host in picked)
+        name, rail = f"j{index}", draw(st.integers(0, full.rails - 1))
+        configs.append(JobConfig(
+            name=name, hosts=hosts, rail=rail, compute_time_s=0.01,
+            comm_size_bits=draw(st.sampled_from([1e9, 4e9])),
+            iterations=3, seed=index,
+            collective=draw(st.sampled_from(["allreduce",
+                                             "all_to_all"]))))
+        if draw(st.booleans()):
+            label, cause, manifestation, _ = draw(
+                st.sampled_from(IN_CERTIFICATE))
+            if label == "user-code":
+                target = name
+            elif label == "tor-drops":
+                group = draw(st.integers(0, full.nic_ports - 1))
+                target = f"p0.b{picked[0][0]}.r{rail}.g{group}.tor"
+            else:
+                target = draw(st.sampled_from(hosts))
+            faults[name] = fault(cause, manifestation, target,
+                                 at_iteration=draw(st.integers(1, 2)))
+    return full, configs, faults
+
+
+#: An all-to-all over two blocks offers each ToR twice its uplink
+#: capacity at one Agg, but not at four: shrinking the Agg tier of a
+#: multi-block pod must show.
+_CROSS_BLOCK_A2A = (
+    AstralParams(pods=1, blocks_per_pod=2, hosts_per_block=4,
+                 gpus_per_host=1, nic_ports=1, aggs_per_group=4,
+                 cores_per_group=2),
+    [JobConfig(name="a2a", iterations=2, compute_time_s=0.01,
+               collective="all_to_all",
+               hosts=tuple(f"p0.b{block}.h{host}"
+                           for block in range(2) for host in range(4)))],
+    {})
+
+
+def _outcome_bits(outcomes):
+    return {name: (outcome.iteration_times_s,
+                   outcome.expected_iteration_s)
+            for name, outcome in outcomes.items()}
+
+
+class TestPodLocalDifferential:
+    """A pod-local sub-simulation on :func:`pod_local_params` (no Core
+    tier; no Agg tier for one block) equals the same run on the
+    full-width sub-topology, ``==`` on every float."""
+
+    def test_shape_of_the_pod_local_topology(self):
+        params = AstralParams()
+        one = pod_local_params(params, 1)
+        assert (one.pods, one.blocks_per_pod, one.aggs_per_group,
+                one.cores_per_group) == (1, 1, 1, 1)
+        many = pod_local_params(params, 3)
+        assert (many.pods, many.blocks_per_pod, many.aggs_per_group,
+                many.cores_per_group) == (1, 3, 64, 1)
+        for sub in (one, many):
+            assert replace(sub, pods=params.pods,
+                           blocks_per_pod=params.blocks_per_pod,
+                           aggs_per_group=params.aggs_per_group,
+                           cores_per_group=params.cores_per_group) \
+                == params
+        assert _probe_params(params) == one
+
+    @pytest.mark.parametrize("backend", ["python", "vector"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_pod_local_case())
+    @example(case=_CROSS_BLOCK_A2A)
+    def test_pod_local_equals_full_width(self, backend, case):
+        full, configs, faults = case
+        seen = []
+        original = EcmpRouter.path
+
+        def recording_path(router, flow, *args, **kwargs):
+            route = original(router, flow, *args, **kwargs)
+            seen.append(route.devices)
+            return route
+
+        with use_backend(backend):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(EcmpRouter, "path", recording_path)
+                reference = EngineRunner().run(full, configs,
+                                               faults=faults)
+            local = EngineRunner().run(
+                pod_local_params(full, full.blocks_per_pod), configs,
+                faults=faults)
+        assert _outcome_bits(local) == _outcome_bits(reference)
+        # The premise: no walk on the full-width topology reaches a
+        # Core, and inside one block none reaches an Agg.
+        assert seen
+        visited = {device for devices in seen for device in devices}
+        assert not any(d.endswith(".core") for d in visited)
+        if full.blocks_per_pod == 1:
+            assert not any(d.endswith(".agg") for d in visited)
+
+    def test_every_pod_local_caller_shrinks(self):
+        """Each sub-simulation from the block fold, the pod fold and
+        bounded refinement runs on the pod-local topology."""
+        params = AstralParams(pods=2, blocks_per_pod=4, hosts_per_block=4,
+                              gpus_per_host=2, aggs_per_group=3,
+                              cores_per_group=3)
+        # Per pod: a two-block job, then two one-block jobs.  Pod 0's
+        # faulted block refines bounded, its healthy two-block job runs
+        # as a pod slice and its healthy lone block folds; pod 1 has a
+        # multi-block job, so it pod-folds.
+        jobs = [HierJob(f"j{i}", n_hosts=8 if i % 3 == 0 else 4,
+                        iterations=3)
+                for i in range(6)]
+        faults = {"j1": fault(RootCause.GPU_HARDWARE,
+                              Manifestation.FAIL_STOP, "p0.b2.h1")}
+        calls = []
+        original = EngineRunner.run
+
+        def recording_run(runner, sub, *args, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name, sub))
+            return original(runner, sub, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EngineRunner, "run", recording_run)
+            run = HierarchicalRun(params, jobs, faults=faults)
+            outcomes = run.run()
+        assert run.report.refine_levels == {"block": 1}
+        pod_local = {"_fold_rep_blocks", "_solve_rep_pod",
+                     "_run_group_bounded"}
+        assert {caller for caller, _ in calls} >= pod_local
+        for caller, sub in calls:
+            if caller not in pod_local:
+                continue
+            assert sub == pod_local_params(params, sub.blocks_per_pod), \
+                caller
+            assert sub.cores_per_group == 1, caller
+            if sub.blocks_per_pod == 1:
+                assert sub.aggs_per_group == 1, caller
+        assert_bit_identical(outcomes,
                              run_flat(params, jobs, faults=faults))

@@ -58,6 +58,32 @@ class TestParams:
         with pytest.raises(ValueError):
             AstralParams.tiny().with_oversubscription(0.5)
 
+    @pytest.mark.parametrize("field", [
+        "hosts_per_block", "gpus_per_host", "aggs_per_group",
+        "cores_per_group"])
+    def test_empty_tier_rejected_by_name(self, field):
+        params = replace(AstralParams.tiny(), **{field: 0})
+        with pytest.raises(TopologyError, match=field):
+            params.validate()
+        with pytest.raises(TopologyError, match=field):
+            build_astral(params)
+
+    @pytest.mark.parametrize("field", [
+        "nic_port_gbps", "tor_agg_gbps", "agg_core_gbps"])
+    @pytest.mark.parametrize("gbps", [0.0, -100.0, float("nan")])
+    def test_non_positive_capacity_rejected_by_name(self, field, gbps):
+        params = replace(AstralParams.tiny(), **{field: gbps})
+        with pytest.raises(TopologyError, match=field):
+            build_astral(params)
+
+    def test_minimal_shape_still_builds(self):
+        params = AstralParams(pods=1, blocks_per_pod=1, hosts_per_block=1,
+                              gpus_per_host=1, nic_ports=1,
+                              aggs_per_group=1, cores_per_group=1)
+        topo = build_astral(params)
+        assert len(topo.hosts()) == 1
+        assert len(topo.links) == 3      # host-ToR, ToR-Agg, Agg-Core
+
 
 class TestStructure:
     def test_device_counts(self, tiny):
