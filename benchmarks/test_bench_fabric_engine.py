@@ -3,9 +3,9 @@
 The incremental engine (`repro.network.engine.FabricEngine`) registers
 each flow's directed hops once and, on every completion event,
 re-solves only the connected component of links the event touched.
-The epoch-global baseline (`Fabric.complete_batch`) rebuilds the whole
-membership structure and re-runs progressive filling over every
-occupied link at every epoch.  Both count their per-link work with the
+The epoch-global baseline (`repro.validation.complete_batch`, the
+engine's test oracle) rebuilds the whole membership structure and
+re-runs progressive filling over every occupied link at every epoch.  Both count their per-link work with the
 same ruler (:class:`~repro.network.engine.SolverStats.link_visits`:
 hop registrations + capacity reads + per-link share evaluations), so
 the ratio is the incremental solver's measured saving.
@@ -38,6 +38,7 @@ from repro.network.engine import FabricEngine, SolverStats
 from repro.network.flows import make_flow
 from repro.network.solver import use_backend
 from repro.topology import AstralParams, build_astral
+from repro.validation import complete_batch
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent \
     / "BENCH_fabric_engine.json"
@@ -108,7 +109,7 @@ def _measure(n_hosts, rails, solver="python", params=None,
             flows = flows_fn(allocation, rails)
             batch_stats = SolverStats()
             t0 = time.perf_counter()
-            batch_run = fabric.complete_batch(flows, stats=batch_stats)
+            batch_run = complete_batch(fabric, flows, stats=batch_stats)
             batch_wall = time.perf_counter() - t0
             result["batch"] = {
                 "epochs": batch_stats.solves,

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """The simulator validating itself: a guided `repro validate` tour.
 
-The stack computes the same physics several ways — the event-driven
-``FabricEngine``, the epoch-global ``Fabric.complete_batch`` loop, the
-packet-granular ``packetsim``, and the analytic collective models.
-``repro.validation`` cross-checks them on seeded random scenarios.
+The stack integrates fabric physics once, in the event-driven
+``FabricEngine``; the packet-granular ``packetsim`` and the analytic
+collective models describe the same traffic at other levels.
+``repro.validation`` keeps one independent oracle per question — the
+epoch-global ``complete_batch`` loop for engine finish times, one
+incidence checker for max-min allocations, one replay check for
+determinism on both fill kernels — and cross-checks the stack on
+seeded random scenarios.
 This walkthrough shows the pieces individually, then runs a campaign:
 
 1. generate one scenario and show that its spec is self-contained
@@ -12,7 +16,8 @@ This walkthrough shows the pieces individually, then runs a campaign:
 2. run the invariant oracles on a max-min solution — and corrupt the
    solution to show the oracles actually fire;
 3. the headline differential: ``Fabric.complete`` (engine path) and
-   ``complete_batch`` are *bit-identical*, not merely close;
+   the batch oracle ``complete_batch`` are *bit-identical*, not
+   merely close;
 4. a metamorphic check: double every capacity, finish in exactly half
    the time;
 5. a 15-case campaign across all five profiles, as `repro validate`

@@ -714,7 +714,7 @@ def _cmd_scale(args) -> int:
     import json
     import time
 
-    from repro.farm import TaskSpec, execute_spec
+    from repro.farm import TaskSpec
     from repro.hierarchy import preset_params
 
     task_params = {
@@ -793,25 +793,9 @@ def _cmd_scale(args) -> int:
 
     spec = TaskSpec("hierarchy-run", task_params, label="cli")
     started = time.perf_counter()
-    if args.workers > 1 or args.cache_dir is not None:
-        from repro.farm import FarmExecutor, ResultCache
-        cache = ResultCache(root=args.cache_dir) if args.cache_dir \
-            else ResultCache()
-        report = executor_report = FarmExecutor(
-            workers=args.workers,
-            use_cache=args.cache_dir is not None,
-            cache=cache).run([spec])
-        if not report.ok:
-            failure = report.failures[0]
-            print(f"FAILED [{failure.status}] "
-                  f"{(failure.error or '').splitlines()[0]}")
-            return 1
-        result = report.results[0].result
-        print(f"farm: {executor_report.n_executed} executed, "
-              f"{executor_report.n_cached} from cache "
-              f"(workers {args.workers})")
-    else:
-        result = execute_spec(spec)
+    result = _run_spec(spec, args.workers, args.cache_dir)
+    if result is None:
+        return 1
     wall_s = time.perf_counter() - started
 
     scenario, fold = result["scenario"], result["fold"]
@@ -847,11 +831,32 @@ def _cmd_scale(args) -> int:
     return 0
 
 
+def _run_spec(spec, workers: int, cache_dir: Optional[str]
+              ) -> Optional[dict]:
+    """Run one task inline, or through the farm when *workers* > 1 or
+    a result cache is asked for; None (after printing why) when the
+    farm reports the task failed."""
+    from repro.farm import FarmExecutor, ResultCache, execute_spec
+    if workers <= 1 and cache_dir is None:
+        return execute_spec(spec)
+    cache = ResultCache(root=cache_dir) if cache_dir else ResultCache()
+    report = FarmExecutor(workers=workers, use_cache=cache_dir is not None,
+                          cache=cache).run([spec])
+    if not report.ok:
+        failure = report.failures[0]
+        print(f"FAILED [{failure.status}] "
+              f"{(failure.error or '').splitlines()[0]}")
+        return None
+    print(f"farm: {report.n_executed} executed, "
+          f"{report.n_cached} from cache (workers {workers})")
+    return report.results[0].result
+
+
 def _cmd_serve(args) -> int:
     import json
     import time
 
-    from repro.farm import TaskSpec, execute_spec
+    from repro.farm import TaskSpec
     from repro.serving import ServingReport, ServingScenario
 
     seed = args.seed
@@ -872,25 +877,9 @@ def _cmd_serve(args) -> int:
     task_params = {"scenario": scenario.to_params()}
     spec = TaskSpec("serving-run", task_params, label="cli")
     started = time.perf_counter()
-    if args.workers > 1 or args.cache_dir is not None:
-        from repro.farm import FarmExecutor, ResultCache
-        cache = ResultCache(root=args.cache_dir) if args.cache_dir \
-            else ResultCache()
-        report = FarmExecutor(
-            workers=args.workers,
-            use_cache=args.cache_dir is not None,
-            cache=cache).run([spec])
-        if not report.ok:
-            failure = report.failures[0]
-            print(f"FAILED [{failure.status}] "
-                  f"{(failure.error or '').splitlines()[0]}")
-            return 1
-        result = report.results[0].result
-        print(f"farm: {report.n_executed} executed, "
-              f"{report.n_cached} from cache "
-              f"(workers {args.workers})")
-    else:
-        result = execute_spec(spec)
+    result = _run_spec(spec, args.workers, args.cache_dir)
+    if result is None:
+        return 1
     wall_s = time.perf_counter() - started
 
     print(ServingReport(**{key: result[key] for key in (

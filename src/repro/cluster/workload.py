@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 __all__ = ["JobSpec", "WorkloadConfig", "WorkloadGenerator"]
 
@@ -109,12 +109,3 @@ class WorkloadGenerator:
                 priority=priority,
             ))
         return specs
-
-    def demand_summary(self, specs: Sequence[JobSpec]
-                       ) -> Tuple[float, float]:
-        """(total host-seconds, mean hosts requested) of a trace."""
-        if not specs:
-            return 0.0, 0.0
-        total = sum(spec.host_seconds for spec in specs)
-        mean_hosts = sum(spec.n_hosts for spec in specs) / len(specs)
-        return total, mean_hosts

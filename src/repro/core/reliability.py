@@ -124,10 +124,6 @@ class GoodputReport:
     checkpoint_overhead_fraction: float
     failure_overhead_fraction: float
 
-    @property
-    def wasted_fraction(self) -> float:
-        return 1.0 - self.goodput_fraction
-
 
 def training_goodput(n_gpus: int,
                      failure_model: Optional[FailureModel] = None,

@@ -225,10 +225,6 @@ def specs_from_document(document: Dict[str, Any]) -> List[TaskSpec]:
     return specs
 
 
-def _spec_sort_key(spec: TaskSpec) -> str:
-    return spec.content_hash
-
-
 def dedupe_specs(specs: Iterable[TaskSpec]) -> List[TaskSpec]:
     """Drop exact-duplicate specs, keeping first-seen order."""
     seen: Dict[str, None] = {}

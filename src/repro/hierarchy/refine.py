@@ -154,19 +154,13 @@ def _device_block(target: str) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _probe_params(params: AstralParams) -> AstralParams:
-    """The minimal block :func:`_probe_evidence` runs on: the one-block
-    pod-local sub-topology (one pod, one block, one Agg per ToR group
-    and one Core per core group); rails, NIC ports and hosts per block
-    keep their full width."""
-    return pod_local_params(params, 1)
-
-
 @lru_cache(maxsize=256)
 def _probe_evidence(probe_params: AstralParams,
                     target: str) -> Tuple[int, int]:
     """(stranded_gpus, n_impacted_hosts) of *target* failing on the
-    minimal probe block (:func:`_probe_params`).
+    minimal probe block ``pod_local_params(params, 1)``: one pod, one
+    block, one Agg per ToR group and one Core per core group, while
+    rails, NIC ports and hosts per block keep their full width.
 
     The probe is the same blast-radius measurement the topology layer
     publishes, run in block-relative coordinates: it proves the
@@ -252,7 +246,8 @@ def _fault_evidence(params: AstralParams, name: str, fault: FaultSpec,
             note=f"target pod {pod} is outside job {job.name!r}'s "
                  "placement")
     renamed = rename_device(fault.target, {pod: 0}, {block: 0})
-    stranded, impacted = _probe_evidence(_probe_params(params), renamed)
+    stranded, impacted = _probe_evidence(pod_local_params(params, 1),
+                                          renamed)
     if stranded:
         return FaultEvidence(
             name=name, target=fault.target, scope="pod",

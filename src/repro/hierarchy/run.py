@@ -24,7 +24,7 @@ from ..monitoring.multijob import JobOutcome
 from ..network.fabric import Fabric
 from ..topology.astral import AstralParams, build_astral
 from .compose import analytic_outcomes, scaled_compute_s
-from .fold import EngineRunner, fold_pod_class
+from .fold import EngineRunner, _config_for, fold_pod_class
 from .refine import REFINE_MODES, RefinePlan, run_refined_groups
 from .symmetry import SymmetryMap, detect_symmetry
 from .virtual import HierJob, place_jobs
@@ -52,17 +52,9 @@ def flat_job_configs(params: AstralParams, jobs: Sequence[HierJob],
                      ) -> List[JobConfig]:
     """Flat-run configs for a hierarchical scenario, placement-ordered."""
     caps = dict(pod_power_caps or {})
-    configs = []
-    for placed in place_jobs(params, list(jobs)):
-        job = placed.job
-        configs.append(JobConfig(
-            name=placed.name, hosts=placed.hosts, rail=job.rail,
-            compute_time_s=scaled_compute_s(job, placed.pods, caps),
-            comm_size_bits=job.comm_size_bits,
-            iterations=job.iterations, collective=job.collective,
-            compute_noise_frac=job.compute_noise_frac, seed=job.seed,
-            start_time_s=job.start_time_s))
-    return configs
+    return [_config_for(placed, placed.hosts,
+                        scaled_compute_s(placed.job, placed.pods, caps))
+            for placed in place_jobs(params, list(jobs))]
 
 
 @dataclass

@@ -85,8 +85,3 @@ class CrossHostComparison:
         """Hosts significantly *slower* than the majority."""
         return find_outliers(metric_by_host, self.threshold,
                              direction="high")
-
-    def deviating_hosts(self, metric_by_host: Dict[str, float]
-                        ) -> List[str]:
-        return find_outliers(metric_by_host, self.threshold,
-                             direction="both")

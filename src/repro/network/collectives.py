@@ -361,10 +361,6 @@ class TimedCollectiveResult:
     repairs: int = 0
 
     @property
-    def end_time_s(self) -> float:
-        return self.start_time_s + self.network_time_s
-
-    @property
     def total_time_s(self) -> float:
         return self.network_time_s + self.intra_host_time_s
 

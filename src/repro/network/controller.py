@@ -117,13 +117,6 @@ class EcmpController:
         return {key: state.ecn_marks_per_poll
                 for key, state in states.items()}
 
-    def _is_fabric_hop(self, hop: LinkDir) -> bool:
-        """True when both link endpoints are switches."""
-        link = self.fabric.topology.links[hop[0]]
-        devices = self.fabric.topology.devices
-        return (devices[link.a.device].tier > 0
-                and devices[link.b.device].tier > 0)
-
     def reassignment_round(self, flows: List[Flow], round_index: int = 0
                            ) -> ReassignmentReport:
         """One polling round: move flows off ECN-marked links.

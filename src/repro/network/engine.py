@@ -2,10 +2,13 @@
 
 :class:`FabricEngine` moves the flow-level fabric onto the single
 deterministic clock the rest of the reproduction runs on
-(:class:`repro.simcore.Simulator`).  Where :meth:`Fabric.complete`
-is a batch loop — every flow starts at t=0 and nothing can change
-mid-transfer — the engine maintains an *active-flow set* that evolves
-over simulated time:
+(:class:`repro.simcore.Simulator`), and it is the only fluid
+integrator the simulator has: :meth:`Fabric.complete` is a batch
+wrapper over it, and the epoch-global loop it is checked against
+(``repro.validation.differential.complete_batch``) is a test oracle.
+Where a batch completion starts every flow at t=0 and lets nothing
+change mid-transfer, the engine maintains an *active-flow set* that
+evolves over simulated time:
 
 * flows carry a ``start_time_s`` and arrive on the clock;
 * rate allocation re-runs only on events (flow arrival, flow
@@ -47,7 +50,7 @@ reroute or split — fills cold.  The resumed fill is bit-identical to a
 cold one (see :mod:`repro.network.solver`).
 
 :class:`SolverStats` counts the work (solver calls, link visits) so
-the saving vs the epoch-global baseline is measurable — see
+the saving vs the epoch-global batch oracle is measurable — see
 ``benchmarks/test_bench_fabric_engine.py``.
 
 The fluid core is array-shaped and there is exactly one of it: per-flow
@@ -73,8 +76,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 import numpy as np
 
 from ..simcore import Event, SimulationError, Simulator
-from .fabric import DONE_BITS as _DONE_BITS
-from .fabric import MAX_STALLS as _MAX_STALLS
 from .fabric import Fabric, FabricRun, LinkDir
 from .flows import Flow, FlowPath
 from .routing import RoutingError
@@ -88,7 +89,18 @@ from .solver import (
     resolve_backend,
 )
 
-__all__ = ["FabricEngine", "SolverStats"]
+__all__ = ["DONE_BITS", "MAX_STALLS", "FabricEngine", "SolverStats"]
+
+#: A flow is complete once its residue drops below this many bits.
+#: Integration is in floats, so exact zero is unreachable; the batch
+#: oracle (``repro.validation.differential.complete_batch``) uses the
+#: same inclusive threshold, a precondition for the two finishing
+#: flows at bit-identical times.
+DONE_BITS = 1e-6
+
+#: Consecutive no-progress steps at one instant after which a solve
+#: declares the fluid model wedged instead of spinning.
+MAX_STALLS = 8
 
 
 @dataclass
@@ -475,7 +487,7 @@ class FabricEngine:
         fid = flow.flow_id
         if fid in self._states:
             raise SimulationError(f"flow {fid} arrived twice")
-        if size_bits <= _DONE_BITS:
+        if size_bits <= DONE_BITS:
             # Zero-size transfers finish the instant they start.
             self._flows_seen[fid] = flow
             self._paths.setdefault(
@@ -570,13 +582,13 @@ class FabricEngine:
         fluid = self._fluid
         n = fluid.n
         if n:
-            # The batch loop's per-flow update: rate*1e9*elapsed, left
+            # The batch oracle's per-flow update: rate*1e9*elapsed, left
             # to right.  Rows at rate 0 subtract an exact 0.0, which is
             # a bitwise no-op, so no rate>0 mask is needed.
             fluid.rem[:n] -= fluid.rate[:n] * 1e9 * elapsed
         self._clock = now
         if fluid.n_alive:
-            done = fluid.alive[:n] & (fluid.rem[:n] <= _DONE_BITS)
+            done = fluid.alive[:n] & (fluid.rem[:n] <= DONE_BITS)
             rows = np.flatnonzero(done)
             if rows.size:
                 # Row order is arrival order, so simultaneous
@@ -831,7 +843,7 @@ class FabricEngine:
 
         Deadlines move only where the rate actually changed, so an
         untouched flow keeps its scheduled deadline bits; a changed
-        one is re-aimed with the batch loop's expression —
+        one is re-aimed with the batch oracle's expression —
         ``now + rem/(rate*1e9)`` — so both land on the same bits.
         """
         inc = entry.inc
@@ -900,11 +912,11 @@ class FabricEngine:
             # Correct code re-aims every expired deadline past ``now``
             # or completes its flow, so a deadline keeps firing at one
             # instant only when the engine is wedged — fail, as the
-            # batch loop does, instead of spinning.
+            # batch oracle does, instead of spinning.
             self._stalls = self._stalls + 1 if now == self._stall_at \
                 else 1
             self._stall_at = now
-            if self._stalls >= _MAX_STALLS:
+            if self._stalls >= MAX_STALLS:
                 fluid = self._fluid
                 rows = np.flatnonzero(fluid.deadline[:fluid.n] <= now)
                 stuck = sorted(fluid.fids[row] for row in rows.tolist())

@@ -3,12 +3,19 @@
 Models the Astral fabric at flow granularity: every flow is pinned to a
 hop-by-hop ECMP path (per-flow ECMP, Appendix A), link bandwidth is
 shared max-min fairly among the flows crossing it, and transfers are
-completed with a fluid progressive-filling loop.  This is the level of
+completed by the event-driven fluid engine.  This is the level of
 detail the paper's own Seer operates at — packet-level behaviour enters
 only through calibration — and it is sufficient to reproduce the
 architecture studies (Figure 2, 17, 19): hash collisions and
 oversubscription determine which links bottleneck, and max-min sharing
 determines by how much.
+
+A :class:`Fabric` resolves paths and directed hops (memoized per
+flow), accounts offered link loads, solves one max-min allocation
+(:meth:`Fabric.max_min_rates`) and completes a flow set through the
+engine (:meth:`Fabric.complete`).  It holds no integrator of its own:
+the epoch-global batch loop the engine is checked against lives in
+:mod:`repro.validation.differential`.
 
 A fabric holds no solver setting: :meth:`Fabric.max_min_rates` runs the
 fill kernel of the :func:`~repro.network.solver.use_backend` scope it is
@@ -21,28 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..simcore import SimulationError
 from ..topology.elements import Topology
 from .flows import Flow, FlowPath
 from .routing import EcmpRouter
 from .solver import solve_incidence
 
-__all__ = ["DONE_BITS", "MAX_STALLS", "Fabric", "FabricRun", "LinkDir",
-           "LinkLoad"]
+__all__ = ["Fabric", "FabricRun", "LinkDir", "LinkLoad"]
 
 #: A directed traversal of a link: (link_id, forward) where forward means
 #: the flow enters at endpoint ``a`` and exits at endpoint ``b``.
 LinkDir = Tuple[int, bool]
-
-#: A flow is complete once its residue drops below this many bits.
-#: Shared by the event-driven engine and the batch loop: both integrate
-#: in floats, so exact zero is unreachable, and using one threshold is a
-#: precondition for their finish times being bit-identical.
-DONE_BITS = 1e-6
-
-#: Consecutive no-progress steps at one instant after which both solve
-#: paths declare the fluid model wedged instead of spinning.
-MAX_STALLS = 8
 
 
 @dataclass
@@ -191,12 +186,11 @@ class Fabric:
         :class:`~repro.network.engine.FabricEngine`: every flow is
         submitted at time zero onto a private simulator and run to
         completion.  For simultaneous starts this reproduces the
-        classic epoch-global fluid loop (kept as
-        :meth:`complete_batch`) exactly — same epochs and
+        classic epoch-global fluid loop exactly — same epochs and
         bit-identical finish times, a property the validation harness
-        (``repro.validation.differential``) asserts on fuzzed
-        scenarios — while sharing one code path with the timed
-        simulator.
+        asserts on fuzzed scenarios against its batch oracle
+        (``repro.validation.differential.complete_batch``) — while
+        sharing one code path with the timed simulator.
 
         With ``pfc_spreading``, PFC backpressure multipliers (computed
         from the initial offered loads) shrink effective link
@@ -227,113 +221,6 @@ class Fabric:
         return FabricRun(
             total_time_s=run.total_time_s,
             finish_times_s=run.finish_times_s,
-            paths=paths,
-            link_loads=link_loads,
-        )
-
-    def complete_batch(self, flows: List[Flow],
-                       paths: Optional[Dict[int, FlowPath]] = None,
-                       pfc_spreading: bool = False,
-                       stats=None) -> FabricRun:
-        """Epoch-global fluid loop: re-run max-min whenever a flow
-        finishes.
-
-        Reference implementation the event-driven engine is verified
-        against (``tests/test_fabric_engine.py`` and the
-        ``repro.validation`` differential oracles); *stats* counts its
-        solver work for the incremental-vs-global benchmark.
-
-        Integration uses the same absolute-deadline arithmetic as the
-        engine: each flow's finish deadline ``fl(now + rem / rate)`` is
-        computed once when its rate changes and only re-aimed on rate
-        changes, never re-split per epoch.  Accumulating relative steps
-        (``now += step``; ``rem -= rate * step``) instead drifts the
-        finish times by 1-2 ulp from the engine's — float addition is
-        not associative — which is exactly the epoch-tolerance bug the
-        validation oracles surfaced.
-        """
-        if paths is None:
-            paths = self.resolve_paths(flows)
-        remaining_bits = {flow.flow_id: float(flow.size_bits)
-                          for flow in flows}
-        finish: Dict[int, float] = {}
-        active = {flow.flow_id: flow for flow in flows
-                  if flow.size_bits > 0}
-        for flow in flows:
-            if flow.size_bits <= 0:
-                finish[flow.flow_id] = 0.0
-        now = 0.0
-
-        link_loads = self._loads_for(list(active.values()), paths)
-        capacity_factors = None
-        if pfc_spreading:
-            from .congestion import CongestionModel
-            capacity_factors = CongestionModel().pfc_capacity_factors(
-                link_loads, self.topology)
-
-        deadlines: Dict[int, float] = {}
-        prev_rates: Dict[int, float] = {}
-        stalls = 0
-        while active:
-            rates = self.max_min_rates(
-                list(active.values()),
-                {fid: paths[fid] for fid in active},
-                capacity_factors=capacity_factors,
-                stats=stats)
-            if not any(rates[fid] > 0 for fid in active):
-                starved = sorted(active)
-                raise SimulationError(
-                    "fluid completion starved: every active flow has "
-                    f"rate 0 (flows {starved}); a capacity factor or "
-                    "link failure zeroed every path")
-            for fid in active:
-                rate = rates[fid]
-                if rate > 0 and rate != prev_rates.get(fid):
-                    deadlines[fid] = now + \
-                        remaining_bits[fid] / (rate * 1e9)
-            prev_rates = dict(rates)
-            t_next = min(deadlines[fid] for fid in active
-                         if rates[fid] > 0)
-            elapsed = t_next - now
-            now = t_next
-            done = []
-            for fid in list(active):
-                if rates[fid] > 0:
-                    remaining_bits[fid] -= rates[fid] * 1e9 * elapsed
-                if remaining_bits[fid] <= DONE_BITS:
-                    finish[fid] = now
-                    done.append(fid)
-            for fid in done:
-                del active[fid]
-                deadlines.pop(fid, None)
-                prev_rates.pop(fid, None)
-            if done:
-                stalls = 0
-                continue
-            # Advancing to the earliest deadline completed nothing:
-            # subtracting rate*elapsed rounded the residue one ulp
-            # above the done threshold.  Re-aim the expired deadlines
-            # from the surviving residue; when the residual delay is
-            # below the clock resolution (now + delay == now) the flow
-            # completes here.  Repeated stalls indicate a real wedge.
-            stalls += 1
-            if stalls >= MAX_STALLS:
-                raise RuntimeError(
-                    "fluid completion made no progress")
-            for fid in list(active):
-                if rates[fid] > 0 and deadlines[fid] <= now:
-                    delay = remaining_bits[fid] / (rates[fid] * 1e9)
-                    if now + delay == now:
-                        finish[fid] = now
-                        del active[fid]
-                        deadlines.pop(fid, None)
-                        prev_rates.pop(fid, None)
-                    else:
-                        deadlines[fid] = now + delay
-
-        return FabricRun(
-            total_time_s=now,
-            finish_times_s=finish,
             paths=paths,
             link_loads=link_loads,
         )

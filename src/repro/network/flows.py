@@ -29,8 +29,8 @@ def reset_flow_ids() -> None:
 class Flow:
     """One RDMA flow between a source and destination GPU.
 
-    ``size_bits`` is the message size (demand); the fabric fills in
-    ``rate_gbps`` after allocation.  ``job`` and ``collective`` tag the
+    ``size_bits`` is the message size (demand);
+    :meth:`Fabric.max_min_rates` fills in ``rate_gbps``.  ``job`` and ``collective`` tag the
     flow for monitoring and for the controller's reassignment rounds.
     """
 
@@ -44,10 +44,11 @@ class Flow:
     job: str = ""
     collective: str = ""
     rate_gbps: float = 0.0
-    #: when the transfer starts on the shared simulation clock; the
-    #: batch :meth:`Fabric.complete` path leaves this at 0.0 so every
-    #: flow starts together, while the event-driven
-    #: :class:`~repro.network.engine.FabricEngine` honours it.
+    #: when the transfer starts on the shared simulation clock.  The
+    #: event-driven :class:`~repro.network.engine.FabricEngine`
+    #: honours it; its batch wrapper :meth:`Fabric.complete` (and the
+    #: batch oracle ``repro.validation.complete_batch``) starts every
+    #: flow together at 0.0.
     start_time_s: float = 0.0
 
     @property
@@ -57,12 +58,6 @@ class Flow:
     @property
     def dst_ip(self) -> str:
         return self.five_tuple.dst_ip
-
-    def completion_time_s(self) -> float:
-        """Seconds to transfer at the allocated rate (inf if unallocated)."""
-        if self.rate_gbps <= 0:
-            return float("inf")
-        return self.size_bits / (self.rate_gbps * 1e9)
 
 
 @dataclass

@@ -70,10 +70,11 @@ the rounds it runs are the cold fill's too.  A fresh record is the
 cold start, ``r = 0``.
 
 The validation harness pins this contract on every fuzz profile
-(``repro.validation.differential.check_solver_backends``): finish
-times, event traces and :class:`SolverStats` must compare ``==``
-across backends, on top of the engine-vs-batch and flat-vs-folded
-``==`` differentials that both backends must keep exact.
+(the solver-backends half of ``repro.validation.check_replay``):
+finish times, event traces and :class:`SolverStats` must compare
+``==`` across backends, on top of the engine-vs-batch and
+flat-vs-folded ``==`` differentials that both backends must keep
+exact.
 
 **Work accounting.**  :class:`SolverStats.link_visits` counts with one
 ruler across paths and backends:

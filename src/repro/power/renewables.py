@@ -68,12 +68,6 @@ class RenewableGeneration:
                 + wind_curve_mw(self.wind_mean_mw, hours,
                                 seed=self.seed))
 
-    def daily_energy_mwh(self, hours: np.ndarray) -> float:
-        if len(hours) < 2:
-            return 0.0
-        dt = hours[1] - hours[0]
-        return float(np.sum(self.generation_mw(hours)) * dt)
-
 
 def self_consumption(generation_mw: np.ndarray,
                      demand_mw: np.ndarray,

@@ -133,8 +133,3 @@ class NightTrainingScheduler:
         if mean == 0.0:
             return 0.0
         return float(np.std(total)) / mean
-
-    def night_discount_hours(self, hours: np.ndarray) -> float:
-        """Hours per day eligible for the cheap night training rate."""
-        return float(np.sum([self.profile.is_night(h) for h in hours])
-                     * (hours[1] - hours[0] if len(hours) > 1 else 0.0))

@@ -183,9 +183,6 @@ class ResilientJob:
         self._interrupt.succeed(f"interrupt:{reason}")
         return True
 
-    def owns_host(self, host: str) -> bool:
-        return host in self.hosts
-
     def outcome(self) -> JobOutcome:
         return JobOutcome(
             name=self.name, completed_s=self.completed_s,

@@ -124,9 +124,6 @@ class InferenceForecast:
             return float("inf")
         return self.batch / self.decode_time_per_token_s
 
-    def time_to_first_token_s(self) -> float:
-        return self.prefill_time_s
-
 
 class Seer:
     """Operator-granular LLM performance forecaster."""

@@ -105,9 +105,6 @@ class OperatorGraph:
             raise GraphError("operator graph contains a cycle")
         return order
 
-    def roots(self) -> List[Operator]:
-        return [op for op in self._ops.values() if not op.deps]
-
     def critical_path_s(self) -> float:
         """Longest duration-weighted path (requires durations set)."""
         longest: Dict[int, float] = {}

@@ -129,10 +129,6 @@ class ParallelismConfig:
         return self.tp * self.pp * self.dp
 
     @property
-    def global_batch(self) -> int:
-        return self.micro_batch_size * self.microbatches * self.dp
-
-    @property
     def pipeline_chunks(self) -> int:
         return self.pp * self.virtual_stages
 

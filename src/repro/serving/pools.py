@@ -51,11 +51,6 @@ class PoolPlan:
     def max_replicas_per_pair(self) -> int:
         return self.decode_hosts_per_pair // self.replica_hosts
 
-    @property
-    def serving_hosts_max(self) -> int:
-        return self.n_pairs * (self.prefill_hosts_per_pair
-                               + self.decode_hosts_per_pair)
-
     def serving_hosts_at(self, replicas_per_pair: int) -> int:
         """Hosts powered for serving at a given replica count."""
         return self.n_pairs * (self.prefill_hosts_per_pair

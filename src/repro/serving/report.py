@@ -59,10 +59,6 @@ class ServingReport:
 
     # -- convenience accessors ------------------------------------------
     @property
-    def p50_ttft_s(self) -> Optional[float]:
-        return self.slo.get("ttft_p50_s")
-
-    @property
     def p99_ttft_s(self) -> Optional[float]:
         return self.slo.get("ttft_p99_s")
 

@@ -43,10 +43,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def request(self) -> Event:
         """Return an event that fires once a slot is acquired."""
         grant = self.sim.event(name="resource.grant")

@@ -119,12 +119,6 @@ class Host(Device):
     gpus: List[Gpu] = field(default_factory=list)
     nics: List[Nic] = field(default_factory=list)
 
-    def nic_for_rail(self, rail: int) -> Nic:
-        for nic in self.nics:
-            if nic.rail == rail:
-                return nic
-        raise TopologyError(f"host {self.name} has no NIC on rail {rail}")
-
 
 @dataclass
 class Switch(Device):
@@ -309,9 +303,6 @@ class Topology:
             if other.kind is DeviceKind.HOST:
                 names.append(other.name)
         return sorted(set(names))
-
-    def healthy_links(self) -> List[Link]:
-        return [link for link in self.links.values() if link.healthy]
 
     # -- aggregate properties ---------------------------------------------
     def tier_bandwidth_gbps(self, lower: DeviceKind, upper: DeviceKind

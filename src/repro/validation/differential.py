@@ -5,12 +5,12 @@ reproduction numbers trustworthy (ASTRA-sim2.0 does exactly this for
 its network backends):
 
 * **engine vs batch** — the event-driven :class:`FabricEngine` and the
-  epoch-global ``complete_batch`` loop share the solver but disagree
-  on everything else (incremental component solves vs global
-  re-solves, deadline events vs epoch stepping).  For simultaneous
-  starts their finish times must be *bit-identical* — both integrate
-  with the same absolute-deadline arithmetic, so any mismatch is a
-  logic bug, not float noise.
+  epoch-global :func:`complete_batch` loop kept here as its oracle
+  share the solver but disagree on everything else (incremental
+  component solves vs global re-solves, deadline events vs epoch
+  stepping).  For simultaneous starts their finish times must be
+  *bit-identical* — both integrate with the same absolute-deadline
+  arithmetic, so any mismatch is a logic bug, not float noise.
 * **flow-mapped vs analytic collectives** — Seer's calibrated
   effective-bandwidth model (§4.3) against the same collective run as
   explicit flows on the fabric, within a bounded relative error; plus
@@ -34,10 +34,11 @@ from ..network.collectives import (
     run_collective,
 )
 from ..network.congestion import CongestionModel
-from ..network.fabric import Fabric, LinkLoad
+from ..network.engine import DONE_BITS, MAX_STALLS
+from ..network.fabric import Fabric, FabricRun, LinkLoad
 from ..network.flows import Flow, FlowPath, reset_flow_ids
 from ..network.packetsim import PacketQueueSim
-from ..network.solver import use_backend
+from ..simcore import SimulationError
 from .oracles import Violation
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
     "check_fluid_vs_packet",
     "check_ring_vs_analytic",
     "check_rs_ag_composition",
-    "check_solver_backends",
+    "complete_batch",
     "ring_busbw_gbps",
 ]
 
@@ -57,6 +58,112 @@ def _ulp_distance(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
+def complete_batch(fabric: Fabric, flows: List[Flow],
+                   paths: Optional[Dict[int, FlowPath]] = None,
+                   pfc_spreading: bool = False,
+                   stats=None) -> FabricRun:
+    """Epoch-global fluid loop: re-run max-min whenever a flow
+    finishes.
+
+    The reference implementation the event-driven engine
+    (:meth:`Fabric.complete`) is verified against; *stats* counts its
+    solver work for the incremental-vs-global benchmark.
+
+    Integration uses the same absolute-deadline arithmetic as the
+    engine: each flow's finish deadline ``fl(now + rem / rate)`` is
+    computed once when its rate changes and only re-aimed on rate
+    changes, never re-split per epoch.  Accumulating relative steps
+    (``now += step``; ``rem -= rate * step``) instead drifts the
+    finish times by 1-2 ulp from the engine's — float addition is
+    not associative — which is exactly the epoch-tolerance bug the
+    validation oracles surfaced.
+    """
+    if paths is None:
+        paths = fabric.resolve_paths(flows)
+    remaining_bits = {flow.flow_id: float(flow.size_bits)
+                      for flow in flows}
+    finish: Dict[int, float] = {}
+    active = {flow.flow_id: flow for flow in flows
+              if flow.size_bits > 0}
+    for flow in flows:
+        if flow.size_bits <= 0:
+            finish[flow.flow_id] = 0.0
+    now = 0.0
+
+    link_loads = fabric.offered_loads(list(active.values()), paths)
+    capacity_factors = None
+    if pfc_spreading:
+        capacity_factors = CongestionModel().pfc_capacity_factors(
+            link_loads, fabric.topology)
+
+    deadlines: Dict[int, float] = {}
+    prev_rates: Dict[int, float] = {}
+    stalls = 0
+    while active:
+        rates = fabric.max_min_rates(
+            list(active.values()),
+            {fid: paths[fid] for fid in active},
+            capacity_factors=capacity_factors,
+            stats=stats)
+        if not any(rates[fid] > 0 for fid in active):
+            starved = sorted(active)
+            raise SimulationError(
+                "fluid completion starved: every active flow has "
+                f"rate 0 (flows {starved}); a capacity factor or "
+                "link failure zeroed every path")
+        for fid in active:
+            rate = rates[fid]
+            if rate > 0 and rate != prev_rates.get(fid):
+                deadlines[fid] = now + \
+                    remaining_bits[fid] / (rate * 1e9)
+        prev_rates = dict(rates)
+        t_next = min(deadlines[fid] for fid in active
+                     if rates[fid] > 0)
+        elapsed = t_next - now
+        now = t_next
+        done = []
+        for fid in list(active):
+            if rates[fid] > 0:
+                remaining_bits[fid] -= rates[fid] * 1e9 * elapsed
+            if remaining_bits[fid] <= DONE_BITS:
+                finish[fid] = now
+                done.append(fid)
+        for fid in done:
+            del active[fid]
+            deadlines.pop(fid, None)
+            prev_rates.pop(fid, None)
+        if done:
+            stalls = 0
+            continue
+        # Advancing to the earliest deadline completed nothing:
+        # subtracting rate*elapsed rounded the residue one ulp above
+        # the done threshold.  Re-aim the expired deadlines from the
+        # surviving residue; when the residual delay is below the
+        # clock resolution (now + delay == now) the flow completes
+        # here.  Repeated stalls indicate a real wedge.
+        stalls += 1
+        if stalls >= MAX_STALLS:
+            raise RuntimeError(
+                "fluid completion made no progress")
+        for fid in list(active):
+            if rates[fid] > 0 and deadlines[fid] <= now:
+                delay = remaining_bits[fid] / (rates[fid] * 1e9)
+                if now + delay == now:
+                    finish[fid] = now
+                    del active[fid]
+                    deadlines.pop(fid, None)
+                    prev_rates.pop(fid, None)
+                else:
+                    deadlines[fid] = now + delay
+
+    return FabricRun(
+        total_time_s=now,
+        finish_times_s=finish,
+        paths=paths,
+        link_loads=link_loads,
+    )
+
+
 def check_engine_vs_batch(fabric: Fabric, flows: Sequence[Flow],
                           paths: Optional[Dict[int, FlowPath]] = None
                           ) -> List[Violation]:
@@ -65,13 +172,13 @@ def check_engine_vs_batch(fabric: Fabric, flows: Sequence[Flow],
     Both paths resolve the same max-min allocation and integrate it
     with cached absolute deadlines, so equality here is exact ``==``
     on floats — the regression the epoch-drift fix in
-    ``Fabric.complete_batch`` is pinned by.
+    :func:`complete_batch` is pinned by.
     """
     flows = list(flows)
     if paths is None:
         paths = fabric.resolve_paths(flows)
     engine_run = fabric.complete(flows, paths=paths)
-    batch_run = fabric.complete_batch(flows, paths=paths)
+    batch_run = complete_batch(fabric, flows, paths=paths)
     violations = []
     all_ids = set(engine_run.finish_times_s) \
         | set(batch_run.finish_times_s)
@@ -87,31 +194,6 @@ def check_engine_vs_batch(fabric: Fabric, flows: Sequence[Flow],
                 f"flow {fid}: engine finished at {engine_t!r}, batch "
                 f"at {batch_t!r} ({distance:.0f} ulp apart)"))
     return violations
-
-
-def check_solver_backends(run_fn, label: str = "scenario"
-                          ) -> List[Violation]:
-    """Vector and python solver backends must agree bit-for-bit.
-
-    *run_fn* rebuilds its whole world from a seed and returns a
-    comparable summary (finish times, rates, reroutes, event traces,
-    solver work counters).  Both backends drive the same engine state
-    machine and differ only in the fill kernel of
-    :mod:`repro.network.solver`, whose vector form uses only
-    element-wise operations and order-preserving tie detection, so
-    equality here is exact ``==`` — any mismatch is a kernel bug, not
-    float noise.
-    """
-    with use_backend("python"):
-        reference = run_fn()
-    with use_backend("vector"):
-        vectorized = run_fn()
-    if reference != vectorized:
-        return [Violation(
-            "solver-backends",
-            f"{label}: python and vector solver backends disagree: "
-            f"{reference!r} vs {vectorized!r}")]
-    return []
 
 
 # --------------------------------------------------------------------------

@@ -9,29 +9,33 @@ ad-hoc debugging (print them).
 
 The catalogue:
 
-* **rate feasibility** — no directed link carries more than its
-  (factor-scaled) capacity;
-* **work conservation** — every active flow with a live path receives
-  a strictly positive rate;
-* **max-min KKT** — a flow below line rate must cross a saturated link
-  on which its rate is maximal (the textbook bottleneck condition that
-  characterises the max-min allocation);
+* **rate feasibility**, **work conservation** and **max-min KKT** —
+  one implementation, :func:`check_incidence_solution`, over a
+  flow→hops incidence: no hop carries more than its (factor-scaled)
+  capacity, every flow with a live path receives a strictly positive
+  rate, and a flow below line rate crosses a saturated hop on which
+  its rate is maximal (the textbook bottleneck condition that
+  characterises the max-min allocation).  :func:`check_solution`
+  feeds it a fabric solve;
 * **byte conservation** — integrating an independent epoch-by-epoch
   replay of the rate allocation delivers exactly ``size_bits`` per
   flow by its recorded finish time;
 * **clock monotonicity** — the simcore event clock never moves
   backwards (checked via :class:`TracingSimulator`);
-* **bit-identical replay** — running the same seeded scenario twice
-  produces byte-for-byte identical results.
+* **bit-identical replay** — :func:`check_replay` runs the same seeded
+  scenario twice and must get ``==`` results, then once more on the
+  other fill kernel, which must agree too (solver backends).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..network.fabric import DONE_BITS, Fabric, LinkDir
+from ..network.engine import DONE_BITS
+from ..network.fabric import Fabric, LinkDir
 from ..network.flows import Flow, FlowPath
+from ..network.solver import resolve_backend, use_backend
 from ..simcore import Simulator
 
 __all__ = [
@@ -39,12 +43,8 @@ __all__ = [
     "TracingSimulator",
     "check_clock_monotonic",
     "check_incidence_solution",
-    "check_max_min_bottleneck",
-    "check_rate_feasibility",
-    "check_same_result",
+    "check_replay",
     "check_solution",
-    "check_work_conservation",
-    "link_usage",
     "replay_conservation",
 ]
 
@@ -98,109 +98,18 @@ def check_clock_monotonic(trace: Sequence[float]) -> List[Violation]:
 # Rate-allocation oracles
 # --------------------------------------------------------------------------
 
-def _effective_capacity(fabric: Fabric, hop: LinkDir,
-                        capacity_factors: Optional[Dict[LinkDir, float]]
-                        ) -> float:
-    factor = 1.0
-    if capacity_factors is not None:
-        factor = capacity_factors.get(hop, 1.0)
-    return fabric.topology.links[hop[0]].capacity_gbps * factor
-
-
-def link_usage(fabric: Fabric, flows: Sequence[Flow],
-               paths: Dict[int, FlowPath],
-               rates: Dict[int, float]) -> Dict[LinkDir, float]:
-    """Aggregate allocated rate per directed link."""
-    usage: Dict[LinkDir, float] = {}
-    for flow in flows:
-        rate = rates.get(flow.flow_id, 0.0)
-        for hop in fabric.directed_hops(paths[flow.flow_id]):
-            usage[hop] = usage.get(hop, 0.0) + rate
-    return usage
-
-
-def check_rate_feasibility(fabric: Fabric, flows: Sequence[Flow],
-                           paths: Dict[int, FlowPath],
-                           rates: Dict[int, float],
-                           capacity_factors: Optional[
-                               Dict[LinkDir, float]] = None,
-                           tol_gbps: float = RATE_TOL_GBPS
-                           ) -> List[Violation]:
-    """No directed link may carry more than its effective capacity."""
-    violations = []
-    for hop, used in link_usage(fabric, flows, paths, rates).items():
-        capacity = _effective_capacity(fabric, hop, capacity_factors)
-        if used > capacity + tol_gbps:
-            violations.append(Violation(
-                "rate-feasibility",
-                f"link {hop[0]} ({'fwd' if hop[1] else 'rev'}) carries "
-                f"{used:.9g} Gbps > capacity {capacity:.9g} Gbps"))
-    return violations
-
-
-def check_work_conservation(flows: Sequence[Flow],
-                            rates: Dict[int, float]) -> List[Violation]:
-    """Every sized flow must receive a strictly positive rate."""
-    violations = []
-    for flow in flows:
-        if flow.size_bits > 0 and rates.get(flow.flow_id, 0.0) <= 0.0:
-            violations.append(Violation(
-                "work-conservation",
-                f"flow {flow.flow_id} ({flow.src_host}->{flow.dst_host})"
-                f" allocated rate {rates.get(flow.flow_id)!r}"))
-    return violations
-
-
-def check_max_min_bottleneck(fabric: Fabric, flows: Sequence[Flow],
-                             paths: Dict[int, FlowPath],
-                             rates: Dict[int, float],
-                             capacity_factors: Optional[
-                                 Dict[LinkDir, float]] = None,
-                             tol_gbps: float = RATE_TOL_GBPS
-                             ) -> List[Violation]:
-    """KKT condition of the max-min allocation.
-
-    A flow either runs at the source line rate, or crosses at least
-    one *saturated* link on which no other flow gets a higher rate —
-    otherwise its rate could be raised without hurting any flow that
-    is not already faster, contradicting max-min optimality.
-    """
-    violations = []
-    usage = link_usage(fabric, flows, paths, rates)
-    hop_max_rate: Dict[LinkDir, float] = {}
-    for flow in flows:
-        rate = rates.get(flow.flow_id, 0.0)
-        for hop in fabric.directed_hops(paths[flow.flow_id]):
-            if rate > hop_max_rate.get(hop, 0.0):
-                hop_max_rate[hop] = rate
-    line_rate = fabric.host_line_rate_gbps
-    for flow in flows:
-        rate = rates.get(flow.flow_id, 0.0)
-        if rate >= line_rate - tol_gbps:
-            continue
-        bottlenecked = False
-        for hop in fabric.directed_hops(paths[flow.flow_id]):
-            capacity = _effective_capacity(fabric, hop, capacity_factors)
-            saturated = usage[hop] >= capacity - tol_gbps
-            maximal = rate >= hop_max_rate[hop] - tol_gbps
-            if saturated and maximal:
-                bottlenecked = True
-                break
-        if not bottlenecked:
-            violations.append(Violation(
-                "max-min-kkt",
-                f"flow {flow.flow_id} at {rate:.9g} Gbps (< line rate "
-                f"{line_rate:.9g}) has no saturated bottleneck link "
-                "where its rate is maximal"))
-    return violations
-
-
 def check_solution(fabric: Fabric, flows: Sequence[Flow],
                    paths: Optional[Dict[int, FlowPath]] = None,
                    rates: Optional[Dict[int, float]] = None,
                    capacity_factors: Optional[Dict[LinkDir, float]] = None
                    ) -> List[Violation]:
-    """Run the three rate-allocation oracles on one max-min solve."""
+    """Run the rate-allocation oracles on one max-min solve.
+
+    *rates* defaults to :meth:`Fabric.max_min_rates`; the flows'
+    directed hops and factor-scaled capacities are handed to
+    :func:`check_incidence_solution`, the one implementation of the
+    feasibility, work-conservation and KKT checks.
+    """
     flows = [flow for flow in flows if flow.size_bits > 0]
     if not flows:
         return []
@@ -209,13 +118,17 @@ def check_solution(fabric: Fabric, flows: Sequence[Flow],
     if rates is None:
         rates = fabric.max_min_rates(list(flows), paths,
                                      capacity_factors=capacity_factors)
-    return (
-        check_rate_feasibility(fabric, flows, paths, rates,
-                               capacity_factors)
-        + check_work_conservation(flows, rates)
-        + check_max_min_bottleneck(fabric, flows, paths, rates,
-                                   capacity_factors)
-    )
+    factors = capacity_factors or {}
+    hops_of = {flow.flow_id: fabric.directed_hops(paths[flow.flow_id])
+               for flow in flows}
+    capacity: Dict[LinkDir, float] = {}
+    for hops in hops_of.values():
+        for hop in hops:
+            if hop not in capacity:
+                capacity[hop] = fabric.topology.links[hop[0]] \
+                    .capacity_gbps * factors.get(hop, 1.0)
+    return check_incidence_solution(hops_of, capacity,
+                                    fabric.host_line_rate_gbps, rates)
 
 
 def check_incidence_solution(hops_of: Dict[int, Sequence],
@@ -224,14 +137,18 @@ def check_incidence_solution(hops_of: Dict[int, Sequence],
                              rates: Dict[int, float],
                              tol_gbps: float = RATE_TOL_GBPS
                              ) -> List[Violation]:
-    """Rate-allocation oracles on a raw incidence problem.
+    """Rate-allocation oracles on an incidence problem.
 
-    The fabric-free twin of :func:`check_solution`, for driving the
-    solver backends (:mod:`repro.network.solver`) directly with
-    synthetic flow×link problems — ``hops_of`` maps flow id to its
-    hops (any hashables), ``capacity`` gives each hop's Gbps.  Checks
-    feasibility, work conservation (a flow earns rate 0 only by
-    crossing a zero-capacity hop), and the max-min KKT condition.
+    ``hops_of`` maps flow id to its hops (any hashables), ``capacity``
+    gives each hop's Gbps; synthetic flow×link problems drive the
+    solver backends (:mod:`repro.network.solver`) through it directly,
+    and :func:`check_solution` adapts a fabric solve to it.  Checks
+    feasibility (no hop over capacity, no rate across a zero-capacity
+    hop), work conservation (a flow earns rate 0 only by crossing a
+    zero-capacity hop), and the max-min KKT condition: a flow below
+    line rate crosses a saturated hop on which no other flow gets a
+    higher rate — otherwise its rate could be raised without hurting
+    any flow that is not already faster.
     """
     violations = []
     usage: Dict = {hop: 0.0 for hop in capacity}
@@ -266,7 +183,7 @@ def check_incidence_solution(hops_of: Dict[int, Sequence],
         bottlenecked = False
         for hop in hops:
             saturated = usage[hop] >= capacity[hop] - tol_gbps
-            maximal = rate >= hop_max_rate[hop] - tol_gbps
+            maximal = rate >= hop_max_rate.get(hop, 0.0) - tol_gbps
             if saturated and maximal:
                 bottlenecked = True
                 break
@@ -340,11 +257,8 @@ def replay_conservation(fabric: Fabric, flows: Sequence[Flow],
         rates = fabric.max_min_rates(active, active_paths,
                                      capacity_factors=factors or None)
         if check_epochs:
-            violations += check_rate_feasibility(
-                fabric, active, active_paths, rates, factors or None)
-            violations += check_work_conservation(active, rates)
-            violations += check_max_min_bottleneck(
-                fabric, active, active_paths, rates, factors or None)
+            violations += check_solution(fabric, active, active_paths,
+                                         rates, factors or None)
         for flow in active:
             delivered[flow.flow_id] += rates[flow.flow_id] * 1e9 \
                 * (t1 - t0)
@@ -371,20 +285,36 @@ def replay_conservation(fabric: Fabric, flows: Sequence[Flow],
 # Determinism
 # --------------------------------------------------------------------------
 
-def check_same_result(run_fn: Callable[[], object],
-                      label: str = "scenario") -> List[Violation]:
-    """Same-seed bit-identical replay: *run_fn* twice, compare ``==``.
+def check_replay(run_fn: Callable[[], object],
+                 label: str = "scenario") -> List[Violation]:
+    """Same-seed replay, on the caller's kernel and on the other one.
 
     *run_fn* must rebuild its whole world (topology, fabric, engine,
     flow ids) from the seed on every call and return a comparable
-    summary (e.g. a dict of finish times); any drift between the two
-    executions is a determinism violation.
+    summary (finish times, rates, reroutes, event traces, solver work
+    counters).  It runs twice on the fill kernel of the caller's
+    :func:`~repro.network.solver.use_backend` scope — any drift is a
+    ``bit-identical-replay`` violation — and once on the other
+    kernel.  Both kernels drive the same state machine and the vector
+    one uses only element-wise operations and order-preserving tie
+    detection, so a mismatch there is a ``solver-backends``
+    violation: a kernel bug, not float noise.
     """
+    backend = resolve_backend()
+    other = "python" if backend == "vector" else "vector"
     first = run_fn()
     second = run_fn()
+    with use_backend(other):
+        results = {backend: first, other: run_fn()}
+    violations = []
     if first != second:
-        return [Violation(
+        violations.append(Violation(
             "bit-identical-replay",
             f"{label}: two same-seed executions disagree: "
-            f"{first!r} vs {second!r}")]
-    return []
+            f"{first!r} vs {second!r}"))
+    if results["python"] != results["vector"]:
+        violations.append(Violation(
+            "solver-backends",
+            f"{label}: python and vector solver backends disagree: "
+            f"{results['python']!r} vs {results['vector']!r}"))
+    return violations

@@ -13,7 +13,8 @@ Which oracles run depends on the scenario profile:
 profile     oracles
 ==========  ==========================================================
 batch       solver (feasibility, conservation, KKT), engine-vs-batch
-            bit-identity, byte-conservation replay, metamorphic
+            bit-identity against the epoch-global batch oracle,
+            byte-conservation replay, metamorphic
             (rate scaling, idle job, unused link), determinism
 timed       clock monotonicity, per-epoch solver oracles + byte
             conservation via replay, determinism
@@ -32,18 +33,21 @@ faulted-    bounded-vs-whole-pod refinement bit-exact differential
 hierarchical under a sampled fault document (correlated domains and
             explicit faults), the escalation-ladder assertion (the
             fault class predicts the refinement level), and — for
-            iteration-indexed faults — the flat differential too
+            iteration-indexed faults — the flat differential too,
+            determinism
 serving     rate-doubling monotonicity (Poisson superposition over the
             same base population), the zero-arrival fabric no-op, the
             full-contract power-cap identity, determinism
 ==========  ==========================================================
 
-Every profile additionally runs the **solver-backends** differential:
-its determinism fingerprint is recomputed once under the pure-python
-progressive-filling kernel and once under the vectorized kernel, and
-the two must compare exact ``==``.  Both kernels run inside the same
-engine state machine, so on the engine profiles the fingerprint
-includes the event trace and the solver work counters too.
+"Determinism" is one :func:`~repro.validation.oracles.check_replay`
+per battery, which reports two checks from three runs of the
+profile's fingerprint: two on the caller's fill kernel must compare
+exact ``==`` (**bit-identical-replay**), and one on the other kernel
+must equal the first (**solver-backends**).  Both kernels run inside
+the same engine state machine, so on the engine profiles the
+fingerprint includes the event trace and the solver work counters
+too.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .differential import (
     check_fluid_vs_packet,
     check_ring_vs_analytic,
     check_rs_ag_composition,
-    check_solver_backends,
 )
 from .metamorphic import (
     check_idle_job_noop,
@@ -76,7 +79,7 @@ from .oracles import (
     TracingSimulator,
     Violation,
     check_clock_monotonic,
-    check_same_result,
+    check_replay,
     check_solution,
     replay_conservation,
 )
@@ -264,9 +267,7 @@ def _check_batch(spec: ScenarioSpec, fast: bool) -> (List[str],
     violations += check_rate_scaling(spec)
     violations += check_idle_job_noop(spec)
     violations += check_unused_link_noop(spec)
-    violations += check_same_result(
-        lambda: _batch_fingerprint(spec), label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_replay(
         lambda: _batch_fingerprint(spec), label=f"case {spec.index}")
     return checks, violations
 
@@ -293,9 +294,7 @@ def _check_timed(spec: ScenarioSpec, fast: bool) -> (List[str],
     violations += replay_conservation(
         replay_fabric, flows, run.finish_times_s, run.paths,
         capacity_events=capacity_events)
-    violations += check_same_result(
-        lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_replay(
         lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
     return checks, violations
 
@@ -333,9 +332,7 @@ def _check_faulted(spec: ScenarioSpec, fast: bool) -> (List[str],
                 "reroute-bounds",
                 f"flow {fid} rerouted {count}x across only "
                 f"{n_changes} topology changes"))
-    violations += check_same_result(
-        lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_replay(
         lambda: _engine_fingerprint(spec), label=f"case {spec.index}")
     return checks, violations
 
@@ -370,10 +367,7 @@ def _check_collective(spec: ScenarioSpec, fast: bool) -> (List[str],
         violations += check_fluid_vs_packet(
             busiest.capacity_gbps, busiest.offered_gbps,
             seed=spec.seed)
-    violations += check_same_result(
-        lambda: _collective_fingerprint(spec),
-        label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_replay(
         lambda: _collective_fingerprint(spec),
         label=f"case {spec.index}")
     return checks, violations
@@ -457,10 +451,7 @@ def _check_hierarchical(spec: ScenarioSpec, fast: bool
         return {name: tuple(outcome.iteration_times_s)
                 for name, outcome in rerun.run().items()}
 
-    violations += check_same_result(_fingerprint,
-                                    label=f"case {spec.index}")
-    violations += check_solver_backends(_fingerprint,
-                                        label=f"case {spec.index}")
+    violations += check_replay(_fingerprint, label=f"case {spec.index}")
     return checks, violations
 
 
@@ -556,10 +547,7 @@ def _check_faulted_hierarchical(spec: ScenarioSpec, fast: bool
         return {name: tuple(outcome.iteration_times_s)
                 for name, outcome in rerun.items()}
 
-    violations += check_same_result(_fingerprint,
-                                    label=f"case {spec.index}")
-    violations += check_solver_backends(_fingerprint,
-                                        label=f"case {spec.index}")
+    violations += check_replay(_fingerprint, label=f"case {spec.index}")
     return checks, violations
 
 
@@ -572,9 +560,7 @@ def _check_serving(spec: ScenarioSpec, fast: bool
     violations += check_serving_rate_doubling(spec)
     violations += check_serving_zero_arrival(spec)
     violations += check_serving_powercap_identity(spec)
-    violations += check_same_result(
-        lambda: _serving_fingerprint(spec), label=f"case {spec.index}")
-    violations += check_solver_backends(
+    violations += check_replay(
         lambda: _serving_fingerprint(spec), label=f"case {spec.index}")
     return checks, violations
 

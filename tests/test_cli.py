@@ -197,6 +197,25 @@ class TestScaleCommand:
         assert cold.splitlines()[1:-1] == warm.splitlines()[1:-1]
 
 
+class TestRunSpec:
+    """The one farm-or-inline route ``scale`` and ``serve`` share."""
+
+    def test_inline_without_workers_or_cache(self, capsys):
+        from repro.cli import _run_spec
+        from repro.farm import TaskSpec
+        spec = TaskSpec("farm-selftest", {"mode": "ok", "value": 3})
+        assert _run_spec(spec, 1, None) == {"value": 3, "squared": 9}
+        assert capsys.readouterr().out == ""
+
+    def test_farm_failure_prints_and_returns_none(self, capsys,
+                                                  tmp_path):
+        from repro.cli import _run_spec
+        from repro.farm import TaskSpec
+        spec = TaskSpec("farm-selftest", {"mode": "fail"})
+        assert _run_spec(spec, 1, str(tmp_path / "cache")) is None
+        assert capsys.readouterr().out.startswith("FAILED [")
+
+
 class TestServeCommand:
     _FAST = ["serve", "--preset", "4k", "--duration", "7200",
              "--users-scale", "0.05", "--train-jobs", "8"]

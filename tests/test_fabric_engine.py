@@ -34,13 +34,13 @@ from repro.network import (
     run_collective_timed,
     use_backend,
 )
-from repro.network.fabric import DONE_BITS
+from repro.network.engine import DONE_BITS
 from repro.network.routing import PartitionError
 from repro.network.solver import CompiledIncidence, solve_incidence
 from repro.resilience import FailureInjector
 from repro.simcore import SimulationError, Simulator
 from repro.topology import AstralParams, build_astral
-from repro.validation import ScenarioGenerator
+from repro.validation import ScenarioGenerator, complete_batch
 from repro.validation.runner import _engine_fingerprint, run_case
 
 
@@ -90,7 +90,7 @@ class TestBatchEquivalence:
         rng = random.Random(seed)
         flows = _random_flows(rng, _hosts(topology), 24)
 
-        batch = fabric.complete_batch(list(flows))
+        batch = complete_batch(fabric, list(flows))
         for flow in flows:
             flow.rate_gbps = 0.0
 
@@ -114,7 +114,7 @@ class TestBatchEquivalence:
         fabric = Fabric(topology)
         rng = random.Random(7)
         flows = _random_flows(rng, _hosts(topology), 16)
-        batch = fabric.complete_batch(list(flows))
+        batch = complete_batch(fabric, list(flows))
         for flow in flows:
             flow.rate_gbps = 0.0
         run = fabric.complete(list(flows))
@@ -225,7 +225,7 @@ class TestTimedBehaviour:
         topology.links[path.link_ids[0]].capacity_gbps = 0.0
         topology.version += 1
         with pytest.raises(SimulationError) as excinfo:
-            fabric.complete_batch([flow])
+            complete_batch(fabric, [flow])
         assert str(flow.flow_id) in str(excinfo.value)
 
 
@@ -246,7 +246,7 @@ class TestDoneThreshold:
                            size_bits=size_a),
                  make_flow("p0.b0.h1", "p0.b0.h0", rail=0,
                            size_bits=size_b)]
-        batch = fabric.complete_batch(flows)
+        batch = complete_batch(fabric, flows)
         run = fabric.complete(flows)
         assert run.finish_times_s == batch.finish_times_s
         assert run.finish_times_s[flows[1].flow_id] \
@@ -368,7 +368,7 @@ class TestIncrementalSolve:
         flows = _random_flows(rng, _hosts(topology), 48)
 
         batch_stats = SolverStats()
-        fabric.complete_batch(list(flows), stats=batch_stats)
+        complete_batch(fabric, list(flows), stats=batch_stats)
         for flow in flows:
             flow.rate_gbps = 0.0
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.hierarchy import (HierJob, HierarchicalRun, build_flat_fabric,
                              flat_job_configs, plan_refined_group)
 from repro.hierarchy.fold import EngineRunner, pod_local_params
-from repro.hierarchy.refine import _probe_evidence, _probe_params
+from repro.hierarchy.refine import _probe_evidence
 from repro.monitoring import FaultSpec, Manifestation, RootCause
 from repro.monitoring.jobsim import JobConfig
 from repro.monitoring.multijob import MultiJobRun
@@ -231,7 +231,8 @@ class TestMinimalProbe:
                             nic_ports=nic_ports, aggs_per_group=aggs,
                             cores_per_group=cores)
         # Pods and blocks beyond the first are never in the probe.
-        minimal = _probe_params(replace(full, pods=3, blocks_per_pod=2))
+        minimal = pod_local_params(replace(full, pods=3, blocks_per_pod=2),
+                                   1)
         assert (minimal.pods, minimal.blocks_per_pod) == (1, 1)
         targets = [device.name
                    for device in build_astral(full).devices.values()
@@ -249,7 +250,8 @@ class TestMinimalProbe:
         params = AstralParams(pods=1, blocks_per_pod=1, hosts_per_block=3,
                               gpus_per_host=2, nic_ports=1,
                               aggs_per_group=3, cores_per_group=2)
-        triple = _probe_triple(_probe_params(params), "p0.b0.r1.g0.tor")
+        triple = _probe_triple(pod_local_params(params, 1),
+                               "p0.b0.r1.g0.tor")
         assert triple == _probe_triple(params, "p0.b0.r1.g0.tor")
         assert triple == (2, 2, 3)
 
@@ -526,7 +528,6 @@ class TestPodLocalDifferential:
                            aggs_per_group=params.aggs_per_group,
                            cores_per_group=params.cores_per_group) \
                 == params
-        assert _probe_params(params) == one
 
     @pytest.mark.parametrize("backend", ["python", "vector"])
     @settings(max_examples=60, deadline=None)

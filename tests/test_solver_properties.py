@@ -22,13 +22,17 @@ force real contention — and checks, per problem:
   and a changed capacity restarts it cold.
 
 Crafted edge cases (all links tied at one share, everything
-line-rate-capped, flows through dead links) pin the exact values.
+line-rate-capped, flows through dead links) pin the exact values, and
+two crafted wide problems drive the CSR expanders past their
+small-input loop into the vectorized range concatenation.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network import solver
 from repro.network.solver import (
     CompiledIncidence,
     FillRecord,
@@ -407,3 +411,85 @@ class TestEdgeCases:
         hops_of = {0: ("l0", "l1"), 1: ("l0",), 2: ("l1",)}
         rates = both_backends(hops_of, {"l0": 20.0, "l1": 60.0})
         assert rates == {0: 10.0, 1: 10.0, 2: 50.0}
+
+
+# --------------------------------------------------------------------------
+# Wide freezes: the vectorized CSR expanders
+# --------------------------------------------------------------------------
+
+#: rows (or tied links) per crafted problem, well past the expanders'
+#: small-input cut-over.
+WIDE = 3 * CompiledIncidence._SMALL_N
+
+
+def _shared_link_problem():
+    """WIDE flows freezing together on one shared link.  Flow ``f``
+    also crosses ``f % 3`` private links, and a sidekick flow on its
+    first private link later takes that link's residue — so every
+    expanded column shows up in some rate."""
+    hops_of, capacity = {}, {"shared": WIDE / 2}
+    expected = {}
+    for fid in range(WIDE):
+        own = tuple(f"own{fid}.{k}" for k in range(fid % 3))
+        hops_of[fid] = own + ("shared",)
+        expected[fid] = 0.5
+        for k, hop in enumerate(own):
+            capacity[hop] = 2.0 + fid / 64 + k
+    for fid in range(WIDE):
+        if fid % 3:
+            side = WIDE + fid
+            hops_of[side] = (f"own{fid}.0",)
+            expected[side] = capacity[f"own{fid}.0"] - 0.5
+    return hops_of, capacity, expected
+
+
+def _tied_links_problem():
+    """2·WIDE disjoint links of one to three flows each; the even
+    links tie at share 16, the odd ones sit at share 40."""
+    hops_of, capacity, expected = {}, {}, {}
+    for link in range(2 * WIDE):
+        share = 40.0 if link % 2 else 16.0
+        capacity[f"l{link}"] = share * (link % 3 + 1)
+        for _ in range(link % 3 + 1):
+            fid = len(hops_of)
+            hops_of[fid] = (f"l{link}",)
+            expected[fid] = share
+    return hops_of, capacity, expected
+
+
+class TestWideExpanders:
+    """``rows_cols`` and ``link_rows`` expand more than ``_SMALL_N``
+    rows or columns with ``_concat_ranges``; that branch must give the
+    small-input loop's rates ``==`` under both kernels."""
+
+    @pytest.mark.parametrize("problem, expander", [
+        (_shared_link_problem, "rows_cols"),
+        (_tied_links_problem, "link_rows"),
+    ])
+    def test_wide_branch_matches_small_loop(self, monkeypatch, problem,
+                                            expander):
+        hops_of, capacity, expected = problem()
+        widths = []
+        original = getattr(CompiledIncidence, expander)
+
+        def recording(inc, index):
+            widths.append(index.shape[0])
+            return original(inc, index)
+
+        concat_calls = []
+        concat = solver._concat_ranges
+        monkeypatch.setattr(CompiledIncidence, expander, recording)
+        monkeypatch.setattr(
+            solver, "_concat_ranges",
+            lambda starts, lens: concat_calls.append(1)
+            or concat(starts, lens))
+        rates = both_backends(hops_of, capacity)
+        assert rates == expected
+        assert max(widths) > CompiledIncidence._SMALL_N
+        assert concat_calls
+
+        monkeypatch.setattr(CompiledIncidence, "_SMALL_N",
+                            len(hops_of) + len(capacity))
+        concat_calls.clear()
+        assert solve_vector(hops_of, capacity) == rates
+        assert not concat_calls

@@ -8,11 +8,15 @@ real server on a background thread — including the sharded mode where
 two concurrent sessions must not contaminate each other.
 """
 
+import asyncio
 import json
+import time
 
 import pytest
 
-from repro.monitoring.telemetry import TelemetryStore
+from repro.monitoring.telemetry import (CommGroup, JobMetadata,
+                                        QpMetadata, TelemetryStore)
+from repro.network.ecmp import FiveTuple
 from repro.network.solver import use_backend
 from repro.twin import (ServerHarness, TwinClientError, TwinConfig,
                         TwinSession, replay)
@@ -147,6 +151,24 @@ class TestTelemetryJsonl:
         text = live.store.to_jsonl()
         assert TelemetryStore.from_jsonl(text).to_jsonl() == text
 
+    def test_registered_job_round_trips(self):
+        store = TwinSession(_tiny()).store
+        store.register_job(JobMetadata(
+            job="llm-a", hosts=["p0.b0.h0", "p0.b0.h1"],
+            comm_groups=[CommGroup(
+                name="dp0", kind="allreduce",
+                hosts=["p0.b0.h0", "p0.b0.h1"],
+                qps=[QpMetadata(
+                    qp=7, src_host="p0.b0.h0", dst_host="p0.b0.h1",
+                    five_tuple=FiveTuple("p0.b0.h0:r0", "p0.b0.h1:r0",
+                                         50000))])]))
+        text = store.to_jsonl()
+        assert text.splitlines()[0].startswith('{"comm_groups"')
+        rebuilt = TelemetryStore.from_jsonl(text)
+        assert rebuilt == store
+        assert rebuilt.jobs["llm-a"].qps()[0].five_tuple \
+            == store.jobs["llm-a"].qps()[0].five_tuple
+
     def test_bad_line_is_named(self):
         good = TwinSession(_tiny()).store.to_jsonl()
         with pytest.raises(ValueError, match="line 1"):
@@ -271,6 +293,90 @@ class TestHttpServer:
                        for r in parsed)
         finally:
             client.delete_session("telemetry")
+
+
+    def test_index_and_session_list(self, harness):
+        client = harness.client()
+        client.create_session(self.CONFIG, session_id="listed")
+        try:
+            index = client.request("GET", "/")
+            assert index["service"] == "repro-twin"
+            assert index["workers"] == 0
+            listed = client.sessions()
+            assert listed == index["sessions"]
+            entry = next(s for s in listed if s["id"] == "listed")
+            assert entry["config"]["seed"] == 7
+            assert entry["snapshots"] == 0
+            assert entry["paced"] is False
+        finally:
+            client.delete_session("listed")
+
+    def test_pace_start_and_stop(self, harness):
+        client = harness.client()
+        client.create_session(self.CONFIG, session_id="paced")
+        try:
+            started = client.pace("paced", dt_s=30.0, interval_s=0.0)
+            assert started == {"paced": True, "dt_s": 30.0,
+                               "interval_s": 0.0}
+            entry = _wait_for_snapshots(client, "paced", 2)
+            assert entry["paced"] is True
+            assert client.stop_pace("paced") == {"paced": False}
+            entry = _listed(client, "paced")
+            assert entry["paced"] is False
+            # Stopped means stopped: the archive no longer grows, and
+            # every paced step advanced the clock by dt_s.
+            archived = client.telemetry("paced")
+            assert len(archived) == entry["snapshots"]
+            assert [s["t_s"] for s in archived] == \
+                [30.0 * (i + 1) for i in range(len(archived))]
+            time.sleep(0.2)
+            assert _listed(client, "paced")["snapshots"] \
+                == len(archived)
+            # The live snapshot is the last paced boundary.
+            snapshot = _on_server_loop(
+                harness, lambda m: m.snapshot("paced"))
+            assert snapshot["t_s"] == archived[-1]["t_s"]
+            assert client.verify_replay("paced")["match"] is True
+        finally:
+            client.delete_session("paced")
+
+    def test_pace_on_create_and_bad_pace(self, harness):
+        client = harness.client()
+        client.create_session(self.CONFIG, session_id="born-paced",
+                              pace={"dt_s": 60.0, "interval_s": 0.0})
+        try:
+            _wait_for_snapshots(client, "born-paced", 1)
+            with pytest.raises(TwinClientError) as excinfo:
+                client.pace("born-paced", dt_s=0.0)
+            assert excinfo.value.status == 400
+            assert client.stop_pace("born-paced") == {"paced": False}
+        finally:
+            client.delete_session("born-paced")
+        with pytest.raises(TwinClientError) as excinfo:
+            client.stop_pace("born-paced")
+        assert excinfo.value.status == 404
+
+
+def _listed(client, session_id):
+    return next(s for s in client.sessions() if s["id"] == session_id)
+
+
+def _wait_for_snapshots(client, session_id, count, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    while True:
+        entry = _listed(client, session_id)
+        if entry["snapshots"] >= count:
+            return entry
+        assert time.monotonic() < deadline, entry
+        time.sleep(0.02)
+
+
+def _on_server_loop(harness, call):
+    """Await ``call(manager)`` on the harness's event loop."""
+    async def _run():
+        return await call(harness._server.manager)
+    return asyncio.run_coroutine_threadsafe(
+        _run(), harness._loop).result(timeout=60)
 
 
 class TestShardedServer:

@@ -3,9 +3,10 @@ packet.
 
 The engine-vs-batch equality is *exact* (``==`` on floats): both
 integrate with cached absolute deadlines since the epoch-drift fix in
-``Fabric.complete_batch``.  The regression test below re-implements
-the old relative-step integrator and shows the differential catches
-the drift it produces — the bug the validation harness surfaced.
+the batch oracle ``complete_batch``.  The regression test below
+re-implements the old relative-step integrator and shows the
+differential catches the drift it produces — the bug the validation
+harness surfaced.
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.validation import (
     check_fluid_vs_packet,
     check_ring_vs_analytic,
     check_rs_ag_composition,
+    complete_batch,
 )
 
 
@@ -63,7 +65,7 @@ class TestEngineVsBatch:
             flows = _random_flows(rng, hosts, rng.randint(2, 10))
             paths = fabric.resolve_paths(flows)
             engine = fabric.complete(flows, paths=paths)
-            batch = fabric.complete_batch(flows, paths=paths)
+            batch = complete_batch(fabric, flows, paths=paths)
             assert engine.finish_times_s == batch.finish_times_s
 
     def test_differential_catches_relative_step_integration(self):

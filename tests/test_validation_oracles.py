@@ -7,17 +7,20 @@ it fires on a deliberately corrupted artifact.
 
 import pytest
 
-from repro.network import Fabric, make_flow, reset_flow_ids
+from repro.network import (
+    Fabric,
+    make_flow,
+    reset_flow_ids,
+    resolve_backend,
+    use_backend,
+)
 from repro.topology import AstralParams, build_astral
 from repro.validation import (
     TracingSimulator,
     Violation,
     check_clock_monotonic,
-    check_max_min_bottleneck,
-    check_rate_feasibility,
-    check_same_result,
+    check_replay,
     check_solution,
-    check_work_conservation,
     replay_conservation,
 )
 
@@ -53,30 +56,31 @@ class TestRateOracles:
         # Hand every flow the full line rate: shared links overflow.
         rates = {flow.flow_id: fabric.host_line_rate_gbps * 4
                  for flow in flows}
-        violations = check_rate_feasibility(fabric, flows, paths, rates)
+        violations = check_solution(fabric, flows, paths, rates)
         assert violations
         assert all(v.oracle == "rate-feasibility" for v in violations)
 
     def test_work_conservation_fires_on_starved_flow(self, fabric):
         flows = _flows(fabric)
+        paths = fabric.resolve_paths(flows)
         rates = {flow.flow_id: 100.0 for flow in flows}
         rates[flows[0].flow_id] = 0.0
-        violations = check_work_conservation(flows, rates)
-        assert [v.oracle for v in violations] == ["work-conservation"]
-        assert str(flows[0].flow_id) in violations[0].detail
+        violations = check_solution(fabric, flows, paths, rates)
+        starved = [v for v in violations
+                   if v.oracle == "work-conservation"]
+        assert len(starved) == 1
+        assert f"flow {flows[0].flow_id} " in starved[0].detail
 
     def test_kkt_fires_on_underallocated_flow(self, fabric):
         flows = _flows(fabric)
         paths = fabric.resolve_paths(flows)
         rates = fabric.max_min_rates(flows, paths)
-        assert check_max_min_bottleneck(fabric, flows, paths,
-                                        rates) == []
+        assert check_solution(fabric, flows, paths, rates) == []
         # Halve one flow's rate: it is now below line rate with no
         # saturated link where it is maximal — not max-min optimal.
         victim = flows[0].flow_id
         rates[victim] = rates[victim] / 2
-        violations = check_max_min_bottleneck(fabric, flows, paths,
-                                              rates)
+        violations = check_solution(fabric, flows, paths, rates)
         assert any(v.oracle == "max-min-kkt"
                    and str(victim) in v.detail for v in violations)
 
@@ -94,8 +98,9 @@ class TestRateOracles:
         # tighter factor they overflow.
         tight = {hop: rates[flows[0].flow_id]
                  / (2 * fabric.topology.links[hop[0]].capacity_gbps)}
-        assert check_rate_feasibility(fabric, flows, paths, rates,
-                                      capacity_factors=tight)
+        violations = check_solution(fabric, flows, paths, rates,
+                                    capacity_factors=tight)
+        assert any(v.oracle == "rate-feasibility" for v in violations)
 
 
 class TestByteConservation:
@@ -162,19 +167,32 @@ class TestClockAndDeterminism:
         assert [v.oracle for v in violations] == ["clock-monotonic"]
 
     def test_same_result_passes_on_pure_function(self):
-        assert check_same_result(lambda: {"a": 1.0}) == []
+        assert check_replay(lambda: {"a": 1.0}) == []
 
     def test_same_result_fires_on_drift(self):
-        state = {"calls": 0}
-
-        def drifting():
-            state["calls"] += 1
-            return state["calls"]
-
-        violations = check_same_result(drifting, label="drifty")
+        # Caller's kernel twice (1, then 2), the other kernel once (1):
+        # only the same-kernel replay disagrees.
+        results = iter([1, 2, 1])
+        violations = check_replay(lambda: next(results), label="drifty")
         assert [v.oracle for v in violations] == \
             ["bit-identical-replay"]
         assert "drifty" in violations[0].detail
+
+    def test_replay_fires_on_backend_mismatch(self):
+        violations = check_replay(resolve_backend, label="kernel")
+        assert [v.oracle for v in violations] == ["solver-backends"]
+        assert violations[0].detail == (
+            "kernel: python and vector solver backends disagree: "
+            "'python' vs 'vector'")
+
+    @pytest.mark.parametrize("caller, other",
+                             [("vector", "python"), ("python", "vector")])
+    def test_replay_runs_callers_kernel_twice(self, caller, other):
+        backends = []
+        with use_backend(caller):
+            assert check_replay(
+                lambda: backends.append(resolve_backend())) == []
+        assert backends == [caller, caller, other]
 
 
 class TestViolation:
