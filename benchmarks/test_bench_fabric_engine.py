@@ -1,4 +1,4 @@
-"""Fabric engine vs epoch-global baseline — solver-work trajectory.
+"""Fabric engine vs epoch-global baseline — solver work per completion.
 
 The incremental engine (`repro.network.engine.FabricEngine`) registers
 each flow's directed hops once and, on every completion event,
@@ -14,19 +14,14 @@ Since the vectorized solver core landed, every scenario can run under
 either backend (``repro.network.solver``): the pure-python reference
 or the numpy incidence kernel.  The backends are bit-identical, so the
 smoke point runs both and asserts ``==`` on the finish times; the
-slow points record each backend's wall clock separately.
+slow points run the vector backend and print its wall clock.
 
-Results are merged into ``BENCH_fabric_engine.json`` at the repo root
-so the perf trajectory is recorded run over run.  The smoke-scale
-scenario runs in CI (``-m "not slow"``); the 256-host and 1024-host
-points are ``slow``.  Re-recording the pure-python 256-host point
-(the ~1 h historical baseline the vector speedup is measured against)
-additionally requires ``REPRO_BENCH_FULL=1``.
+Each point prints its series (run with ``-s`` to see it); wall-clock
+baselines live in ``python -m bench``.  The smoke-scale scenario runs
+in CI (``-m "not slow"``); the 256-host and 1024-host points are
+``slow``.
 """
 
-import json
-import os
-import pathlib
 import time
 
 import pytest
@@ -40,8 +35,6 @@ from repro.network.solver import use_backend
 from repro.topology import AstralParams, build_astral
 from repro.validation import complete_batch
 
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent \
-    / "BENCH_fabric_engine.json"
 A2A_BITS = 64e9
 #: fan-out window of the 1024-host point (full all-to-all would be
 #: ~1M flows; 128 successors keeps the point recordable while still
@@ -88,8 +81,8 @@ def _measure(n_hosts, rails, solver="python", params=None,
              flows_fn=None, run_batch=True):
     """Run the workload through both solve paths under one backend.
 
-    Returns ``(result, engine_finish)`` — the JSON-ready scenario
-    record plus the engine's raw finish-time dict, so callers can
+    Returns ``(result, engine_finish)`` — the scenario's metrics
+    plus the engine's raw finish-time dict, so callers can
     assert exact cross-backend identity.  With ``run_batch=False``
     only the event-driven engine runs (the huge points, where the
     epoch-global baseline is prohibitive).
@@ -148,15 +141,6 @@ def _measure(n_hosts, rails, solver="python", params=None,
     return result, dict(engine_run.finish_times_s)
 
 
-def _historical(key):
-    if not BENCH_JSON.exists():
-        return None
-    try:
-        return json.loads(BENCH_JSON.read_text()).get(key)
-    except (ValueError, OSError):
-        return None
-
-
 def _series(result):
     rows = [("flows", result["flows"])]
     if "batch" in result:
@@ -171,15 +155,13 @@ def _series(result):
         ("engine link visits", result["engine"]["link_visits"]),
         ("engine wall (s)", result["engine"]["wall_s"]),
     ]
-    for key in ("link_visit_ratio", "max_finish_diff_s",
-                "engine_speedup_vs_python", "batch_speedup_vs_python"):
+    for key in ("link_visit_ratio", "max_finish_diff_s"):
         if key in result:
             rows.append((key.replace("_", " "), result[key]))
     return rows
 
 
-def test_engine_vs_batch_smoke(benchmark, series_printer,
-                               bench_record):
+def test_engine_vs_batch_smoke(benchmark, series_printer):
     """64-host dual-rail all-to-all: the CI smoke point.
 
     The two rail planes are link-disjoint, so their completion events
@@ -193,7 +175,6 @@ def test_engine_vs_batch_smoke(benchmark, series_printer,
     """
     result, finish_py = benchmark.pedantic(
         _measure, args=(64, (0, 1)), rounds=1, iterations=1)
-    bench_record(BENCH_JSON, "alltoall_64host_2rail", result)
     series_printer(
         "Fabric engine vs epoch-global baseline (64 hosts, 2 rails)",
         _series(result), ["metric", "value"])
@@ -206,8 +187,6 @@ def test_engine_vs_batch_smoke(benchmark, series_printer,
     assert result["hops_cache_hits"] > 10 * result["hops_cache_misses"]
 
     vec_result, finish_vec = _measure(64, (0, 1), solver="vector")
-    bench_record(BENCH_JSON, "alltoall_64host_2rail_vector",
-                 vec_result)
     series_printer(
         "Vector backend, same scenario (64 hosts, 2 rails)",
         _series(vec_result), ["metric", "value"])
@@ -223,59 +202,22 @@ def test_engine_vs_batch_smoke(benchmark, series_printer,
 
 
 @pytest.mark.slow
-def test_engine_vs_batch_256host(benchmark, series_printer,
-                                 bench_record):
-    """Paper-scale point, pure-python backend: 256-host dual-rail
-    all-to-all (130,560 flows).  This is the ~1 h historical baseline
-    the vector speedup is measured against, so re-recording it is
-    additionally gated behind ``REPRO_BENCH_FULL=1``."""
-    if not os.environ.get("REPRO_BENCH_FULL"):
-        pytest.skip("set REPRO_BENCH_FULL=1 to re-record the ~1 h "
-                    "pure-python 256-host baseline")
-    result, _ = benchmark.pedantic(
-        _measure, args=(256, (0, 1)), rounds=1, iterations=1)
-    bench_record(BENCH_JSON, "alltoall_256host_2rail", result)
-    series_printer(
-        "Fabric engine vs epoch-global baseline (256 hosts, 2 rails)",
-        _series(result), ["metric", "value"])
-    assert result["max_finish_diff_s"] < 1e-9
-    assert result["link_visit_ratio"] >= 2.0
-
-
-@pytest.mark.slow
-def test_engine_vs_batch_256host_vector(benchmark, series_printer,
-                                        bench_record):
-    """Paper-scale point under the vector backend.
-
-    Same 130,560-flow scenario as ``alltoall_256host_2rail``; the
-    recorded speedups divide the historical pure-python walls by this
-    run's.  The kernel is required to clear ≥10× on the engine path —
-    the head-line win of the vectorization PR."""
+def test_engine_vs_batch_256host_vector(benchmark, series_printer):
+    """Paper-scale point under the vector backend: 256-host dual-rail
+    all-to-all (130,560 flows), engine against the epoch-global
+    baseline."""
     result, _ = benchmark.pedantic(
         _measure, args=(256, (0, 1)), kwargs={"solver": "vector"},
         rounds=1, iterations=1)
-    python_point = _historical("alltoall_256host_2rail")
-    if python_point:
-        result["engine_speedup_vs_python"] = round(
-            python_point["engine"]["wall_s"]
-            / result["engine"]["wall_s"], 2)
-        result["batch_speedup_vs_python"] = round(
-            python_point["batch"]["wall_s"]
-            / result["batch"]["wall_s"], 2)
-    bench_record(BENCH_JSON, "alltoall_256host_2rail_vector",
-                 result)
     series_printer(
         "Vector solver backend (256 hosts, 2 rails)",
         _series(result), ["metric", "value"])
     assert result["max_finish_diff_s"] < 1e-9
     assert result["link_visit_ratio"] >= 2.0
-    if python_point:
-        assert result["engine_speedup_vs_python"] >= 10.0
 
 
 @pytest.mark.slow
-def test_engine_1024host_vector(benchmark, series_printer,
-                                bench_record):
+def test_engine_1024host_vector(benchmark, series_printer):
     """1024-host single-rail windowed all-to-all, vector engine only.
 
     The scale point the vectorization unlocks: four times the hosts of
@@ -293,8 +235,6 @@ def test_engine_1024host_vector(benchmark, series_printer,
                 "run_batch": False},
         rounds=1, iterations=1)
     result["window"] = A2A_WINDOW_1024
-    bench_record(BENCH_JSON, "a2a_w128_1024host_1rail_vector",
-                 result)
     series_printer(
         "Vector engine, 1024 hosts (window-128 all-to-all, 1 rail)",
         _series(result), ["metric", "value"])

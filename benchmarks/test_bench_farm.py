@@ -7,20 +7,16 @@ wall-clock back — ≥2× at 4 workers for the 50-case validation fuzz
 sweep.  A warm rerun from the content-addressed cache must execute
 zero simulations.
 
-Results are merged into ``BENCH_farm.json`` at the repo root so the
-throughput trajectory is recorded run over run.  The speedup
+The point prints its series (run with ``-s`` to see it).  The speedup
 assertion is gated on ``os.cpu_count()`` — a single-core container
 cannot speed anything up, but it must still match bit for bit.
 """
 
 import os
-import pathlib
 import time
 
 from repro.farm import FarmExecutor, ResultCache, TaskSpec
 
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent \
-    / "BENCH_farm.json"
 N_CASES = 50
 SWEEP_WORKERS = 4
 
@@ -43,7 +39,7 @@ def _timed_run(tmp_path, name, workers, use_cache=False):
     return report, wall
 
 
-def test_fuzz_sweep_throughput(tmp_path, series_printer, bench_record):
+def test_fuzz_sweep_throughput(tmp_path, series_printer):
     serial, serial_wall = _timed_run(tmp_path, "serial", workers=1)
     parallel, parallel_wall = _timed_run(
         tmp_path, "parallel", workers=SWEEP_WORKERS)
@@ -76,7 +72,6 @@ def test_fuzz_sweep_throughput(tmp_path, series_printer, bench_record):
         "warm_executed": warm.n_executed,
         "warm_cached": warm.n_cached,
     }
-    bench_record(BENCH_JSON, "fuzz_sweep_50case", result)
     series_printer(
         f"Farm fuzz sweep ({N_CASES} cases, {SWEEP_WORKERS} workers)",
         [(k, v) for k, v in result.items()], ["metric", "value"])

@@ -1,4 +1,4 @@
-"""Hierarchical fold at paper scale — wall-clock and memory trajectory.
+"""Hierarchical fold at paper scale — wall-clock and memory budgets.
 
 The scale bar from the roadmap: simulate the paper's full 512K-GPU
 deployment (65,536 hosts, thousands of tenants) in minutes on a
@@ -8,22 +8,17 @@ class and replicates, so the engine-simulated host count — and the
 wall clock — depends on the number of *distinct* pod/block shapes,
 not the cluster size.
 
-Each scale point records wall time, peak RSS, and the fold statistics
-into ``BENCH_hierarchy.json`` at the repo root, so the perf trajectory
-is tracked run over run.  All three points run in CI: the whole ladder
-is seconds, which is the result being recorded.
+Each scale point prints wall time, peak RSS, and the fold statistics
+(run with ``-s`` to see them) and holds the wall to a budget.  All
+three points run in CI: the whole ladder is seconds.
 """
 
-import pathlib
 import resource
 import time
 
 from repro.hierarchy import (HierarchicalRun, place_jobs, preset_params,
                              uniform_jobs)
 from repro.resilience import FaultDomain, expand_domains
-
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent \
-    / "BENCH_hierarchy.json"
 
 #: scale -> hosts per tenant (divides hosts_per_block, so every job is
 #: single-block and the block fold applies; 512k lands at 2048 jobs).
@@ -68,11 +63,9 @@ def _series(result):
         "wall_s", "peak_rss_mb")]
 
 
-def _bench(scale, benchmark, series_printer, bench_record,
-           wall_budget_s):
+def _bench(scale, benchmark, series_printer, wall_budget_s):
     result = benchmark.pedantic(
         _measure, args=(scale,), rounds=1, iterations=1)
-    bench_record(BENCH_JSON, scale, result)
     series_printer(f"Hierarchical fold at {scale} GPUs",
                    _series(result), ["metric", "value"])
     assert result["exact"]
@@ -80,35 +73,31 @@ def _bench(scale, benchmark, series_printer, bench_record,
     return result
 
 
-def test_hierarchy_4k(benchmark, series_printer, bench_record):
+def test_hierarchy_4k(benchmark, series_printer):
     """Laptop sanity scale: 4,096 GPUs, 8 tenants."""
-    result = _bench("4k", benchmark, series_printer, bench_record,
-                    wall_budget_s=60)
+    result = _bench("4k", benchmark, series_printer, wall_budget_s=60)
     assert result["fold_factor"] >= 4
 
 
-def test_hierarchy_64k(benchmark, series_printer, bench_record):
+def test_hierarchy_64k(benchmark, series_printer):
     """Datacenter-hall scale: 65,536 GPUs, 128 tenants."""
-    result = _bench("64k", benchmark, series_printer, bench_record,
-                    wall_budget_s=120)
+    result = _bench("64k", benchmark, series_printer, wall_budget_s=120)
     assert result["fold_factor"] >= 32
 
 
-def test_hierarchy_512k(benchmark, series_printer, bench_record):
+def test_hierarchy_512k(benchmark, series_printer):
     """The paper's full deployment: 524,288 GPUs, 2,048 tenants.
 
     The roadmap bar is five minutes; the fold delivers it with minutes
     to spare because only one representative block per class (two
     classes with ``tail_shapes=2``) ever touches the engine.
     """
-    result = _bench("512k", benchmark, series_printer, bench_record,
-                    wall_budget_s=300)
+    result = _bench("512k", benchmark, series_printer, wall_budget_s=300)
     assert result["jobs"] == 2048
     assert result["fold_factor"] >= 256
 
 
-def test_hierarchy_512k_faulted(benchmark, series_printer,
-                                bench_record):
+def test_hierarchy_512k_faulted(benchmark, series_printer):
     """Full 512K deployment surviving a correlated optics-batch fault.
 
     One hard optics-batch domain event breaks a pod's symmetry;
@@ -151,7 +140,6 @@ def test_hierarchy_512k_faulted(benchmark, series_printer,
         }
 
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
-    bench_record(BENCH_JSON, "512k-faulted", result)
     series_printer("Hierarchical fold at 512k GPUs, faulted",
                    [(key, result[key]) for key in (
                        "gpus", "jobs", "fault", "refine_levels",

@@ -90,6 +90,9 @@ def _resolve_model(name: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.hierarchy.presets import SCALE_PRESETS
+    from repro.topology.astral import NAMED_SCALES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Astral (SIGCOMM 2025) reproduction toolkit")
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--jobs", type=int, default=50)
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--scale", default="cluster",
-                         choices=["tiny", "small", "cluster"],
+                         choices=NAMED_SCALES,
                          help="fabric size (cluster = 256 hosts)")
     cluster.add_argument("--failure-scale", type=float, default=1.0,
                          help="MTBF multiplier; 0 disables failures")
@@ -189,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded failure-injection campaign with the recovery loop")
     resilience.add_argument("--seed", type=int, default=0)
     resilience.add_argument("--scale", default="small",
-                            choices=["tiny", "small", "cluster"])
+                            choices=NAMED_SCALES)
     resilience.add_argument("--jobs", type=int, default=1)
     resilience.add_argument("--hosts-per-job", type=int, default=4)
     resilience.add_argument("--iterations", type=int, default=180)
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scale",
         help="symmetry-folded hierarchical run up to 512K GPUs")
     scale.add_argument("--gpus", default="4k",
-                       choices=["4k", "64k", "512k"],
+                       choices=SCALE_PRESETS,
                        help="named scale preset (512k = the paper's "
                             "published deployment dimensions)")
     scale.add_argument("--pods", type=int, default=None,
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="diurnal inference serving co-scheduled with training")
     serve.add_argument("--preset", default="64k",
-                       choices=["4k", "64k", "512k"],
+                       choices=SCALE_PRESETS,
                        help="cluster scale preset the pools carve up")
     serve.add_argument("--seed", default="0",
                        help="campaign seed (int or string); feeds every "
@@ -355,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         "demo", help="scripted operator scenario + replay-digest "
                      "verification against an in-process server")
     twin_demo.add_argument("--scale", default="small",
-                           choices=["tiny", "small", "cluster",
-                                    "4k", "64k"],
+                           choices=[scale for scale
+                                    in NAMED_SCALES + SCALE_PRESETS
+                                    if scale != "512k"],
                            help="session cluster scale")
     twin_demo.add_argument("--seed", default="0",
                            help="session seed (int or string)")
@@ -764,20 +768,11 @@ def _cmd_scale(args) -> int:
         # tenant placement up front: a malformed target must fail here
         # with the offending fault named, not as a KeyError from deep
         # inside a farm worker's topology renaming.
-        from repro.hierarchy import uniform_jobs
-        from repro.hierarchy.virtual import place_jobs
+        from repro.farm.tasks import hierarchy_inputs
         from repro.resilience import faults_from_document
-        from repro.topology import AstralParams
-        topo = (AstralParams(**task_params["dims"])
-                if args.pods is not None else preset_params(args.gpus))
-        jobs = uniform_jobs(
-            topo, task_params["hosts_per_job"],
-            iterations=args.iterations, compute_time_s=args.compute_s,
-            comm_size_bits=args.comm_bits, collective=args.collective,
-            seed=args.seed, tail_shapes=args.tail_shapes)
+        topo, _, placed = hierarchy_inputs(task_params)
         try:
-            faults_from_document(topo, place_jobs(topo, jobs),
-                                 fault_document)
+            faults_from_document(topo, placed, fault_document)
         except ValueError as exc:
             raise SystemExit(f"--faults {args.faults}: {exc}")
     caps = {}

@@ -52,6 +52,11 @@ from .spec import TaskSpec, canonical_json, execute_spec
 
 __all__ = ["FarmExecutor", "FarmReport", "FarmTaskTimeout", "TaskResult"]
 
+#: first retry delay after a proven crash; doubles per further crash
+#: of the same task, capped at ``RETRY_BACKOFF_CAP_S``.
+RETRY_BACKOFF_S = 0.1
+RETRY_BACKOFF_CAP_S = 5.0
+
 
 class FarmTaskTimeout(Exception):
     """A task exceeded its per-task wall-clock budget."""
@@ -227,10 +232,6 @@ class FarmExecutor:
     #: generic per-task budget; a spec's own ``timeout_s`` overrides it.
     timeout_s: Optional[float] = None
     max_retries: int = 1
-    #: first retry delay after a proven crash; doubles per further
-    #: crash of the same task, capped at ``retry_backoff_cap_s``.
-    retry_backoff_s: float = 0.1
-    retry_backoff_cap_s: float = 5.0
     progress: Optional[ProgressFn] = None
 
     def __post_init__(self) -> None:
@@ -427,8 +428,8 @@ class FarmExecutor:
         """
         rng = random.Random(
             f"farm-backoff:{spec.content_hash}:{crash_count}")
-        base = min(self.retry_backoff_s * (2.0 ** (crash_count - 1)),
-                   self.retry_backoff_cap_s)
+        base = min(RETRY_BACKOFF_S * (2.0 ** (crash_count - 1)),
+                   RETRY_BACKOFF_CAP_S)
         return base * (0.5 + rng.random())
 
     # -- shared plumbing -----------------------------------------------------

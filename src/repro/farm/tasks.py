@@ -31,13 +31,14 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from ..topology.astral import NAMED_SCALES
 from .spec import register_task
 
 __all__ = ["SCALES"]
 
 #: topology scale names accepted wherever a spec says ``"scale"``
 #: (:meth:`~repro.topology.AstralParams.named`).
-SCALES = ("tiny", "small", "cluster")
+SCALES = NAMED_SCALES
 
 
 def _reject_solver(params: Dict[str, Any]) -> None:
@@ -307,6 +308,31 @@ def run_figure_bench(params: Dict[str, Any]) -> Dict[str, Any]:
 # hierarchy
 # ---------------------------------------------------------------------------
 
+def hierarchy_inputs(params: Dict[str, Any]):
+    """The cluster, tenants and placement a ``hierarchy-run`` spec
+    describes, as ``(topo, jobs, placed)``.  ``repro scale`` calls it
+    too, to check a fault document against them before submitting."""
+    from ..hierarchy import preset_params, uniform_jobs
+    from ..hierarchy.virtual import place_jobs
+    from ..topology import AstralParams
+
+    if params.get("dims"):
+        topo = AstralParams(**{key: int(value)
+                               for key, value in params["dims"].items()})
+    else:
+        topo = preset_params(params.get("scale", "4k"))
+    jobs = uniform_jobs(
+        topo,
+        int(params.get("hosts_per_job", topo.hosts_per_block)),
+        iterations=int(params.get("iterations", 4)),
+        compute_time_s=float(params.get("compute_s", 0.5)),
+        comm_size_bits=float(params.get("comm_bits", 8e9)),
+        collective=params.get("collective", "allreduce"),
+        seed=int(params.get("seed", 0)),
+        tail_shapes=int(params.get("tail_shapes", 1)))
+    return topo, jobs, place_jobs(topo, jobs)
+
+
 # version 2: params carried an optional max-min backend name
 # (``solver``); see the resilience-campaign v2 note.
 # version 3: faults generalised — ``fault_document`` (correlated fault
@@ -330,29 +356,12 @@ def run_hierarchy(params: Dict[str, Any]) -> Dict[str, Any]:
     factor; keys are strings because specs are JSON).
     """
     _reject_solver(params)
-    from ..hierarchy import HierarchicalRun, preset_params, uniform_jobs
-    from ..hierarchy.virtual import place_jobs
+    from ..hierarchy import HierarchicalRun
     from ..monitoring.faults import (FaultSpec, Manifestation,
                                      RootCause)
     from ..resilience import faults_from_document
-    from ..topology import AstralParams
 
-    if params.get("dims"):
-        topo = AstralParams(**{key: int(value)
-                               for key, value in params["dims"].items()})
-    else:
-        topo = preset_params(params.get("scale", "4k"))
-    seed = int(params.get("seed", 0))
-    jobs = uniform_jobs(
-        topo,
-        int(params.get("hosts_per_job", topo.hosts_per_block)),
-        iterations=int(params.get("iterations", 4)),
-        compute_time_s=float(params.get("compute_s", 0.5)),
-        comm_size_bits=float(params.get("comm_bits", 8e9)),
-        collective=params.get("collective", "allreduce"),
-        seed=seed,
-        tail_shapes=int(params.get("tail_shapes", 1)))
-    placed = place_jobs(topo, jobs)
+    topo, jobs, placed = hierarchy_inputs(params)
     faults = {}
     for p in placed[:int(params.get("faults", 0))]:
         pod, block, _ = p.coords[0]

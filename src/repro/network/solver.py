@@ -113,6 +113,8 @@ from typing import (
 
 import numpy as _np
 
+from ..simcore import SimulationError
+
 __all__ = [
     "HAVE_NUMPY",
     "CompiledIncidence",
@@ -459,7 +461,10 @@ def fill_rates_python(inc: CompiledIncidence, remaining,
     counts and member lists from the rows still to freeze, so comparing
     it with the vector kernel checks the compiled column view and the
     counts :meth:`CompiledIncidence.retire` patches instead of trusting
-    them.  *remaining* is the per-link capacity (not consumed).
+    them.  Because its counts come from the unfrozen rows themselves,
+    a tied link always has an unfrozen member, so every round freezes
+    at least one row and the loop needs no stall guard.  *remaining*
+    is the per-link capacity (not consumed).
     Returns the rate per row as a float64 array (dead rows 0.0).
 
     Repeatedly: find the tightest link (smallest fair share among its
@@ -567,6 +572,11 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
     :func:`fill_rates_python` on the same problem — see the module
     docstring for why.  A *record* is read and extended exactly as
     the reference kernel does.
+
+    The per-link counts come from ``inc.base_count``; if they disagree
+    with the live rows (a tied link with no unfrozen member), a round
+    would freeze nothing and loop forever, so it raises
+    :class:`~repro.simcore.SimulationError` instead.
     """
     np_ = _np
     n = inc.n_rows
@@ -624,6 +634,11 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
             rows = cand[keep]
         else:
             rows = cand
+        if not rows.size:
+            raise SimulationError(
+                f"fill round {len(shares)} froze no row: tied columns "
+                f"{tied.tolist()} at share {float(min_share)!r} have no "
+                f"unfrozen member (base_count disagrees with the rows)")
         rates[rows] = min_share
         round_of[rows] = len(shares)
         shares.append(float(min_share))

@@ -38,7 +38,10 @@ from .elements import (
     TopologyError,
 )
 
-__all__ = ["AstralParams", "build_astral"]
+__all__ = ["AstralParams", "NAMED_SCALES", "build_astral"]
+
+#: the laptop-scale instances :meth:`AstralParams.named` accepts.
+NAMED_SCALES = ("tiny", "small", "cluster")
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,9 @@ class AstralParams:
     def named(cls, scale: str) -> "AstralParams":
         """The laptop-scale instance called *scale*: ``tiny``,
         ``small`` or ``cluster``."""
-        if scale not in ("tiny", "small", "cluster"):
+        if scale not in NAMED_SCALES:
             raise ValueError(f"unknown scale {scale!r}; expected one of "
-                             f"('tiny', 'small', 'cluster')")
+                             f"{NAMED_SCALES}")
         return getattr(cls, scale)()
 
     def with_oversubscription(self, ratio: float) -> "AstralParams":

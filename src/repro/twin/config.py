@@ -15,13 +15,13 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Optional, Union
 
 from ..hierarchy.presets import SCALE_PRESETS, preset_params
-from ..topology.astral import AstralParams
+from ..topology.astral import NAMED_SCALES, AstralParams
 
 __all__ = ["TwinConfig", "SCALES", "KINDS"]
 
 #: laptop scales map to ``AstralParams`` classmethods, paper scales to
 #: the hierarchy presets.
-SCALES = ("tiny", "small", "cluster", "4k", "64k", "512k")
+SCALES = NAMED_SCALES + SCALE_PRESETS
 KINDS = ("cluster", "serving")
 
 _DIM_FIELDS = ("pods", "blocks_per_pod", "hosts_per_block",

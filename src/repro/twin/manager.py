@@ -168,10 +168,6 @@ class SessionManager:
                 queue.put_nowait(snapshot)
         return snapshots
 
-    async def snapshot(self, session_id: str) -> Dict[str, Any]:
-        self._handle(session_id)
-        return await self._call(session_id, {"op": "snapshot"})
-
     async def digest(self, session_id: str) -> str:
         handle = self._handle(session_id)
         async with handle.lock:

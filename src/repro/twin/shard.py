@@ -67,8 +67,6 @@ def _dispatch(payload: Dict[str, Any]) -> Any:
         if steps < 1:
             raise ActionError(f"steps must be >= 1, got {steps}")
         return [session.advance(payload["dt_s"]) for _ in range(steps)]
-    if op == "snapshot":
-        return session.snapshot()
     if op == "digest":
         return session.digest()
     if op == "log":

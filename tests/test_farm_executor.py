@@ -145,11 +145,11 @@ class TestRetryBackoff:
             != executor._retry_delay_s(spec, 2)
 
     def test_base_doubles_then_caps_and_jitter_is_bounded(self, tmp_path):
-        executor = _executor(tmp_path, retry_backoff_s=0.1,
-                             retry_backoff_cap_s=0.4)
+        # RETRY_BACKOFF_S = 0.1 s doubles up to RETRY_BACKOFF_CAP_S = 5 s.
+        executor = _executor(tmp_path)
         spec = _ok(7)
         for crash_count, base in [(1, 0.1), (2, 0.2), (3, 0.4),
-                                  (4, 0.4), (9, 0.4)]:
+                                  (6, 3.2), (7, 5.0), (9, 5.0)]:
             delay = executor._retry_delay_s(spec, crash_count)
             assert 0.5 * base <= delay < 1.5 * base
 
@@ -160,8 +160,7 @@ class TestRetryBackoff:
         spec = TaskSpec("farm-selftest",
                         {"mode": "flaky", "crashes": 1,
                          "marker": str(marker), "value": 9})
-        report = _executor(tmp_path, workers=2, max_retries=2,
-                           retry_backoff_s=0.05).run([spec])
+        report = _executor(tmp_path, workers=2, max_retries=2).run([spec])
         result = report.results[0]
         assert result.status == "ok" and result.attempts >= 2
 

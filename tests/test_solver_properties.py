@@ -42,6 +42,7 @@ from repro.network.solver import (
     solve_incidence,
     use_backend,
 )
+from repro.simcore import SimulationError
 from repro.validation import check_incidence_solution
 
 LINE_RATE = 100.0
@@ -411,6 +412,19 @@ class TestEdgeCases:
         hops_of = {0: ("l0", "l1"), 1: ("l0",), 2: ("l1",)}
         rates = both_backends(hops_of, {"l0": 20.0, "l1": 60.0})
         assert rates == {0: 10.0, 1: 10.0, 2: 50.0}
+
+    def test_miscounted_column_raises_instead_of_spinning(self):
+        # One extra count on l0 (what a broken retire leaves): the
+        # vector kernel freezes row 0 at 5.0, then finds l0 tied again
+        # with no unfrozen member.  The reference derives its counts
+        # from the rows, so it never sees the bad count.
+        inc = CompiledIncidence([0, 1], [0, 1, 2], [0, 1], 2)
+        inc.base_count[0] += 1
+        capacity = np.array([10.0, 100.0])
+        assert fill_rates_python(inc, capacity, LINE_RATE).tolist() \
+            == [10.0, 100.0]
+        with pytest.raises(SimulationError, match=r"tied columns \[0\]"):
+            progressive_fill_vector(inc, capacity.copy(), LINE_RATE)
 
 
 # --------------------------------------------------------------------------
