@@ -31,14 +31,11 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..topology.astral import NAMED_SCALES
 from .spec import register_task
 
-__all__ = ["SCALES"]
-
-#: topology scale names accepted wherever a spec says ``"scale"``
-#: (:meth:`~repro.topology.AstralParams.named`).
-SCALES = NAMED_SCALES
+#: The task kinds register themselves on import; nothing here is
+#: star-exported.
+__all__: list = []
 
 
 def _reject_solver(params: Dict[str, Any]) -> None:

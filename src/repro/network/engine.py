@@ -49,6 +49,23 @@ other change — a capacity or PFC factor, a compile after an arrival,
 reroute or split — fills cold.  The resumed fill is bit-identical to a
 cold one (see :mod:`repro.network.solver`).
 
+Cold fills come in batches: a solve compiles every dirtied component
+that has no cached incidence with one
+:func:`~repro.network.solver.compile_component` call, as one
+block-diagonal problem (:class:`~repro.network.solver.CompiledBlock`),
+fills it with one kernel call and scatters it with one
+:meth:`~FabricEngine._apply_rates`.  Folded runs at paper scale solve
+thousands of one-flow components a few hundred at a time, so this
+replaces per-component numpy overhead with per-solve overhead.  By the
+same separability, the block fill runs each component's own rounds,
+so each component stays cached against its span of the block
+(:class:`_Block`).  The first time one is dirtied again it is sliced
+out with the record a fill of its own would have left, so warm
+resumes, splits and :class:`SolverStats` are what one fill per
+component gives.  A block whose cached members keep fewer than half
+its rows is dissolved before the solve's fills: each member is sliced
+out on its own.
+
 :class:`SolverStats` counts the work (solver calls, link visits) so
 the saving vs the epoch-global batch oracle is measurable — see
 ``benchmarks/test_bench_fabric_engine.py``.
@@ -56,8 +73,9 @@ the saving vs the epoch-global batch oracle is measurable — see
 The fluid core is array-shaped and there is exactly one of it: per-flow
 ``remaining``/``rate``/absolute-``deadline`` rows (:class:`_FluidArrays`),
 one compiled :class:`~repro.network.solver.CompiledIncidence` per
-component (cached, patched in place as flows finish, and remapped
-rather than dropped when dead fluid rows are compacted), and a single
+component or block of cold components (cached, patched in place as
+flows finish, and remapped rather than dropped when dead fluid rows are
+compacted), and a single
 engine-level deadline event at the minimum of the deadline array.  The
 backend of the :func:`~repro.network.solver.use_backend` scope the
 engine is built in picks only the progressive-filling kernel a compiled
@@ -71,7 +89,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
+                    Union)
 
 import numpy as np
 
@@ -80,6 +99,7 @@ from .fabric import Fabric, FabricRun, LinkDir
 from .flows import Flow, FlowPath
 from .routing import RoutingError
 from .solver import (
+    CompiledBlock,
     CompiledIncidence,
     FillRecord,
     IncidenceIndex,
@@ -189,6 +209,29 @@ class _CompEntry:
     record: FillRecord
 
 
+@dataclass
+class _Block:
+    """Cold components compiled and filled together in one solve.
+
+    Each member stays cached against its span of ``block`` (``members``
+    maps its component id to its position) until it is dirtied again,
+    merged or emptied, or the block dissolves; ``rows``/``flows``/
+    ``record`` are the block's, aligned as in :class:`_CompEntry`.
+    """
+
+    block: CompiledBlock
+    rows: Any
+    flows: List[Flow]
+    record: FillRecord
+    members: Dict[int, int]
+    #: rows in the spans of ``members``.
+    kept: int
+
+    @property
+    def inc(self) -> CompiledIncidence:
+        return self.block.inc
+
+
 class FabricEngine:
     """Event-driven max-min fluid simulator over a :class:`Fabric`.
 
@@ -220,7 +263,9 @@ class FabricEngine:
         self.backend = resolve_backend()
         self._fluid = _FluidArrays()
         self._index = IncidenceIndex()
-        self._comp_cache: Dict[int, _CompEntry] = {}
+        self._comp_cache: Dict[int, Union[_CompEntry, _Block]] = {}
+        #: blocks whose members keep fewer than half their rows, by id.
+        self._sparse: Dict[int, _Block] = {}
         self._deadline_gen = 0
         #: no-progress guard: deadline events in a row at ``_stall_at``
         #: that completed no flow.
@@ -619,7 +664,7 @@ class FabricEngine:
         del group[fid]
         if not group:
             del self._comp_fids[cid]
-            self._comp_cache.pop(cid, None)
+            self._uncache(cid)
         else:
             entry = self._comp_cache.get(cid)
             if entry is not None:
@@ -655,7 +700,8 @@ class FabricEngine:
         # never used to index the fluid arrays.
         new_row = np.full(fluid.n, -1, dtype=np.int64)
         new_row[keep] = np.arange(n, dtype=np.int64)
-        for entry in self._comp_cache.values():
+        for entry in {id(entry): entry
+                      for entry in self._comp_cache.values()}.values():
             entry.rows = new_row[entry.rows]
 
     # -- component tracking ------------------------------------------------
@@ -664,7 +710,6 @@ class FabricEngine:
         touches, its own included, into the largest of them."""
         comp_of = self._comp_of
         comp_fids = self._comp_fids
-        cache = self._comp_cache
         touched: Dict[int, None] = {}
         own = comp_of.get(fid)
         if own is not None:
@@ -688,9 +733,9 @@ class FabricEngine:
                     for member in absorbed:
                         comp_of[member] = cid
                     group.update(absorbed)
-                    cache.pop(other, None)
+                    self._uncache(other)
             # The component grew: its compiled incidence is stale.
-            cache.pop(cid, None)
+            self._uncache(cid)
         comp_fids[cid][fid] = None
         comp_of[fid] = cid
 
@@ -724,6 +769,45 @@ class FabricEngine:
             for member in group:
                 comp_of[member] = piece
 
+    def _uncache(self, cid: int) -> None:
+        """Drop component *cid*'s compiled incidence, if it has one."""
+        entry = self._comp_cache.pop(cid, None)
+        if isinstance(entry, _Block):
+            self._leave(entry, cid)
+
+    def _leave(self, blk: _Block, cid: int) -> None:
+        """Take member *cid* off *blk*'s books; a block left holding
+        fewer than half its rows for its members is dissolved before
+        the solve's fills (:meth:`_dissolve_sparse`)."""
+        k = blk.members.pop(cid)
+        starts = blk.block.row_starts
+        blk.kept -= int(starts[k + 1] - starts[k])
+        if blk.kept * 2 < blk.inc.n_rows:
+            self._sparse[id(blk)] = blk
+
+    def _dissolve_sparse(self) -> None:
+        """Slice every member of each block that keeps fewer than half
+        its rows for them into an entry of its own, so rows no member
+        uses never make up more than half of a block.  Runs once per
+        solve, so the flows that finish together leave a block once."""
+        for blk in self._sparse.values():
+            for cid in blk.members:
+                self._extract(blk, cid)
+        self._sparse.clear()
+
+    def _extract(self, blk: _Block, cid: int) -> _CompEntry:
+        """Cache member *cid* of *blk* on its own, with the incidence
+        and fill record a compile and fill of its own would have left
+        (:meth:`~repro.network.solver.CompiledBlock.component`)."""
+        k = blk.members[cid]
+        inc, l2g, record = blk.block.component(k, blk.record)
+        lo, hi = blk.block.row_starts[k:k + 2].tolist()
+        entry = _CompEntry(inc=inc, l2g=l2g, rows=blk.rows[lo:hi].copy(),
+                           flows=blk.flows[lo:hi], n_labelled=inc.n_rows,
+                           record=record)
+        self._comp_cache[cid] = entry
+        return entry
+
     # -- rate allocation ---------------------------------------------------
     def _refresh_pfc_factors(self) -> None:
         flows = [state.flow for state in self._states.values()]
@@ -754,7 +838,6 @@ class FabricEngine:
                 * self._pfc_factors.get(hop, 1.0))
 
     def _solve(self) -> None:
-        stats = self.stats
         topo = self.fabric.topology
         if topo.version != self._topo_version:
             # Links were failed/rewired/rescaled under us: treat every
@@ -779,35 +862,56 @@ class FabricEngine:
             if members:
                 reps.append(next(iter(members)))
         self._dirty.clear()
-        if not reps:
-            self._arm_deadline()
-            return
+        cids = self._dirtied_components(reps) if reps else []
+        # Every block member that leaves in this solve has left by now,
+        # so sparse blocks go before any fill allocates.
+        self._dissolve_sparse()
+        if cids:
+            self._fill_components(cids)
+        self._arm_deadline()
+
+    def _dirtied_components(self, reps: List[int]) -> List[int]:
+        """The components of flows *reps*, ready to fill: split where
+        they fell apart, and sliced out of their blocks."""
         comp_of = self._comp_of
         cache = self._comp_cache
         # Components only merge as flows join, so completions leave
         # them over-approximate.  A cached one that has lost a
         # sixteenth of its live rows since it was last known to be
         # connected is split first, and only its dirtied pieces are
-        # filled.
+        # filled.  A dirtied member of a block is first sliced out of
+        # it, with the record a fill of its own would have left.
         for cid in sorted({comp_of[fid] for fid in reps}):
             entry = cache.get(cid)
+            if isinstance(entry, _Block):
+                blk = entry
+                entry = self._extract(blk, cid)
+                self._leave(blk, cid)
             if entry is not None \
                     and entry.inc.n_alive * 16 <= entry.n_labelled * 15:
                 self._split(cid, entry)
-        cids = sorted({comp_of[fid] for fid in reps})
+        return sorted({comp_of[fid] for fid in reps})
+
+    def _fill_components(self, cids: List[int]) -> None:
+        """Re-fill components *cids*: cached ones one by one, warm where
+        they can be, and the rest as one cold block."""
+        stats = self.stats
+        index = self._index
+        cache = self._comp_cache
         stats.solves += 1
         stats.components_solved += len(cids)
-        missing = [cid for cid in cids if cid not in cache]
-        if missing:
-            self._compile_components(missing)
         # Max-min allocations are separable by connected component, so
         # solving only the touched components equals the global solve
         # on their flows.
         kernel = fill_kernel(self.backend)
         line_rate = self.fabric.host_line_rate_gbps
         now = self.sim.now
+        cold = []
         for cid in cids:
-            entry = cache[cid]
+            entry = cache.get(cid)
+            if entry is None:
+                cold.append(cid)
+                continue
             capacity = index.gather_capacity(entry.l2g)
             stats.link_visits += int(capacity.shape[0])
             stats.flows_resolved += entry.inc.n_alive
@@ -817,29 +921,55 @@ class FabricEngine:
             rates = kernel(entry.inc, remaining, line_rate, stats,
                            entry.record)
             self._apply_rates(entry, rates, now)
-        self._arm_deadline()
+        if cold:
+            self._fill_cold(cold, kernel, line_rate, now)
 
-    def _compile_components(self, cids: List[int]) -> None:
-        """Compile the incidence problems of components *cids* from
-        their own flow lists — compiles are rare (component topology
-        changed), solves are not, so all per-flow python cost lives
-        here."""
+    def _fill_cold(self, cids: List[int], kernel: Callable,
+                   line_rate: float, now: float) -> None:
+        """Compile components *cids* from their own flow lists as one
+        block, fill it once and cache each component against its span.
+
+        Compiles are rare (component topology changed), solves are
+        not, so all per-flow python cost lives here.  The block fill
+        stands for one cold fill per component, and counts the work
+        those fills would have: their memberships, capacity loads and
+        (from the record) their own rounds' link visits.
+        """
+        stats = self.stats
         states = self._states
+        block = compile_component(
+            [list(self._comp_fids[cid]) for cid in cids], self._index)
+        inc = block.inc
+        rows = np.fromiter((states[fid].row for fid in inc.fids),
+                           dtype=np.int64, count=inc.n_rows)
+        flows = [states[fid].flow for fid in inc.fids]
+        record = FillRecord(inc)
+        capacity = self._index.gather_capacity(block.l2g)
+        # Memberships re-materialized into solver structures — the
+        # same ruler the batch path counts with — and capacity loads.
+        stats.link_visits += inc.nnz + int(capacity.shape[0])
+        stats.flows_resolved += inc.n_alive
+        rates = kernel(inc, record.resume(inc, capacity), line_rate, None,
+                       record)
+        stats.link_visits += block.link_visits(record)
+        if len(cids) == 1:
+            # A block of one is the component's own problem.
+            entry = _CompEntry(inc=inc, l2g=block.l2g, rows=rows,
+                               flows=flows, n_labelled=inc.n_rows,
+                               record=record)
+        else:
+            entry = _Block(block=block, rows=rows, flows=flows,
+                           record=record,
+                           members={cid: k for k, cid in enumerate(cids)},
+                           kept=inc.n_rows)
         for cid in cids:
-            fids = list(self._comp_fids[cid])
-            inc, l2g = compile_component(fids, self._index)
-            rows = np.fromiter((states[fid].row for fid in fids),
-                               dtype=np.int64, count=len(fids))
-            flows = [states[fid].flow for fid in fids]
-            self._comp_cache[cid] = _CompEntry(
-                inc=inc, l2g=l2g, rows=rows, flows=flows,
-                n_labelled=len(fids), record=FillRecord(inc))
-            # Memberships re-materialized into solver structures —
-            # the same ruler the batch path counts with.
-            self.stats.link_visits += inc.nnz
+            self._comp_cache[cid] = entry
+        self._apply_rates(entry, rates, now)
 
-    def _apply_rates(self, entry: _CompEntry, rates, now: float) -> None:
-        """Scatter one component's solved rates into the fluid arrays.
+    def _apply_rates(self, entry: Union[_CompEntry, _Block], rates,
+                     now: float) -> None:
+        """Scatter the rates of one fill — of a component, or of a
+        block of them — into the fluid arrays.
 
         Deadlines move only where the rate actually changed, so an
         untouched flow keeps its scheduled deadline bits; a changed

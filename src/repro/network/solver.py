@@ -91,6 +91,14 @@ The per-hop subtractions of the freeze step are deliberately uncounted
 materialization).  Rounds replayed from a :class:`FillRecord` are not
 link visits either: a replay only makes those uncounted subtractions,
 and the capacity load of a resumed solve is counted as for any solve.
+
+A fill of a :class:`CompiledBlock` — several components compiled as one
+block-diagonal problem — counts each component's own rounds, not the
+block's: the kernel runs with ``stats=None`` and
+:meth:`CompiledBlock.link_visits` adds, per column, one visit per round
+of its component up to the round its last member froze in.  That is
+what a cold fill of each component alone counts, so a block fill and
+one fill per component leave every counter ``==``.
 """
 
 from __future__ import annotations
@@ -117,6 +125,7 @@ from ..simcore import SimulationError
 
 __all__ = [
     "HAVE_NUMPY",
+    "CompiledBlock",
     "CompiledIncidence",
     "FillRecord",
     "IncidenceIndex",
@@ -737,29 +746,151 @@ class IncidenceIndex:
         return self._capacity[cols]
 
 
-def compile_component(fids: Sequence[int],
-                      index: IncidenceIndex
-                      ) -> Tuple[CompiledIncidence, Any]:
-    """Compile one component's flows into a local incidence problem.
+class CompiledBlock:
+    """Components compiled side by side as one block-diagonal problem.
 
-    Returns ``(inc, l2g)``: the compiled incidence over local columns
-    plus the local→global column map used to gather capacities per
-    solve.  Local column order is ascending global column id — the
-    solve result is scan-order independent, so this changes nothing
-    observable.
+    ``inc`` holds component *k*'s rows at ``row_starts[k]`` up to
+    ``row_starts[k + 1]`` and its columns at ``col_starts[k]`` up to
+    ``col_starts[k + 1]``; no row crosses a column of another
+    component.  Within its spans a component is numbered exactly as if
+    compiled alone, so a block of one component is that component's
+    problem.  ``l2g`` maps block columns to global columns.
+
+    Progressive filling is separable by component bit for bit: a
+    column's residue moves only with the freezes of its own component's
+    rows, at the shares that component reaches.  A fill of the block
+    therefore runs each component's own rounds, at the same shares and
+    freezing the same rows, merged in share order (components tied at
+    one share freeze in one round).  One fill of the block stands for
+    one fill per component, and :meth:`component` and
+    :meth:`link_visits` recover from its record what each of those
+    fills would have left and counted.
+    """
+
+    __slots__ = ("inc", "l2g", "row_starts", "col_starts")
+
+    def __init__(self, inc: CompiledIncidence, l2g, row_starts,
+                 col_starts):
+        self.inc = inc
+        self.l2g = l2g
+        self.row_starts = row_starts
+        self.col_starts = col_starts
+
+    def link_visits(self, record: FillRecord) -> int:
+        """The ``link_visits`` a cold fill of each component alone
+        would have counted, summed, from the *record* of a cold fill
+        of the block.
+
+        A fill scans a column in each round up to the one its last
+        live member freezes in, so a column costs one visit per round
+        of its own component up to that round.  A component's rounds
+        are the block rounds one of its rows froze in.
+        """
+        np_ = _np
+        inc = self.inc
+        if not inc.n_links:
+            return 0
+        round_of = record.round_of
+        # Every compiled column has a member, so no segment is empty.
+        last = np_.maximum.reduceat(round_of[inc.l_rows],
+                                    inc.l_indptr[:-1])
+        n_rounds = len(record.shares)
+        ks = np_.arange(self.row_starts.shape[0] - 1, dtype=np_.int64)
+        row_key = np_.repeat(ks, np_.diff(self.row_starts)) * n_rounds
+        keys = np_.unique(row_key + round_of)
+        col_key = np_.repeat(ks, np_.diff(self.col_starts)) * n_rounds
+        own = np_.searchsorted(keys, col_key + last) \
+            - np_.searchsorted(keys, col_key)
+        return int(own.sum()) + inc.n_links
+
+    def component(self, k: int, record: FillRecord
+                  ) -> Tuple[CompiledIncidence, Any, FillRecord]:
+        """Component *k* as a problem of its own, as compiled alone:
+        ``(inc, l2g, record)``.
+
+        The spans are closed, so every array is a slice of the block's:
+        rows keep their liveness, and the counts keep the patches
+        :meth:`CompiledIncidence.retire` made to the block.  The record
+        is the one a cold fill of the component alone leaves: the block
+        rounds its rows froze in, renumbered, and the block record's
+        columns filtered to its span.  A fill resumed from it is that
+        fill's resume.
+        """
+        np_ = _np
+        inc = self.inc
+        lo, hi = self.row_starts[k:k + 2].tolist()
+        col_lo, col_hi = self.col_starts[k:k + 2].tolist()
+        mem_lo, mem_hi = inc.indptr[[lo, hi]].tolist()
+        link_lo, link_hi = inc.l_indptr[[col_lo, col_hi]].tolist()
+        part = CompiledIncidence.__new__(CompiledIncidence)
+        part.fids = inc.fids[lo:hi]
+        part.indptr = inc.indptr[lo:hi + 1] - mem_lo
+        part.mem_cols = inc.mem_cols[mem_lo:mem_hi] - col_lo
+        part.n_links = col_hi - col_lo
+        part.row_lens = inc.row_lens[lo:hi].copy()
+        part.l_indptr = inc.l_indptr[col_lo:col_hi + 1] - link_lo
+        part.l_lens = inc.l_lens[col_lo:col_hi].copy()
+        part.l_rows = inc.l_rows[link_lo:link_hi] - lo
+        part.base_count = inc.base_count[col_lo:col_hi].copy()
+        part.alive = inc.alive[lo:hi].copy()
+        part.n_alive = int(np_.count_nonzero(part.alive))
+        part.row_of = {fid: row for row, fid in enumerate(part.fids)}
+
+        own = FillRecord(part)
+        own.capacity = record.capacity[col_lo:col_hi].copy()
+        frozen = record.round_of[lo:hi]
+        rounds = np_.unique(frozen)
+        own.round_of[:] = np_.searchsorted(rounds, frozen)
+        shares = record.shares
+        own.shares = [shares[r] for r in rounds.tolist()]
+        cols = record.cols[:record.starts[-1]]
+        pos = np_.flatnonzero((cols >= col_lo) & (cols < col_hi))
+        own.cols[:pos.shape[0]] = cols[pos] - col_lo
+        # The round of each kept column: the block round whose run
+        # holds it, renumbered (a closing round adds no columns).
+        per_round = np_.bincount(
+            np_.searchsorted(
+                rounds,
+                np_.searchsorted(record.starts, pos, side="right") - 1),
+            minlength=rounds.shape[0])
+        own.starts = [0] + np_.cumsum(per_round).tolist()
+        return part, self.l2g[col_lo:col_hi].copy(), own
+
+
+def compile_component(groups: Sequence[Sequence[int]],
+                      index: IncidenceIndex) -> CompiledBlock:
+    """Compile components' flows into one block-diagonal problem.
+
+    *groups* holds each component's flows; rows follow them component
+    after component.  Columns are ordered by (component, global
+    column), so each component keeps the ascending-global local
+    numbering it would get compiled alone — the solve result is
+    scan-order independent, so that order changes nothing observable.
+    A column two groups share gets one block column per group.
     """
     np_ = _np
-    fids = list(fids)
+    fids = [fid for group in groups for fid in group]
     col_arrays = [index.flow_cols(fid) for fid in fids]
     lens = np_.fromiter((arr.shape[0] for arr in col_arrays),
                         dtype=np_.int64, count=len(col_arrays))
     indptr = np_.zeros(len(fids) + 1, dtype=np_.int64)
     np_.cumsum(lens, out=indptr[1:])
+    row_starts = np_.zeros(len(groups) + 1, dtype=np_.int64)
+    np_.cumsum(np_.fromiter((len(group) for group in groups),
+                            dtype=np_.int64, count=len(groups)),
+               out=row_starts[1:])
     if col_arrays:
-        all_cols = np_.concatenate(col_arrays)
+        keys = np_.concatenate(col_arrays)
     else:
-        all_cols = np_.empty(0, dtype=np_.int64)
-    l2g, local = np_.unique(all_cols, return_inverse=True)
+        keys = np_.empty(0, dtype=np_.int64)
+    width = int(keys.max()) + 1 if keys.shape[0] else 1
+    ks = np_.arange(len(groups) + 1, dtype=np_.int64)
+    # (component, global column) keys, made in place from the global
+    # columns, so a compile holds no more membership-sized arrays than
+    # one of a single component.
+    keys += np_.repeat(ks[:-1] * width, np_.diff(indptr[row_starts]))
+    keys, local = np_.unique(keys, return_inverse=True)
     inc = CompiledIncidence(fids, indptr, local.astype(np_.int64),
-                            int(l2g.shape[0]))
-    return inc, l2g
+                            int(keys.shape[0]))
+    return CompiledBlock(inc, keys % width, row_starts,
+                         np_.searchsorted(keys // width, ks))

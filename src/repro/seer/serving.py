@@ -17,8 +17,9 @@ batch slot frees up.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -202,7 +203,7 @@ class ServingSimulator:
 
         report = ServingReport(arrived=len(requests),
                                duration_s=cfg.duration_s)
-        waiting: List[RequestRecord] = []
+        waiting: Deque[RequestRecord] = deque()
         running: List[RequestRecord] = []
         target_tokens: Dict[int, int] = {}
         next_arrival = 0
@@ -227,7 +228,7 @@ class ServingSimulator:
             # Scheduler: prefill one waiting request if a slot is free
             # (prefill-prioritized continuous batching), else decode.
             if waiting and len(running) < cfg.batch_max:
-                record = waiting.pop(0)
+                record = waiting.popleft()
                 record.prefill_start_s = max(now, record.arrival_s)
                 now = record.prefill_start_s + self.prefill_step_s()
                 record.first_token_s = now
@@ -237,16 +238,18 @@ class ServingSimulator:
 
             step = self.decode_step_s(len(running))
             now += step
-            finished = []
+            done = len(report.completed)
             for record in running:
                 record.output_tokens += 1
                 if record.output_tokens \
                         >= target_tokens[record.request_id]:
                     record.finish_s = now
-                    finished.append(record)
-            for record in finished:
-                running.remove(record)
-                report.completed.append(record)
+                    report.completed.append(record)
+            if len(report.completed) > done:
+                # One pass drops the finished, keeping batch order.
+                running = [record for record in running
+                           if record.output_tokens
+                           < target_tokens[record.request_id]]
 
         report.duration_s = max(cfg.duration_s, now)
         return report

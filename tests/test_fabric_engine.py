@@ -34,9 +34,13 @@ from repro.network import (
     run_collective_timed,
     use_backend,
 )
-from repro.network.engine import DONE_BITS
+from repro.network.engine import DONE_BITS, _Block
 from repro.network.routing import PartitionError
-from repro.network.solver import CompiledIncidence, solve_incidence
+from repro.network.solver import (
+    CompiledIncidence,
+    compile_component,
+    solve_incidence,
+)
 from repro.resilience import FailureInjector
 from repro.simcore import SimulationError, Simulator
 from repro.topology import AstralParams, build_astral
@@ -378,10 +382,28 @@ class TestIncrementalSolve:
         assert engine.stats.link_visits < batch_stats.link_visits
 
 
+def _span(entry, cid):
+    """The rows of *entry*'s incidence that cache component *cid*: its
+    span of a block, or every row of its own incidence."""
+    if isinstance(entry, _Block):
+        k = entry.members[cid]
+        return range(*entry.block.row_starts[k:k + 2].tolist())
+    return range(entry.inc.n_rows)
+
+
+def _cached_entries(engine):
+    """Each distinct cached entry once: a block serves all its
+    members."""
+    return list({id(entry): entry
+                 for entry in engine._comp_cache.values()}.values())
+
+
 def _check_components(engine):
     """Component bookkeeping invariants: every live flow is labelled
-    exactly once, every cached incidence belongs to a live component
-    and holds exactly that component's live flows."""
+    exactly once, every cached component is live and its span holds
+    exactly its live flows, and a block's members are exactly the
+    components cached on it, with at least half its rows in their
+    spans."""
     assert set(engine._comp_of) == set(engine._states)
     assert sum(map(len, engine._comp_fids.values())) \
         == len(engine._states)
@@ -390,9 +412,17 @@ def _check_components(engine):
     assert set(engine._comp_cache) <= set(engine._comp_fids)
     for cid, entry in engine._comp_cache.items():
         inc = entry.inc
-        live = {inc.fids[row] for row in range(inc.n_rows)
+        live = {inc.fids[row] for row in _span(entry, cid)
                 if inc.alive[row]}
         assert live == set(engine._comp_fids[cid])
+    for entry in _cached_entries(engine):
+        if isinstance(entry, _Block):
+            cids = [cid for cid, other in engine._comp_cache.items()
+                    if other is entry]
+            assert sorted(entry.members) == sorted(cids)
+            assert entry.kept == sum(len(_span(entry, cid))
+                                     for cid in cids)
+            assert 2 * entry.kept >= entry.inc.n_rows
 
 
 def _global_rates(engine):
@@ -567,7 +597,7 @@ class TestComponentSplit:
             assert len(engine._comp_of) == live
             assert len(engine._comp_fids) <= live
             rows = sum(entry.inc.n_rows
-                       for entry in engine._comp_cache.values())
+                       for entry in _cached_entries(engine))
             assert rows <= 2 * live
             peak[0] = max(peak[0], live)
 
@@ -578,6 +608,52 @@ class TestComponentSplit:
         assert len(run.finish_times_s) == len(flows)
         assert len(solves) > len(flows)
         assert peak[0] < 100, "the stream is meant to stay shallow"
+
+
+def _watch_compactions(monkeypatch):
+    """After every fluid-row compaction, check that each cached
+    component's span still maps its live rows to its own flows, and
+    record ``(time, cached entries, most members cached on a block)``
+    per compaction."""
+    kept = []
+    real_compact = FabricEngine._compact_rows
+
+    def compact(engine):
+        before = dict(engine._comp_cache)
+        real_compact(engine)
+        assert engine._comp_cache == before
+        fluid = engine._fluid
+        for cid, entry in before.items():
+            rows = [row for row in _span(entry, cid)
+                    if entry.inc.alive[row]]
+            assert [fluid.fids[row] for row in entry.rows[rows]] \
+                == [entry.inc.fids[row] for row in rows]
+        entries = _cached_entries(engine)
+        kept.append((engine.now, len(entries),
+                     max((len(entry.members) for entry in entries
+                          if isinstance(entry, _Block)), default=0)))
+
+    monkeypatch.setattr(FabricEngine, "_compact_rows", compact)
+    return kept
+
+
+def _check_global(engine):
+    _check_components(engine)
+    reference = _global_rates(engine)
+    for fid in engine._states:
+        assert engine.rate_of(fid) == reference[fid], fid
+
+
+def _stream(line_bits, pairs):
+    """Back-to-back one-second transfers that churn the fluid rows."""
+    stream = []
+    for i in range(pairs):
+        for src, dst, offset in (("p0.b0.h0", "p0.b0.h1", 0.0),
+                                 ("p0.b0.h1", "p0.b0.h0", 0.5)):
+            flow = make_flow(src, dst, rail=0, size_bits=line_bits)
+            flow.start_time_s = 2.0 * i + offset
+            stream.append(flow)
+    return stream
 
 
 class TestCompaction:
@@ -596,48 +672,99 @@ class TestCompaction:
                           ("p0.b1.h1", "p1.b0.h0", "p1.b0.h1",
                            "p1.b1.h0"))]
         # B: back-to-back transfers that churn the fluid rows.
-        stream = []
-        for i in range(300):
-            for src, dst, offset in (("p0.b0.h0", "p0.b0.h1", 0.0),
-                                     ("p0.b0.h1", "p0.b0.h0", 0.5)):
-                flow = make_flow(src, dst, rail=0, size_bits=line_bits)
-                flow.start_time_s = 2.0 * i + offset
-                stream.append(flow)
-        kept = []
-        real_compact = FabricEngine._compact_rows
-
-        def compact(engine):
-            before = dict(engine._comp_cache)
-            real_compact(engine)
-            assert engine._comp_cache == before
-            fluid = engine._fluid
-            for entry in before.values():
-                rows = np.flatnonzero(entry.inc.alive)
-                assert [fluid.fids[row]
-                        for row in entry.rows[rows].tolist()] \
-                    == [entry.inc.fids[row] for row in rows.tolist()]
-            kept.append((engine.now, len(before)))
-
-        def check(engine):
-            _check_components(engine)
-            reference = _global_rates(engine)
-            for fid in engine._states:
-                assert engine.rate_of(fid) == reference[fid], fid
-
-        monkeypatch.setattr(FabricEngine, "_compact_rows", compact)
-        solves = _after_each_solve(monkeypatch, check)
+        stream = _stream(line_bits, 300)
+        kept = _watch_compactions(monkeypatch)
+        solves = _after_each_solve(monkeypatch, _check_global)
         engine = FabricEngine(fabric)
         engine.submit_many(long_flows)
         engine.submit_many(stream)
         run = engine.run()
         assert len(run.finish_times_s) == len(long_flows) + len(stream)
         assert len(solves) > len(stream)
-        assert len(kept) >= 2 and min(n for _, n in kept) >= 1
+        assert len(kept) >= 2 and min(n for _, n, _ in kept) >= 1
         # A flow of A finished after a compaction while the rest of A
         # was live: A's kept entry was re-filled over remapped rows.
         finish = sorted(run.finish_times_s[flow.flow_id]
                         for flow in long_flows)
         assert kept[0][0] < finish[-2]
+
+    def test_compaction_remaps_a_block_once(self, monkeypatch):
+        """Long-lived components compiled in one block outlive
+        compactions: the block's rows are remapped once for all its
+        members, so each member, sliced out when one of its flows
+        finishes, still fills its own fluid rows."""
+        fabric = Fabric(build_astral(AstralParams.small()))
+        line_bits = fabric.host_line_rate_gbps * 1e9
+        groups = [[make_flow(src, f"{src[:-1]}{peer}", rail=0,
+                             size_bits=line_bits * 300.0 * peer)
+                   for peer in (1, 2, 3)]
+                  for src in ("p0.b1.h0", "p1.b0.h0")]
+        stream = _stream(line_bits, 200)
+        kept = _watch_compactions(monkeypatch)
+        solves = _after_each_solve(monkeypatch, _check_global)
+        engine = FabricEngine(fabric)
+        # The stream's first flow takes fluid row 0, so compactions
+        # shift the block's rows (a second remap would shift them
+        # twice).
+        engine.submit_many(stream)
+        for group in groups:
+            engine.submit_many(group)
+        run = engine.run()
+        assert len(run.finish_times_s) == 6 + len(stream)
+        assert len(solves) > len(stream)
+        # A compaction ran while several components sat on one block,
+        # before any of them lost a flow.
+        first = min(run.finish_times_s[group[0].flow_id]
+                    for group in groups)
+        assert any(at < first and members >= 2
+                   for at, _, members in kept)
+
+
+class TestBlockFill:
+    """The cold components of a solve are compiled and filled as one
+    block.  The engine must count exactly the work of one cold fill per
+    component and give each component that fill's rates."""
+
+    @pytest.mark.parametrize("backend", ["python", "vector"])
+    def test_block_counts_one_fill_per_component(self, monkeypatch,
+                                                 backend):
+        topology = build_astral(AstralParams.small())
+        rng = random.Random(f"block-count:{backend}")
+        flows = _random_flows(rng, _hosts(topology), 80)
+        for flow in flows:
+            flow.start_time_s = rng.choice((0.0, 0.5, 1.0))
+        real = FabricEngine._fill_cold
+        blocks = []
+
+        def fill_cold(engine, cids, kernel, line_rate, now):
+            # Each component compiled and filled alone, counted by the
+            # kernel itself.
+            alone = SolverStats()
+            rates = {}
+            for cid in cids:
+                block = compile_component(
+                    [list(engine._comp_fids[cid])], engine._index)
+                inc = block.inc
+                capacity = engine._index.gather_capacity(block.l2g)
+                alone.link_visits += inc.nnz + int(capacity.shape[0])
+                alone.flows_resolved += inc.n_alive
+                out = kernel(inc, capacity.copy(), line_rate, alone)
+                rates.update(zip(inc.fids, out.tolist()))
+            before = dataclasses.replace(engine.stats)
+            real(engine, cids, kernel, line_rate, now)
+            assert engine.stats.link_visits - before.link_visits \
+                == alone.link_visits
+            assert engine.stats.flows_resolved - before.flows_resolved \
+                == alone.flows_resolved
+            assert {fid: engine.rate_of(fid) for fid in rates} == rates
+            blocks.append(len(cids))
+
+        monkeypatch.setattr(FabricEngine, "_fill_cold", fill_cold)
+        with use_backend(backend):
+            engine = FabricEngine(Fabric(topology))
+            engine.submit_many(flows)
+            engine.run()
+        assert max(blocks) > 1
 
 
 class TestMidFlightController:

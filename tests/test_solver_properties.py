@@ -19,7 +19,11 @@ force real contention — and checks, per problem:
 * a fill resumed from a :class:`~repro.network.solver.FillRecord`
   after retirements gives a cold fill's rates and freeze order bit for
   bit under both kernels, with equal ``link_visits`` across kernels,
-  and a changed capacity restarts it cold.
+  and a changed capacity restarts it cold;
+* several problems compiled and filled as one
+  :class:`~repro.network.solver.CompiledBlock` give each problem the
+  incidence, record, rates and ``link_visits`` of a fill of its own,
+  and keep doing so through retirements and resumed fills.
 
 Crafted edge cases (all links tied at one share, everything
 line-rate-capped, flows through dead links) pin the exact values, and
@@ -36,7 +40,9 @@ from repro.network import solver
 from repro.network.solver import (
     CompiledIncidence,
     FillRecord,
+    IncidenceIndex,
     SolverStats,
+    compile_component,
     fill_rates_python,
     progressive_fill_vector,
     solve_incidence,
@@ -360,6 +366,110 @@ class TestWarmStart:
             warm = fill(kernel, inc, cap.copy(), record)
             assert record.shares == [-2.0, -1.5]
             assert bits(warm) == bits(cold_fill(kernel, inc, cap)[0])
+
+
+def index_problems(problems, shared):
+    """An :class:`IncidenceIndex` over *problems*, numbering flows
+    problem after problem, and each problem's flow ids.  Unless
+    *shared*, each problem's links are its own; otherwise problems
+    with a link name in common cross the same global column (whose
+    capacity is the last problem's)."""
+    index = IncidenceIndex()
+    groups = []
+    for i, (hops_of, capacity) in enumerate(problems):
+        name = (lambda hop: hop) if shared else (lambda hop, i=i: (i, hop))
+        for hop, value in capacity.items():
+            index.set_capacity(name(hop), value)
+        group = []
+        for hops in hops_of.values():
+            fid = sum(map(len, groups)) + len(group)
+            index.register_flow(fid, [name(hop) for hop in hops])
+            group.append(fid)
+        groups.append(group)
+    return index, groups
+
+
+def cold_block_fill(kernel, block, index, stats=None):
+    """A cold fill of *block* from *index*'s capacities, as the engine
+    runs one: the rates and the record."""
+    record = FillRecord(block.inc)
+    remaining = record.resume(block.inc, index.gather_capacity(block.l2g))
+    return kernel(block.inc, remaining, LINE_RATE, stats, record), record
+
+
+def assert_same_problem(got, want):
+    """Two compiled incidences ``==`` in every array."""
+    assert got.fids == want.fids and got.row_of == want.row_of
+    assert (got.n_links, got.n_alive) == (want.n_links, want.n_alive)
+    for name in ("indptr", "mem_cols", "row_lens", "l_indptr", "l_lens",
+                 "l_rows", "base_count", "alive"):
+        assert getattr(got, name).tolist() \
+            == getattr(want, name).tolist(), name
+
+
+def assert_same_record(got, want):
+    """Two fill records ``==`` in every field (``cols`` up to its
+    filled end: the rest is never read)."""
+    assert bits(got.capacity) == bits(want.capacity)
+    assert got.round_of.tolist() == want.round_of.tolist()
+    assert got.shares == want.shares
+    assert got.starts == want.starts
+    end = want.starts[-1]
+    assert got.cols[:end].tolist() == want.cols[:end].tolist()
+
+
+class TestBlockFill:
+    """One fill of a block of problems stands for one fill of each:
+    :meth:`~repro.network.solver.CompiledBlock.component` recovers each
+    problem's incidence and record and
+    :meth:`~repro.network.solver.CompiledBlock.link_visits` their
+    work, so a component filled in a block resumes exactly as one
+    filled alone."""
+
+    @pytest.mark.parametrize("kernel", KERNELS,
+                             ids=["python", "vector"])
+    @given(st.lists(incidence_problems(), min_size=1, max_size=4),
+           st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_fill_is_each_problems_fill(self, kernel, problems,
+                                              shared, data):
+        index, groups = index_problems(problems, shared)
+        block = compile_component(groups, index)
+        rates, record = cold_block_fill(kernel, block, index)
+        visits = 0
+        for k, group in enumerate(groups):
+            own = compile_component([group], index)
+            stats = SolverStats()
+            own_rates, own_record = cold_block_fill(kernel, own, index,
+                                                    stats)
+            visits += stats.link_visits
+            lo, hi = block.row_starts[k:k + 2].tolist()
+            assert bits(rates[lo:hi]) == bits(own_rates)
+
+            # Retire the same rows in the block and alone, then slice
+            # the problem out of the block.
+            for fid in data.draw(st.lists(st.sampled_from(group),
+                                          unique=True)):
+                assert block.inc.retire(fid) and own.inc.retire(fid)
+            inc, l2g, part_record = block.component(k, record)
+            assert_same_problem(inc, own.inc)
+            assert l2g.tolist() == own.l2g.tolist()
+            assert_same_record(part_record, own_record)
+            # The slice resumes as the problem's own record does.
+            capacity = index.gather_capacity(l2g)
+            results = []
+            for fill_inc, fill_record in ((inc, part_record),
+                                          (own.inc, own_record)):
+                stats = SolverStats()
+                warm = fill(kernel, fill_inc, capacity.copy(),
+                            fill_record, stats)
+                end = fill_record.starts[-1]
+                results.append((bits(warm), fill_record.round_of.tolist(),
+                                fill_record.shares, fill_record.starts,
+                                fill_record.cols[:end].tolist(),
+                                stats.link_visits))
+            assert results[0] == results[1]
+        assert block.link_visits(record) == visits
 
 
 # --------------------------------------------------------------------------
