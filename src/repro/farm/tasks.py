@@ -357,6 +357,7 @@ def run_hierarchy(params: Dict[str, Any]) -> Dict[str, Any]:
     from ..monitoring.faults import (FaultSpec, Manifestation,
                                      RootCause)
     from ..resilience import faults_from_document
+    from ..topology.astral import tor_name
 
     topo, jobs, placed = hierarchy_inputs(params)
     faults = {}
@@ -365,7 +366,7 @@ def run_hierarchy(params: Dict[str, Any]) -> Dict[str, Any]:
         faults[p.name] = FaultSpec(
             cause=RootCause.SWITCH_BUG,
             manifestation=Manifestation.FAIL_SLOW,
-            target=f"p{pod}.b{block}.r0.g0.tor")
+            target=tor_name(pod, block, 0, 0))
     if params.get("fault_document"):
         faults.update(faults_from_document(topo, placed,
                                            params["fault_document"]))

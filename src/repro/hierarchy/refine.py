@@ -68,17 +68,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..monitoring.faults import Effect, FaultSpec, Manifestation
 from ..monitoring.multijob import JobOutcome
-from ..topology.astral import AstralParams, build_astral
+from ..topology.astral import (AstralParams, build_astral, parse_device,
+                               rename_device)
 from ..topology.blast_radius import device_blast_radius, impacted_hosts
 from .compose import scaled_compute_s
 from .fold import (EngineRunner, _config_for, _fold_rep_blocks,
                    _solve_rep_pod, pod_local_params)
-from .symmetry import RefinedGroup, SymmetryMap, line_rate_certificate
-from .virtual import PlacedJob, parse_host, rename_device, rename_host
+from .symmetry import (RefinedGroup, SymmetryMap, line_rate_certificate,
+                       uf_find, uf_union)
+from .virtual import PlacedJob, rename_host
 
 __all__ = [
     "REFINE_MODES",
@@ -141,19 +143,6 @@ class RefinePlan:
     n_engine_hosts: int = 0
 
 
-def _device_block(target: str) -> Optional[Tuple[int, int]]:
-    """(pod, block) of a host- or ToR-named target, else None.
-
-    Aggs carry only a pod prefix, cores none, ``link:`` ids none —
-    all of those are outside block scope.
-    """
-    parts = target.split(".")
-    if (len(parts) >= 3 and parts[0][:1] == "p" and parts[0][1:].isdigit()
-            and parts[1][:1] == "b" and parts[1][1:].isdigit()):
-        return int(parts[0][1:]), int(parts[1][1:])
-    return None
-
-
 @lru_cache(maxsize=256)
 def _probe_evidence(probe_params: AstralParams,
                     target: str) -> Tuple[int, int]:
@@ -169,8 +158,8 @@ def _probe_evidence(probe_params: AstralParams,
     the block.
 
     The minimal block gives exactly the full-width block's evidence.
-    The target is a host or a ToR (:func:`_device_block`).  The minimal
-    block is a subgraph of the full-width one, with the same hosts, the
+    The target is a host or a ToR, the names that carry a block.  The
+    minimal block is a subgraph of the full-width one, with the same hosts, the
     same host–ToR wiring and the same failed links, so any path it has
     the full block has too.  Conversely, mapping Agg(r, g, k) to
     Agg(r, g, 0) and Core(k, c) to Core(0, 0) sends every healthy
@@ -232,13 +221,15 @@ def _fault_evidence(params: AstralParams, name: str, fault: FaultSpec,
         # device cut set at all — touched blocks are the job's own.
         return FaultEvidence(name=name, target=fault.target,
                              scope="job", blocks=job.blocks)
-    located = _device_block(fault.target)
-    if located is None:
+    # Hosts and ToRs name a block; Aggs carry only a pod, cores none,
+    # ``link:`` ids none: all of those are outside block scope.
+    located = parse_device(fault.target)
+    if located is None or located[2] is None:
         return FaultEvidence(
             name=name, target=fault.target, scope="pod",
             blocks=job.blocks,
             note=f"target {fault.target!r} is not block-scoped")
-    pod, block = located
+    _, pod, block = located[:3]
     if pod not in job.pods:
         return FaultEvidence(
             name=name, target=fault.target, scope="pod",
@@ -344,37 +335,25 @@ def _run_group_bounded(params: AstralParams, group: RefinedGroup,
     # Connected components over blocks: jobs union the blocks they
     # span; faults union their touched blocks with their job's.
     parent: Dict[int, int] = {}
-
-    def _find(block: int) -> int:
-        parent.setdefault(block, block)
-        while parent[block] != block:
-            parent[block] = parent[parent[block]]
-            block = parent[block]
-        return block
-
-    def _union(a: int, b: int) -> None:
-        ra, rb = _find(a), _find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     for placed in group.jobs:
         blocks = placed.blocks
         for block in blocks:
-            _union(blocks[0], block)
+            uf_union(parent, blocks[0], block)
     for name in group.faults:
         touched = evidence_blocks[name]
         anchor = by_name[name].blocks[0]
         for block in touched:
-            _union(anchor, block)
+            uf_union(parent, anchor, block)
 
-    faulted_roots = {_find(by_name[name].blocks[0])
+    faulted_roots = {uf_find(parent, by_name[name].blocks[0])
                      for name in group.faults}
     comp_jobs: Dict[int, List[PlacedJob]] = {}
     for placed in group.jobs:            # original placement order
-        comp_jobs.setdefault(_find(placed.blocks[0]), []).append(placed)
+        root = uf_find(parent, placed.blocks[0])
+        comp_jobs.setdefault(root, []).append(placed)
     comp_blocks: Dict[int, List[int]] = {}
     for block in parent:
-        comp_blocks.setdefault(_find(block), []).append(block)
+        comp_blocks.setdefault(uf_find(parent, block), []).append(block)
 
     compute_scale = power_caps.get(pod, 1.0)
     outcomes: Dict[str, JobOutcome] = {}

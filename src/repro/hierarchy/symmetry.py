@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..monitoring.faults import FaultSpec
-from ..topology.astral import AstralParams
+from ..topology.astral import AstralParams, parse_device
+from ..topology.elements import DeviceKind
 from .virtual import PlacedJob, pod_of_device
 
 __all__ = [
@@ -175,6 +176,23 @@ class SymmetryMap:
                 and all(cls.certified for cls in self.classes))
 
 
+def uf_find(parent: Dict[int, int], item: int) -> int:
+    """Root of *item* in the union-find forest *parent*, halving its
+    path; an item not yet in *parent* becomes a set of its own."""
+    parent.setdefault(item, item)
+    while parent[item] != item:
+        parent[item] = parent[parent[item]]
+        item = parent[item]
+    return item
+
+
+def uf_union(parent: Dict[int, int], a: int, b: int) -> None:
+    """Merge the sets of *a* and *b*; the smaller root stays root."""
+    ra, rb = uf_find(parent, a), uf_find(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)
+
+
 def _sort_key(placed: PlacedJob):
     return (job_shape(placed.job), placed.positions_in_pod(),
             placed.name)
@@ -222,8 +240,10 @@ def detect_symmetry(params: AstralParams, placed: Sequence[PlacedJob],
             # pod-local job still pins at least that job's pod; link
             # ids shift under renaming and core switches are shared by
             # every pod, so both escalate straight to flat.
+            parsed = parse_device(fault.target)
             if (fault.target.startswith("link:")
-                    or fault.target.split(".")[-1] == "core"):
+                    or (parsed is not None
+                        and parsed[0] is DeviceKind.CORE)):
                 flat_fallback = True
             else:
                 _break(job.pod, f"fault {name}: {fault.target}")
@@ -260,18 +280,6 @@ def detect_symmetry(params: AstralParams, placed: Sequence[PlacedJob],
 
     # -- refined groups: union-find over broken pods via cross jobs ---
     parent: Dict[int, int] = {pod: pod for pod in broken}
-
-    def _find(pod: int) -> int:
-        while parent[pod] != pod:
-            parent[pod] = parent[parent[pod]]
-            pod = parent[pod]
-        return pod
-
-    def _union(a: int, b: int) -> None:
-        ra, rb = _find(a), _find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     refined_cross: List[PlacedJob] = []
     analytic: List[PlacedJob] = []
     for p in cross_jobs:
@@ -279,13 +287,13 @@ def detect_symmetry(params: AstralParams, placed: Sequence[PlacedJob],
             refined_cross.append(p)
             pods = p.pods
             for pod in pods[1:]:
-                _union(pods[0], pod)
+                uf_union(parent, pods[0], pod)
         else:
             analytic.append(p)
 
     groups: Dict[int, List[int]] = {}
     for pod in sorted(broken):
-        groups.setdefault(_find(pod), []).append(pod)
+        groups.setdefault(uf_find(parent, pod), []).append(pod)
 
     refined: List[RefinedGroup] = []
     for root in sorted(groups):

@@ -9,13 +9,9 @@ formulas the builder uses, and placement is integer arithmetic over
 :class:`~repro.topology.astral.AstralParams`.  Nothing here allocates
 per-device state, so a 512K-GPU cluster costs a dataclass.
 
-Name formats (kept bit-compatible with ``build_astral`` so folded
-sub-simulations and flat reference runs agree on every identifier):
-
-* host  ``p{pod}.b{block}.h{host}``
-* ToR   ``p{pod}.b{block}.r{rail}.g{group}.tor``
-* Agg   ``p{pod}.r{rail}.g{group}.a{rank}.agg``
-* Core  ``cg{group}.c{index}.core`` (pod-free: never renamed)
+Device names come from :mod:`repro.topology.astral`'s codec, the same
+functions the builder uses, so folded sub-simulations and flat
+reference runs agree on every identifier.
 """
 
 from __future__ import annotations
@@ -23,17 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..topology.astral import AstralParams
+from ..topology.astral import (AstralParams, host_name, host_prefix,
+                               parse_device)
+from ..topology.elements import DeviceKind
 
 __all__ = [
     "Coord",
     "HierJob",
     "PlacedJob",
-    "host_name",
     "parse_host",
     "pod_of_device",
     "place_jobs",
-    "rename_device",
     "rename_host",
 ]
 
@@ -41,29 +37,19 @@ __all__ = [
 Coord = Tuple[int, int, int]
 
 
-def host_name(pod: int, block: int, host: int) -> str:
-    return f"p{pod}.b{block}.h{host}"
-
-
 def parse_host(name: str) -> Coord:
     """``p1.b2.h3`` -> ``(1, 2, 3)``; raises ValueError otherwise."""
-    parts = name.split(".")
-    if len(parts) != 3 or parts[0][:1] != "p" or parts[1][:1] != "b" \
-            or parts[2][:1] != "h":
+    parsed = parse_device(name)
+    if parsed is None or parsed[0] is not DeviceKind.HOST:
         raise ValueError(f"not an Astral host name: {name!r}")
-    return int(parts[0][1:]), int(parts[1][1:]), int(parts[2][1:])
+    return parsed[1], parsed[2], parsed[5]
 
 
 def pod_of_device(name: str) -> Optional[int]:
-    """Pod index encoded in a device name, or None (core tier, links).
-
-    Works for hosts, ToRs, and Aggs, whose names all begin ``p<pod>.``;
-    core switches (``cg...``) and opaque targets return None.
-    """
-    head = name.split(".", 1)[0]
-    if head[:1] == "p" and head[1:].isdigit():
-        return int(head[1:])
-    return None
+    """Pod index of a host, ToR or Agg name, or None (core tier,
+    ``link:`` ids and other opaque targets)."""
+    parsed = parse_device(name)
+    return None if parsed is None else parsed[1]
 
 
 def rename_host(name: str, pod_map: Dict[int, int],
@@ -72,29 +58,6 @@ def rename_host(name: str, pod_map: Dict[int, int],
     if block_map is not None:
         block = block_map[block]
     return host_name(pod_map[pod], block, host)
-
-
-def rename_device(name: str, pod_map: Dict[int, int],
-                  block_map: Optional[Dict[int, int]] = None) -> str:
-    """Rename any pod-scoped device into a sub-simulation's coordinates.
-
-    Hosts and ToRs carry ``p<pod>.b<block>`` prefixes, Aggs only a
-    ``p<pod>``; core names and unrecognised targets pass through
-    unchanged (cores are shared and pod-free by construction).
-    """
-    parts = name.split(".")
-    head = parts[0]
-    if head[:1] != "p" or not head[1:].isdigit():
-        return name
-    pod = int(head[1:])
-    if pod not in pod_map:
-        return name
-    parts[0] = f"p{pod_map[pod]}"
-    if len(parts) > 1 and parts[1][:1] == "b" and parts[1][1:].isdigit():
-        block = int(parts[1][1:])
-        if block_map is not None:
-            parts[1] = f"b{block_map[block]}"
-    return ".".join(parts)
 
 
 @dataclass(frozen=True)
@@ -222,7 +185,7 @@ def place_jobs(params: AstralParams,
             else:
                 picked = range(offset, min(per_block, offset + want))
                 offset = picked.stop
-            prefix = f"p{pod}.b{block}.h"
+            prefix = host_prefix(pod, block)
             coords_list += [(pod, block, index) for index in picked]
             hosts += [f"{prefix}{index}" for index in picked]
             if offset >= per_block:

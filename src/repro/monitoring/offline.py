@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..topology.astral import AstralParams
+from ..topology.astral import AstralParams, host_name, tor_name
 from ..topology.elements import DeviceKind, Topology
 
 __all__ = [
@@ -68,13 +68,12 @@ def expected_wiring_table(params: Optional[AstralParams] = None
     for pod in range(params.pods):
         for block in range(params.blocks_per_pod):
             for host in range(params.hosts_per_block):
-                host_name = f"p{pod}.b{block}.h{host}"
+                name = host_name(pod, block, host)
                 for rail in range(params.rails):
                     for group in range(params.tor_groups):
                         port = rail * params.nic_ports + group
-                        tor = (f"p{pod}.b{block}.r{rail}.g{group}"
-                               ".tor")
-                        rows.append((host_name, port, tor))
+                        rows.append((name, port,
+                                     tor_name(pod, block, rail, group)))
     return rows
 
 

@@ -269,6 +269,28 @@ class JobMetadata:
 # Store
 # --------------------------------------------------------------------------
 
+#: The nine record types, declared once: (store attribute, NDJSON
+#: ``type`` tag, record class).  The store's buckets, :meth:`add`'s
+#: dispatch, the wire format and ``==`` all read this table, and its
+#: order is the bucket order of :meth:`TelemetryStore.to_jsonl`.
+_RECORD_TYPES = (
+    ("nccl_timeline", "nccl-timeline", NcclTimelineRecord),
+    ("iterations", "iteration", IterationReport),
+    ("qp_rates", "qp-rate", QpRateRecord),
+    ("err_cqes", "err-cqe", ErrCqeRecord),
+    ("sflow_paths", "sflow-path", SflowPathRecord),
+    ("int_pings", "int-ping", IntPingRecord),
+    ("switch_counters", "switch-counter", SwitchCounterRecord),
+    ("syslogs", "syslog", SyslogRecord),
+    ("host_sensors", "host-sensor", HostSensorRecord),
+)
+_ATTR_OF_TYPE = {cls: attr for attr, _, cls in _RECORD_TYPES}
+_TYPE_OF_TAG = {tag: cls for _, tag, cls in _RECORD_TYPES}
+#: record fields declared as tuples — JSON round-trips them as lists,
+#: so rebuild coerces them back for frozen-dataclass equality.
+_TUPLE_FIELDS = ("devices", "link_ids", "hop_latencies_us")
+
+
 class TelemetryStore:
     """In-memory store of all collected records, indexed per layer.
 
@@ -278,15 +300,8 @@ class TelemetryStore:
     """
 
     def __init__(self) -> None:
-        self.nccl_timeline: List[NcclTimelineRecord] = []
-        self.iterations: List[IterationReport] = []
-        self.qp_rates: List[QpRateRecord] = []
-        self.err_cqes: List[ErrCqeRecord] = []
-        self.sflow_paths: List[SflowPathRecord] = []
-        self.int_pings: List[IntPingRecord] = []
-        self.switch_counters: List[SwitchCounterRecord] = []
-        self.syslogs: List[SyslogRecord] = []
-        self.host_sensors: List[HostSensorRecord] = []
+        for attr, _, _ in _RECORD_TYPES:
+            setattr(self, attr, [])
         self.jobs: Dict[str, JobMetadata] = {}
 
     # -- writers ------------------------------------------------------------
@@ -295,21 +310,10 @@ class TelemetryStore:
 
     def add(self, record) -> None:
         """Dispatch a record to its layer's list by type."""
-        buckets = {
-            NcclTimelineRecord: self.nccl_timeline,
-            IterationReport: self.iterations,
-            QpRateRecord: self.qp_rates,
-            ErrCqeRecord: self.err_cqes,
-            SflowPathRecord: self.sflow_paths,
-            IntPingRecord: self.int_pings,
-            SwitchCounterRecord: self.switch_counters,
-            SyslogRecord: self.syslogs,
-            HostSensorRecord: self.host_sensors,
-        }
-        bucket = buckets.get(type(record))
-        if bucket is None:
+        attr = _ATTR_OF_TYPE.get(type(record))
+        if attr is None:
             raise TypeError(f"unknown telemetry type: {type(record)}")
-        bucket.append(record)
+        getattr(self, attr).append(record)
 
     # -- scoped reads (the analyzer's query surface) ---------------------------
     def timeline_for(self, job: str, iteration: Optional[int] = None
@@ -370,33 +374,24 @@ class TelemetryStore:
     def sensors_for(self, host: str) -> List[HostSensorRecord]:
         return [r for r in self.host_sensors if r.host == host]
 
-    # -- wire format (shared by twin streams and offline analysis) -------
-    _BUCKETS = (
-        ("nccl_timeline", "nccl-timeline"),
-        ("iterations", "iteration"),
-        ("qp_rates", "qp-rate"),
-        ("err_cqes", "err-cqe"),
-        ("sflow_paths", "sflow-path"),
-        ("int_pings", "int-ping"),
-        ("switch_counters", "switch-counter"),
-        ("syslogs", "syslog"),
-        ("host_sensors", "host-sensor"),
-    )
-
+    # -- wire format (twin streams, archives, offline analysis) ----------
     def to_jsonl(self) -> str:
         """Serialize every record (and job metadata) as NDJSON.
 
         One type-tagged JSON object per line; job-metadata lines come
         first, then each layer bucket in declaration order, preserving
         insertion order within a bucket — so
-        ``from_jsonl(store.to_jsonl()) == store`` exactly.
+        ``from_jsonl(store.to_jsonl()) == store`` exactly.  This is the
+        store's one wire format: the twin streams it, and an archived
+        store re-analysed offline (§3.1's fallback) must reach the same
+        diagnosis as the live one.
         """
         lines: List[str] = []
         for job in self.jobs.values():
             payload = asdict(job)
             payload["type"] = "job-metadata"
             lines.append(json.dumps(payload, sort_keys=True))
-        for attr, tag in self._BUCKETS:
+        for attr, tag, _ in _RECORD_TYPES:
             for record in getattr(self, attr):
                 payload = asdict(record)
                 payload["type"] = tag
@@ -432,33 +427,17 @@ class TelemetryStore:
             return NotImplemented
         return (self.jobs == other.jobs
                 and all(getattr(self, attr) == getattr(other, attr)
-                        for attr, _ in self._BUCKETS))
+                        for attr, _, _ in _RECORD_TYPES))
 
     __hash__ = None  # mutable container
 
 
-_WIRE_TYPES = {
-    "nccl-timeline": NcclTimelineRecord,
-    "iteration": IterationReport,
-    "qp-rate": QpRateRecord,
-    "err-cqe": ErrCqeRecord,
-    "sflow-path": SflowPathRecord,
-    "int-ping": IntPingRecord,
-    "switch-counter": SwitchCounterRecord,
-    "syslog": SyslogRecord,
-    "host-sensor": HostSensorRecord,
-}
-#: record fields declared as tuples — JSON round-trips them as lists,
-#: so rebuild coerces them back for frozen-dataclass equality.
-_TUPLE_FIELDS = ("devices", "link_ids", "hop_latencies_us")
-
-
 def _record_from_wire(tag: str, payload: Dict, number: int):
-    record_cls = _WIRE_TYPES.get(tag)
+    record_cls = _TYPE_OF_TAG.get(tag)
     if record_cls is None:
         raise ValueError(
             f"telemetry line {number}: unknown record type {tag!r}; "
-            f"expected one of {sorted(_WIRE_TYPES)} or 'job-metadata'")
+            f"expected one of {sorted(_TYPE_OF_TAG)} or 'job-metadata'")
     fields = dict(payload)
     if "five_tuple" in fields:
         fields["five_tuple"] = FiveTuple(**fields["five_tuple"])

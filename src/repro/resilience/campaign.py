@@ -35,7 +35,7 @@ from ..network.engine import FabricEngine
 from ..network.fabric import Fabric
 from ..network.flows import reset_flow_ids
 from ..network.routing import RoutingError
-from ..topology.astral import AstralParams, build_astral
+from ..topology.astral import AstralParams, build_astral, parse_device
 from .injector import FailureInjector
 from .pipeline import RecoveryPipeline
 
@@ -62,7 +62,7 @@ def default_tor_faults(params: AstralParams, seed: int = 0,
     tors = sorted(s.name for s in build_astral(params).switches(
         DeviceKind.TOR))
     in_first_block = [name for name in tors
-                     if name.startswith("p0.b0.")]
+                      if parse_device(name)[1:3] == (0, 0)]
     tors = in_first_block or tors
     rng = random.Random(f"resilience-cli:{seed}")
     return [

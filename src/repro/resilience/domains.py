@@ -42,7 +42,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..monitoring.faults import (Effect, FaultSpec, Manifestation,
                                  RootCause)
-from ..topology.astral import AstralParams
+from ..topology.astral import (AstralParams, host_name, parse_device,
+                               tor_name)
+from ..topology.elements import DeviceKind
 
 __all__ = [
     "DOMAIN_KINDS",
@@ -168,7 +170,7 @@ def _domain_targets(params: AstralParams, domain: FaultDomain,
                  for rail in range(params.gpus_per_host)
                  for group in range(params.nic_ports)]
         chosen = sorted(rng.sample(pairs, domain.size))
-        return [f"p{domain.pod}.b{domain.block}.r{rail}.g{group}.tor"
+        return [tor_name(domain.pod, domain.block, rail, group)
                 for rail, group in chosen]
     per_block = params.hosts_per_block
     if contiguous:
@@ -176,7 +178,7 @@ def _domain_targets(params: AstralParams, domain: FaultDomain,
         hosts = range(start, start + domain.size)
     else:
         hosts = sorted(rng.sample(range(per_block), domain.size))
-    return [f"p{domain.pod}.b{domain.block}.h{host}" for host in hosts]
+    return [host_name(domain.pod, domain.block, host) for host in hosts]
 
 
 def _member_spec(domain: FaultDomain, target: str,
@@ -232,8 +234,9 @@ def expand_domains(params: AstralParams, placed: Sequence,
                 by_block.setdefault((pod, block), []).append(placed_job)
     faults: Dict[str, FaultSpec] = {}
     for domain in domains:
+        switches = _KIND_PROFILES[domain.kind][0]
         for spec in domain_fault_specs(params, domain):
-            if spec.target.endswith(".tor"):
+            if switches:
                 residents = by_block.get((domain.pod, domain.block), [])
                 name = next((p.name for p in residents
                              if p.name not in faults), None)
@@ -288,28 +291,22 @@ def _check_device_target(params: AstralParams, target: str,
     """Range-check a host/ToR/Agg-shaped target against the cluster
     shape, so a typo'd coordinate fails here with the fault named
     instead of as a ``KeyError`` deep inside topology renaming."""
-    parts = target.split(".")
-    head = parts[0]
-    if head[:1] != "p" or not head[1:].isdigit():
+    parsed = parse_device(target)
+    if parsed is None or parsed[1] is None:
         return                       # core / link: / job-name target
-    pod = int(head[1:])
+    kind, pod, block, _, _, host = parsed
     if pod >= params.pods:
         raise ValueError(
             f"{where}: target {target!r} names pod {pod} but the "
             f"cluster has {params.pods} pods")
-    if len(parts) > 1 and parts[1][:1] == "b" and parts[1][1:].isdigit():
-        block = int(parts[1][1:])
-        if block >= params.blocks_per_pod:
-            raise ValueError(
-                f"{where}: target {target!r} names block {block} but "
-                f"pods have {params.blocks_per_pod} blocks")
-        if (len(parts) == 3 and parts[2][:1] == "h"
-                and parts[2][1:].isdigit()):
-            host = int(parts[2][1:])
-            if host >= params.hosts_per_block:
-                raise ValueError(
-                    f"{where}: target {target!r} names host {host} "
-                    f"but blocks have {params.hosts_per_block} hosts")
+    if block is not None and block >= params.blocks_per_pod:
+        raise ValueError(
+            f"{where}: target {target!r} names block {block} but "
+            f"pods have {params.blocks_per_pod} blocks")
+    if kind is DeviceKind.HOST and host >= params.hosts_per_block:
+        raise ValueError(
+            f"{where}: target {target!r} names host {host} "
+            f"but blocks have {params.hosts_per_block} hosts")
 
 
 def faults_from_document(params: AstralParams, placed: Sequence,

@@ -16,10 +16,11 @@ batch slot frees up.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -204,20 +205,23 @@ class ServingSimulator:
         report = ServingReport(arrived=len(requests),
                                duration_s=cfg.duration_s)
         waiting: Deque[RequestRecord] = deque()
-        running: List[RequestRecord] = []
-        target_tokens: Dict[int, int] = {}
-        next_arrival = 0
+        # Every decode step adds one token to every running request, so
+        # a request admitted after decode step ``decodes`` that wants T
+        # tokens (it holds 1 after prefill) finishes at decode step
+        # ``decodes + max(1, T - 1)`` holding max(2, T) tokens.  The
+        # heap keeps (finish step, admission order, record, tokens):
+        # requests finishing at one step leave in admission order.
+        running: List[Tuple[int, int, RequestRecord, int]] = []
+        next_arrival = admitted = decodes = 0
         now = 0.0
 
         while now < cfg.duration_s or running or waiting:
             # Admit arrivals up to the current time.
             while next_arrival < len(requests) \
                     and requests[next_arrival].arrival_s <= now:
-                draw = requests[next_arrival]
-                record = RequestRecord(request_id=next_arrival,
-                                       arrival_s=draw.arrival_s)
-                target_tokens[record.request_id] = draw.output_tokens
-                waiting.append(record)
+                waiting.append(RequestRecord(
+                    request_id=next_arrival,
+                    arrival_s=requests[next_arrival].arrival_s))
                 next_arrival += 1
             if not running and not waiting:
                 if next_arrival >= len(requests):
@@ -233,23 +237,20 @@ class ServingSimulator:
                 now = record.prefill_start_s + self.prefill_step_s()
                 record.first_token_s = now
                 record.output_tokens = 1
-                running.append(record)
+                target = requests[record.request_id].output_tokens
+                heapq.heappush(running, (decodes + max(1, target - 1),
+                                         admitted, record,
+                                         max(2, target)))
+                admitted += 1
                 continue
 
-            step = self.decode_step_s(len(running))
-            now += step
-            done = len(report.completed)
-            for record in running:
-                record.output_tokens += 1
-                if record.output_tokens \
-                        >= target_tokens[record.request_id]:
-                    record.finish_s = now
-                    report.completed.append(record)
-            if len(report.completed) > done:
-                # One pass drops the finished, keeping batch order.
-                running = [record for record in running
-                           if record.output_tokens
-                           < target_tokens[record.request_id]]
+            now += self.decode_step_s(len(running))
+            decodes += 1
+            while running and running[0][0] <= decodes:
+                _, _, record, tokens = heapq.heappop(running)
+                record.output_tokens = tokens
+                record.finish_s = now
+                report.completed.append(record)
 
         report.duration_s = max(cfg.duration_s, now)
         return report

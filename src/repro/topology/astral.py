@@ -23,9 +23,10 @@ order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .elements import (
     DeviceKind,
@@ -38,7 +39,18 @@ from .elements import (
     TopologyError,
 )
 
-__all__ = ["AstralParams", "NAMED_SCALES", "build_astral"]
+__all__ = [
+    "AstralParams",
+    "NAMED_SCALES",
+    "agg_name",
+    "build_astral",
+    "core_name",
+    "host_name",
+    "host_prefix",
+    "parse_device",
+    "rename_device",
+    "tor_name",
+]
 
 #: the laptop-scale instances :meth:`AstralParams.named` accepts.
 NAMED_SCALES = ("tiny", "small", "cluster")
@@ -175,20 +187,88 @@ class AstralParams:
             raise TopologyError("tier-3 oversubscription must be >= 1")
 
 
-def _host_name(pod: int, block: int, host: int) -> str:
-    return f"p{pod}.b{block}.h{host}"
+# -- device names ----------------------------------------------------------
+# The one codec for Astral device names: the four builders below, and
+# ``parse_device``/``rename_device``, which accept exactly the names
+# the builders produce (decimal fields, no sign, no leading zero).
+
+def host_prefix(pod: int, block: int) -> str:
+    """What every host name in (pod, block) starts with: append the
+    host index to get :func:`host_name`."""
+    return f"p{pod}.b{block}.h"
 
 
-def _tor_name(pod: int, block: int, rail: int, group: int) -> str:
+def host_name(pod: int, block: int, host: int) -> str:
+    return f"{host_prefix(pod, block)}{host}"
+
+
+def tor_name(pod: int, block: int, rail: int, group: int) -> str:
     return f"p{pod}.b{block}.r{rail}.g{group}.tor"
 
 
-def _agg_name(pod: int, rail: int, group: int, rank: int) -> str:
+def agg_name(pod: int, rail: int, group: int, rank: int) -> str:
     return f"p{pod}.r{rail}.g{group}.a{rank}.agg"
 
 
-def _core_name(core_group: int, index: int) -> str:
+def core_name(core_group: int, index: int) -> str:
     return f"cg{core_group}.c{index}.core"
+
+
+_N = "(0|[1-9][0-9]*)"
+#: (kind, pattern, the Device field each group fills), one per builder.
+_NAME_PATTERNS = (
+    (DeviceKind.HOST, re.compile(rf"p{_N}\.b{_N}\.h{_N}"),
+     ("pod", "block", "rank")),
+    (DeviceKind.TOR, re.compile(rf"p{_N}\.b{_N}\.r{_N}\.g{_N}\.tor"),
+     ("pod", "block", "rail", "group")),
+    (DeviceKind.AGG, re.compile(rf"p{_N}\.r{_N}\.g{_N}\.a{_N}\.agg"),
+     ("pod", "rail", "group", "rank")),
+    (DeviceKind.CORE, re.compile(rf"cg{_N}\.c{_N}\.core"),
+     ("group", "rank")),
+)
+_POSITION = ("pod", "block", "rail", "group", "rank")
+
+#: ``(kind, pod, block, rail, group, rank)`` of a parsed device name.
+DeviceName = Tuple[DeviceKind, Optional[int], Optional[int],
+                   Optional[int], Optional[int], Optional[int]]
+
+
+def parse_device(name: str) -> Optional[DeviceName]:
+    """``(kind, pod, block, rail, group, rank)`` of an Astral host or
+    switch name — the position fields its :class:`Device` carries, with
+    ``None`` where the kind has none (a host's index is its ``rank``) —
+    or ``None`` for any string no builder above produces (``link:``
+    ids, job names, GPU/NIC names, non-canonical numbers)."""
+    for kind, pattern, fields in _NAME_PATTERNS:
+        match = pattern.fullmatch(name)
+        if match is not None:
+            position = dict(zip(fields, map(int, match.groups())))
+            return (kind, *(position.get(key) for key in _POSITION))
+    return None
+
+
+def rename_device(name: str, pod_map: Dict[int, int],
+                  block_map: Optional[Dict[int, int]] = None) -> str:
+    """*name* moved into a sub-simulation's coordinates: its pod through
+    *pod_map* and, when given, its block through *block_map*.
+
+    Names without a pod in *pod_map* pass through unchanged: cores
+    (shared and pod-free by construction), other pods' devices, and
+    strings :func:`parse_device` rejects.  A block missing from
+    *block_map* raises ``KeyError``.
+    """
+    parsed = parse_device(name)
+    if parsed is None or parsed[1] not in pod_map:
+        return name
+    kind, pod, block, rail, group, rank = parsed
+    pod = pod_map[pod]
+    if block is not None and block_map is not None:
+        block = block_map[block]
+    if kind is DeviceKind.HOST:
+        return host_name(pod, block, rank)
+    if kind is DeviceKind.TOR:
+        return tor_name(pod, block, rail, group)
+    return agg_name(pod, rail, group, rank)
 
 
 def build_astral(params: AstralParams | None = None) -> Topology:
@@ -213,13 +293,13 @@ def build_astral(params: AstralParams | None = None) -> Topology:
     rails, groups = range(params.rails), range(params.tor_groups)
     ranks = range(params.aggs_per_group)
     # Name tables, shared by the devices and their links.
-    tors = {(pod, block): [_tor_name(pod, block, rail, group)
+    tors = {(pod, block): [tor_name(pod, block, rail, group)
                            for rail in rails for group in groups]
             for pod in pods for block in blocks}
-    aggs = {pod: [[_agg_name(pod, rail, group, rank) for rank in ranks]
+    aggs = {pod: [[agg_name(pod, rail, group, rank) for rank in ranks]
                   for rail in rails for group in groups]
             for pod in pods}
-    cores = [[_core_name(core_group, index)
+    cores = [[core_name(core_group, index)
               for index in range(params.cores_per_group)]
              for core_group in range(params.core_groups)]
 
@@ -227,7 +307,7 @@ def build_astral(params: AstralParams | None = None) -> Topology:
     for pod in pods:
         for block in blocks:
             for index in range(params.hosts_per_block):
-                name = _host_name(pod, block, index)
+                name = host_name(pod, block, index)
                 host = Host(
                     name=name, kind=DeviceKind.HOST, pod=pod, block=block,
                     rank=index,
@@ -293,7 +373,7 @@ def _astral_links(params: AstralParams,
     gbps = params.nic_port_gbps
     for (pod, block), tor_row in tors.items():
         for index in range(hosts_per_block):
-            host = _host_name(pod, block, index)
+            host = host_name(pod, block, index)
             for port, tor in enumerate(tor_row):
                 yield PortRef(host, port), PortRef(tor, index), gbps
 

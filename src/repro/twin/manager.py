@@ -273,15 +273,15 @@ class SessionManager:
 
 
 def _replay_via_farm(log: Dict[str, Any]) -> Dict[str, Any]:
-    """Run the registered ``twin-replay`` task on a one-worker farm."""
+    """Run the registered ``twin-replay`` task in this thread, through
+    the farm's one execution choke point; nothing is cached."""
     from ..farm import tasks as _tasks  # noqa: F401 — registry import
-    from ..farm.executor import FarmExecutor
-    from ..farm.spec import TaskSpec
+    from ..farm.spec import TaskSpec, execute_spec
     spec = TaskSpec(kind="twin-replay",
                     params={"config": log["config"],
                             "action_log": log["action_log"]})
-    report = FarmExecutor(workers=1, use_cache=False).run([spec])
-    result = report.results[0]
-    if result.status != "ok":
-        raise TwinError(500, f"replay failed: {result.error}")
-    return result.result
+    try:
+        return execute_spec(spec)
+    except Exception as exc:  # noqa: BLE001 — surfaced as a 500
+        raise TwinError(500, f"replay failed: "
+                             f"{type(exc).__name__}: {exc}") from None

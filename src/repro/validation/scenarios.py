@@ -32,6 +32,7 @@ from ..topology import (
     build_full_interconnect_tier2,
     build_rail_only,
 )
+from ..topology.astral import host_name
 from ..topology.elements import Topology
 
 __all__ = [
@@ -382,15 +383,16 @@ class ScenarioGenerator:
                 "seed": rng.randrange(1000)}]
             expect = "pod"
         elif variant == "explicit":
+            host = host_name(pod, block, 0)
             fault = rng.choice([
                 {"cause": "nic-error", "manifestation": "fail-hang",
-                 "target": f"p{pod}.b{block}.h0"},
+                 "target": host},
                 {"cause": "user-code", "manifestation": "fail-stop",
                  "target": job_name},
                 {"cause": "gpu-hardware", "manifestation": "fail-stop",
-                 "target": f"p{pod}.b{block}.h0"},
+                 "target": host},
                 {"cause": "ccl-bug", "manifestation": "fail-hang",
-                 "target": f"p{pod}.b{block}.h0"},
+                 "target": host},
             ])
             document["faults"] = [dict(fault, job=job_name,
                                        at_iteration=rng.choice([1, 2]))]
@@ -400,7 +402,7 @@ class ScenarioGenerator:
             document["faults"] = [{
                 "job": job_name, "cause": "nic-error",
                 "manifestation": "fail-slow",
-                "target": f"p{pod}.b{block}.h0",
+                "target": host_name(pod, block, 0),
                 "at_time_s": round(rng.uniform(0.05, 0.4), 3)}]
             expect = "pod"
         hierarchy["fault_document"] = document
@@ -458,7 +460,7 @@ class ScenarioGenerator:
                            ) -> Dict[str, Any]:
         hosts_per_block = spec.topo["hosts_per_block"]
         n = rng.randint(3, max(3, hosts_per_block))
-        hosts = [f"p0.b0.h{i}" for i in range(n)]
+        hosts = [host_name(0, 0, i) for i in range(n)]
         return {
             "kind": rng.choice(["allreduce", "alltoall"]),
             "hosts": hosts,

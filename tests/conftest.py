@@ -8,11 +8,17 @@ tests and to the farm's serial path, which use them.
 
 The bound is about 17x the slowest tier-1 test (17.5 s, measured with
 ``--durations=20`` on 2 vCPUs), so only a hang can reach it.
+
+The run also points ``REPRO_FARM_CACHE`` at a temporary directory for
+its whole length (subprocesses inherit it), so no test writes farm
+results into ``~/.cache/repro-farm`` or a cache the caller configured.
 """
 
 import faulthandler
 import os
+import shutil
 import sys
+import tempfile
 
 import pytest
 
@@ -22,14 +28,26 @@ HANG_BOUND_S = 300.0
 # suspended: the watchdog exits the process, so a traceback written to
 # a capture buffer would never be shown.
 _STDERR_FD = pytest.StashKey[int]()
+_FARM_CACHE = "REPRO_FARM_CACHE"
+_SAVED_FARM_CACHE = pytest.StashKey[tuple]()
 
 
 def pytest_configure(config):
     config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+    cache_dir = tempfile.mkdtemp(prefix="repro-farm-tests-")
+    config.stash[_SAVED_FARM_CACHE] = (cache_dir,
+                                       os.environ.get(_FARM_CACHE))
+    os.environ[_FARM_CACHE] = cache_dir
 
 
 def pytest_unconfigure(config):
     os.close(config.stash[_STDERR_FD])
+    cache_dir, saved = config.stash[_SAVED_FARM_CACHE]
+    if saved is None:
+        os.environ.pop(_FARM_CACHE, None)
+    else:
+        os.environ[_FARM_CACHE] = saved
+    shutil.rmtree(cache_dir, ignore_errors=True)
 
 
 @pytest.fixture(autouse=True)

@@ -279,3 +279,13 @@ class TestResilienceCommand:
         out = capsys.readouterr().out
         assert "goodput" in out
         assert "fault" in out.lower()
+
+
+class TestTwinCommand:
+    def test_demo_replays_to_a_match(self, capsys):
+        """`repro twin demo` in-process: server harness, the scripted
+        operator scenario, and the replay verdict."""
+        assert main(["twin", "demo", "--scale", "small"]) == 0
+        out = capsys.readouterr().out
+        assert "replay MATCH" in out
+        assert "replay digest verified over" in out

@@ -170,6 +170,18 @@ class TestLadderPlanning:
                          "p0.b0.r0.g0.tor")})
         assert plans[0].level == "pod"
 
+    def test_agg_target_is_not_block_scoped(self):
+        """An Agg name carries a pod but no block: the fault stays in
+        its pod, at pod scope."""
+        run, plans = self._plans(
+            {"j0": fault(RootCause.SWITCH_BUG, Manifestation.FAIL_SLOW,
+                         "p0.r0.g0.a0.agg")})
+        assert not run.symmetry.flat_fallback
+        assert [p.level for p in plans] == ["pod"]
+        assert plans[0].evidence[0].scope == "pod"
+        assert any("is not block-scoped" in reason
+                   for reason in plans[0].reasons)
+
     def test_core_target_forces_flat(self):
         run, plans = self._plans(
             {"j0": fault(RootCause.SWITCH_BUG, Manifestation.FAIL_SLOW,

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from repro.hierarchy import (HierJob, PlacedJob, detect_symmetry,
                              job_shape, line_rate_certificate, place_jobs)
-from repro.hierarchy.virtual import (Coord, host_name, parse_host,
-                                     pod_of_device, rename_device,
+from repro.hierarchy.symmetry import uf_find, uf_union
+from repro.hierarchy.virtual import (Coord, parse_host, pod_of_device,
                                      rename_host)
 from repro.monitoring import FaultSpec, Manifestation, RootCause
 from repro.topology import AstralParams
+from repro.topology.astral import host_name, rename_device
 
 
 def tiny(pods: int = 2) -> AstralParams:
@@ -50,6 +51,32 @@ class TestVirtualNaming:
         # Cores and opaque targets pass through untouched.
         assert rename_device("cg0.c3.core", pod_map) == "cg0.c3.core"
         assert rename_device("link:99", pod_map) == "link:99"
+
+
+class TestUnionFind:
+    """The one union-find of the hierarchy: the smallest member of a
+    set is its root, so groups come out in a fixed order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                    max_size=25))
+    def test_root_is_the_smallest_member(self, pairs):
+        parent = {}
+        for a, b in pairs:
+            uf_union(parent, a, b)
+        # Reference: merge member sets naively.
+        sets = {item: {item} for item in parent}
+        for a, b in pairs:
+            merged = sets[a] | sets[b]
+            for item in merged:
+                sets[item] = merged
+        assert {item: uf_find(parent, item) for item in sets} \
+            == {item: min(members) for item, members in sets.items()}
+
+    def test_unseen_item_is_a_singleton(self):
+        parent = {}
+        assert uf_find(parent, 7) == 7
+        assert parent == {7: 7}
 
 
 class TestPlacement:

@@ -1,6 +1,10 @@
 """Tests for the continuous-batching serving simulator."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.seer import (
     HUNYUAN_MOE,
@@ -12,6 +16,7 @@ from repro.seer import (
     ServingSimulator,
     draw_requests,
 )
+from repro.seer.serving import RequestDraw, RequestRecord, ServingReport
 
 from .hashseed import outputs_under_hash_seeds
 
@@ -144,6 +149,88 @@ class TestRequestDraws:
                 for r in implicit.completed] \
             == [(r.arrival_s, r.first_token_s, r.finish_s)
                 for r in explicit.completed]
+
+
+def _per_token_run(sim, requests):
+    """The per-token decode loop ``ServingSimulator.run`` replaced,
+    kept as its oracle: every decode step visits every running request
+    and adds one token to it."""
+    cfg = sim.config
+    report = ServingReport(arrived=len(requests),
+                           duration_s=cfg.duration_s)
+    waiting = deque()
+    running = []
+    target_tokens = {}
+    next_arrival = 0
+    now = 0.0
+    while now < cfg.duration_s or running or waiting:
+        while next_arrival < len(requests) \
+                and requests[next_arrival].arrival_s <= now:
+            draw = requests[next_arrival]
+            record = RequestRecord(request_id=next_arrival,
+                                   arrival_s=draw.arrival_s)
+            target_tokens[record.request_id] = draw.output_tokens
+            waiting.append(record)
+            next_arrival += 1
+        if not running and not waiting:
+            if next_arrival >= len(requests):
+                break
+            now = requests[next_arrival].arrival_s
+            continue
+        if waiting and len(running) < cfg.batch_max:
+            record = waiting.popleft()
+            record.prefill_start_s = max(now, record.arrival_s)
+            now = record.prefill_start_s + sim.prefill_step_s()
+            record.first_token_s = now
+            record.output_tokens = 1
+            running.append(record)
+            continue
+        now += sim.decode_step_s(len(running))
+        for record in running:
+            record.output_tokens += 1
+            if record.output_tokens >= target_tokens[record.request_id]:
+                record.finish_s = now
+                report.completed.append(record)
+        running = [record for record in running
+                   if record.output_tokens
+                   < target_tokens[record.request_id]]
+    report.duration_s = max(cfg.duration_s, now)
+    return report
+
+
+class TestDecodeLoopDifferential:
+    """``run`` jumps to each request's finish step; the per-token loop
+    it replaced must give an ``==`` report (every timestamp, token
+    count and completion order)."""
+
+    _COSTS = {}     # shared step costs: one model, parallelism, context
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.integers(1, 32), rate=st.floats(0.0, 200.0),
+           output_len=st.integers(1, 128), seed=st.integers(0, 2),
+           duration=st.sampled_from([0.5, 2.0, 5.0]))
+    def test_matches_per_token_loop(self, seer, batch, rate, output_len,
+                                    seed, duration):
+        config = ServingConfig(batch_max=batch, arrival_rate_per_s=rate,
+                               output_len_mean=output_len,
+                               duration_s=duration, seed=seed)
+        sim = ServingSimulator(seer, HUNYUAN_MOE, PARALLEL, config,
+                               cost_cache=self._COSTS)
+        requests = draw_requests(config)
+        assert sim.run(requests) == _per_token_run(sim, requests)
+
+    def test_one_token_requests_hold_two(self, seer):
+        """A request wanting one token still decodes one step."""
+        config = ServingConfig(batch_max=4, duration_s=2.0)
+        sim = ServingSimulator(seer, HUNYUAN_MOE, PARALLEL, config)
+        requests = [RequestDraw(arrival_s=0.1 * i,
+                                output_tokens=1 + i % 3)
+                    for i in range(12)]
+        report = sim.run(requests)
+        assert sorted((r.request_id, r.output_tokens)
+                      for r in report.completed) \
+            == [(i, max(2, 1 + i % 3)) for i in range(12)]
+        assert report == _per_token_run(sim, requests)
 
 
 _SUBPROCESS_DIGEST = """

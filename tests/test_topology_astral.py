@@ -4,6 +4,8 @@ import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology import (
     AstralParams,
@@ -12,10 +14,12 @@ from repro.topology import (
     build_astral,
 )
 from repro.topology.astral import (
-    _agg_name,
-    _core_name,
-    _host_name,
-    _tor_name,
+    agg_name,
+    core_name,
+    host_name,
+    parse_device,
+    rename_device,
+    tor_name,
 )
 from repro.topology.elements import (
     Gpu,
@@ -220,7 +224,7 @@ def _reference_build_astral(params: AstralParams) -> Topology:
     for pod in range(params.pods):
         for block in range(params.blocks_per_pod):
             for index in range(params.hosts_per_block):
-                name = _host_name(pod, block, index)
+                name = host_name(pod, block, index)
                 host = Host(
                     name=name, kind=DeviceKind.HOST, pod=pod, block=block,
                     rank=index,
@@ -246,7 +250,7 @@ def _reference_build_astral(params: AstralParams) -> Topology:
             for rail in range(params.rails):
                 for group in range(params.tor_groups):
                     topo.add_device(Switch(
-                        name=_tor_name(pod, block, rail, group),
+                        name=tor_name(pod, block, rail, group),
                         kind=DeviceKind.TOR,
                         pod=pod, block=block, rail=rail, group=group,
                     ))
@@ -257,7 +261,7 @@ def _reference_build_astral(params: AstralParams) -> Topology:
             for group in range(params.tor_groups):
                 for rank in range(params.aggs_per_group):
                     topo.add_device(Switch(
-                        name=_agg_name(pod, rail, group, rank),
+                        name=agg_name(pod, rail, group, rank),
                         kind=DeviceKind.AGG,
                         pod=pod, rail=rail, group=group, rank=rank,
                     ))
@@ -266,7 +270,7 @@ def _reference_build_astral(params: AstralParams) -> Topology:
     for core_group in range(params.core_groups):
         for index in range(params.cores_per_group):
             topo.add_device(Switch(
-                name=_core_name(core_group, index),
+                name=core_name(core_group, index),
                 kind=DeviceKind.CORE,
                 group=core_group, rank=index,
             ))
@@ -275,12 +279,12 @@ def _reference_build_astral(params: AstralParams) -> Topology:
     for pod in range(params.pods):
         for block in range(params.blocks_per_pod):
             for index in range(params.hosts_per_block):
-                host = _host_name(pod, block, index)
+                host = host_name(pod, block, index)
                 for rail in range(params.rails):
                     for group in range(params.tor_groups):
                         topo.add_link(
                             PortRef(host, rail * params.nic_ports + group),
-                            PortRef(_tor_name(pod, block, rail, group),
+                            PortRef(tor_name(pod, block, rail, group),
                                     index),
                             params.nic_port_gbps,
                         )
@@ -290,11 +294,11 @@ def _reference_build_astral(params: AstralParams) -> Topology:
         for block in range(params.blocks_per_pod):
             for rail in range(params.rails):
                 for group in range(params.tor_groups):
-                    tor = _tor_name(pod, block, rail, group)
+                    tor = tor_name(pod, block, rail, group)
                     for rank in range(params.aggs_per_group):
                         topo.add_link(
                             PortRef(tor, params.hosts_per_block + rank),
-                            PortRef(_agg_name(pod, rail, group, rank),
+                            PortRef(agg_name(pod, rail, group, rank),
                                     block),
                             params.tor_agg_gbps,
                         )
@@ -308,7 +312,7 @@ def _reference_build_astral(params: AstralParams) -> Topology:
         for rail in range(params.rails):
             for group in range(params.tor_groups):
                 for rank in range(params.aggs_per_group):
-                    agg = _agg_name(pod, rail, group, rank)
+                    agg = agg_name(pod, rail, group, rank)
                     agg_index = (
                         (pod * params.rails + rail) * params.tor_groups
                         + group
@@ -316,7 +320,7 @@ def _reference_build_astral(params: AstralParams) -> Topology:
                     for core in range(params.cores_per_group):
                         topo.add_link(
                             PortRef(agg, params.blocks_per_pod + core),
-                            PortRef(_core_name(rank, core), agg_index),
+                            PortRef(core_name(rank, core), agg_index),
                             uplink_gbps,
                         )
     return topo
@@ -419,3 +423,98 @@ class TestSlottedRecords:
         assert not hasattr(port, "note")
         with pytest.raises(AttributeError):
             port.port = 1
+
+
+# -- the device-name codec ---------------------------------------------------
+
+#: Two shapes: the smallest, and one with two-digit blocks, hosts and
+#: Agg ranks.
+NAMING_SHAPES = {
+    "tiny": AstralParams.tiny(),
+    "wide": AstralParams(pods=3, blocks_per_pod=11, hosts_per_block=12,
+                         gpus_per_host=2, aggs_per_group=10,
+                         cores_per_group=2),
+}
+_NAMING_TOPOLOGIES = {}
+
+
+def _devices(shape):
+    if shape not in _NAMING_TOPOLOGIES:
+        _NAMING_TOPOLOGIES[shape] = build_astral(NAMING_SHAPES[shape])
+    return list(_NAMING_TOPOLOGIES[shape].devices.values())
+
+
+def _position(device):
+    return (device.kind, device.pod, device.block, device.rail,
+            device.group, device.rank)
+
+
+def _rebuild(parsed):
+    """The builder call a parsed name stands for."""
+    kind, pod, block, rail, group, rank = parsed
+    if kind is DeviceKind.HOST:
+        return host_name(pod, block, rank)
+    if kind is DeviceKind.TOR:
+        return tor_name(pod, block, rail, group)
+    if kind is DeviceKind.AGG:
+        return agg_name(pod, rail, group, rank)
+    return core_name(group, rank)
+
+
+class TestDeviceNames:
+    """``topology.astral`` owns the names: every built device parses to
+    its own position fields, and the rewrite moves pods and blocks."""
+
+    @pytest.mark.parametrize("shape", sorted(NAMING_SHAPES))
+    def test_every_device_parses_to_its_fields(self, shape):
+        for device in _devices(shape):
+            parsed = parse_device(device.name)
+            assert parsed == _position(device), device.name
+            assert _rebuild(parsed) == device.name
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(sorted(NAMING_SHAPES)),
+           pods=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+           keep=st.lists(st.booleans(), min_size=3, max_size=3),
+           blocks=st.lists(st.integers(0, 40), min_size=11,
+                           max_size=11),
+           with_blocks=st.booleans())
+    def test_rename_maps_pod_and_block(self, shape, pods, keep, blocks,
+                                       with_blocks):
+        pod_map = {pod: new for pod, (new, kept)
+                   in enumerate(zip(pods, keep)) if kept}
+        block_map = dict(enumerate(blocks)) if with_blocks else None
+        for device in _devices(shape):
+            renamed = rename_device(device.name, pod_map, block_map)
+            if device.pod not in pod_map:     # cores, unmapped pods
+                assert renamed == device.name
+                continue
+            block = device.block
+            if block is not None and block_map is not None:
+                block = block_map[block]
+            assert parse_device(renamed) == (
+                device.kind, pod_map[device.pod], block, device.rail,
+                device.group, device.rank)
+
+    def test_rename_needs_every_named_block(self):
+        with pytest.raises(KeyError):
+            rename_device("p0.b3.h1", {0: 0}, {0: 0})
+        assert rename_device("p0.r1.g0.a2.agg", {0: 5}, {}) \
+            == "p5.r1.g0.a2.agg"
+
+    @pytest.mark.parametrize("name", [
+        "p01.b0.h0", "p0.b00.h0", "p-1.b0.h0", "p+1.b0.h0", "p 1.b0.h0",
+        "p1_0.b0.h0", "p0.b0.h0.gpu1", "p0.b0.h0.nic0", "p0.b0",
+        "p0.b0.r0.g0.agg", "p0.r0.g0.a0.tor", "c0.core", "cg0.c0",
+        "link:12", "job0", "", "p٣.b0.h0", "P0.B0.H0"])
+    def test_only_builder_output_parses(self, name):
+        assert parse_device(name) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.one_of(
+        st.from_regex(r"(p|cg)[0-9]{1,3}(\.[abcghr][0-9]{1,3}){1,3}"
+                      r"(\.(tor|agg|core))?", fullmatch=True),
+        st.text(alphabet="pbhrgacore.0123456789", max_size=24)))
+    def test_parse_accepts_exactly_the_builders_names(self, name):
+        parsed = parse_device(name)
+        assert parsed is None or _rebuild(parsed) == name

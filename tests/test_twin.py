@@ -174,6 +174,30 @@ class TestTelemetryJsonl:
             TelemetryStore.from_jsonl("not json\n" + good)
 
 
+class TestReplayTask:
+    """``POST .../replay`` runs the ``twin-replay`` task in-process
+    through ``execute_spec``: no pool, and no cache entry written."""
+
+    def test_replay_matches_live_and_caches_nothing(self, tmp_path,
+                                                    monkeypatch):
+        from repro.twin.manager import _replay_via_farm
+        cache = tmp_path / "farm-cache"
+        monkeypatch.setenv("REPRO_FARM_CACHE", str(cache))
+        live = TwinSession(_tiny())
+        live.advance(120.0)
+        replayed = _replay_via_farm({"config": live.config.to_params(),
+                                     "action_log": live.action_log})
+        assert replayed["digest"] == live.digest()
+        assert not cache.exists()
+
+    def test_failed_replay_is_a_500(self):
+        from repro.twin.manager import TwinError, _replay_via_farm
+        with pytest.raises(TwinError, match="replay failed") as failure:
+            _replay_via_farm({"config": {"kind": "quantum"},
+                              "action_log": []})
+        assert failure.value.status == 500
+
+
 class TestServingSession:
     def test_serving_replay_matches_live(self):
         config = TwinConfig(
