@@ -69,8 +69,7 @@ def test_case_pfc_congestion_spreading(benchmark, series_printer):
     topology = build_astral(AstralParams.small())
     fabric = Fabric(topology)
     for link in topology.links_of(BROKEN):
-        link.capacity_gbps *= 0.1
-    topology.version += 1
+        topology.scale_link(link.link_id, 0.1)
 
     storm = [
         make_flow(src, BROKEN, rail=0, size_bits=64e9,

@@ -553,49 +553,44 @@ def _cmd_cluster(args) -> int:
 def _cmd_resilience(args) -> int:
     import json
 
-    from repro.resilience import ResilienceCampaign, default_tor_faults
-    from repro.topology import AstralParams
+    from repro.farm import TaskSpec, execute_spec
 
-    params = AstralParams.named(args.scale)
-    faults = default_tor_faults(params, seed=args.seed,
-                                n_faults=args.faults,
-                                first_at_s=args.fault_at)
-    campaign = ResilienceCampaign(
-        params=params, faults=faults, n_jobs=args.jobs,
-        hosts_per_job=args.hosts_per_job,
-        n_iterations=args.iterations,
-        checkpoint_interval_s=args.checkpoint_interval,
-        seed=args.seed)
-    report = campaign.run()
+    report = execute_spec(TaskSpec("resilience-campaign", {
+        "seed": args.seed, "scale": args.scale, "jobs": args.jobs,
+        "hosts_per_job": args.hosts_per_job,
+        "iterations": args.iterations, "faults": args.faults,
+        "fault_at_s": args.fault_at,
+        "checkpoint_interval_s": args.checkpoint_interval,
+    }, label="cli"))
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report, indent=2))
         return 0
-    print(f"seed            : {report.seed}")
-    print(f"faults injected : {report.n_faults}")
-    for at_s, action, target in report.fault_log:
+    print(f"seed            : {report['seed']}")
+    print(f"faults injected : {report['n_faults']}")
+    for at_s, action, target in report["fault_log"]:
         print(f"  t={at_s:>9.1f}s  {action:<14} {target}")
     print("recovery loop:")
-    for record in report.recoveries:
+    for record in report["recoveries"]:
         print(f"  {record['target']}: detected {record['detected_s']:.0f}s"
               f", localized {record['localized_s']:.0f}s, cordoned "
               f"{len(record['cordoned_hosts'])} hosts, interrupted "
               f"{record['interrupted_jobs']}, repaired "
               f"{record['repaired_s']:.0f}s")
     print("jobs (faulted vs clean completion):")
-    for job in report.jobs:
-        clean = report.baseline_completion_s.get(job.name)
-        faulted = report.faulted_completion_s.get(job.name)
-        status = "gave up" if job.gave_up else (
+    for job in report["jobs"]:
+        clean = report["baseline_completion_s"].get(job["name"])
+        faulted = report["faulted_completion_s"].get(job["name"])
+        status = "gave up" if job["gave_up"] else (
             f"{faulted:.0f}s vs {clean:.0f}s" if faulted else "wedged")
-        print(f"  {job.name:<8} {status}  restarts={job.restarts} "
-              f"lost={job.lost_s:.0f}s")
-    print(f"reroutes        : {report.reroutes}")
-    print(f"stranded flows  : {report.stranded}")
-    print(f"measured penalty: {report.measured_penalty_s:,.0f} s")
-    print(f"predicted       : {report.predicted_penalty_s:,.0f} s")
-    print(f"goodput         : {report.goodput_fraction:.1%}")
-    if report.wedged_jobs:
-        print(f"WEDGED JOBS     : {report.wedged_jobs}")
+        print(f"  {job['name']:<8} {status}  restarts={job['restarts']} "
+              f"lost={job['lost_s']:.0f}s")
+    print(f"reroutes        : {report['reroutes']}")
+    print(f"stranded flows  : {report['stranded']}")
+    print(f"measured penalty: {report['measured_penalty_s']:,.0f} s")
+    print(f"predicted       : {report['predicted_penalty_s']:,.0f} s")
+    print(f"goodput         : {report['goodput_fraction']:.1%}")
+    if report["wedged_jobs"]:
+        print(f"WEDGED JOBS     : {report['wedged_jobs']}")
         return 1
     return 0
 

@@ -154,7 +154,7 @@ def analytic_outcomes(params: AstralParams,
                    + [bits / egress_bps for bits in own.values()])
         compute = scaled_compute_s(job, placed.pods, power_caps)
         draws = compute_draws(compute, job.compute_noise_frac,
-                              job.seed, len(placed.hosts),
+                              job.seed, len(placed.coords),
                               job.iterations)
         outcomes[placed.name] = JobOutcome(
             job=placed.name,

@@ -45,7 +45,7 @@ from ..network.flows import reset_flow_ids
 from ..topology.astral import AstralParams, build_astral
 from .compose import scaled_compute_s
 from .symmetry import PodClass, block_signature, job_shape
-from .virtual import PlacedJob, rename_host
+from .virtual import PlacedJob
 
 __all__ = ["EngineRunner", "fold_pod_class", "pod_local_params"]
 
@@ -161,8 +161,7 @@ def _fold_rep_blocks(params: AstralParams, rep_jobs: List[PlacedJob],
         configs = [
             _config_for(
                 placed,
-                tuple(rename_host(h, {rep_pod: 0}, {rep_block: 0})
-                      for h in placed.hosts),
+                placed.host_names({rep_pod: 0}, {rep_block: 0}),
                 placed.job.compute_time_s / compute_scale)
             for placed in rep_sorted
         ]
@@ -187,8 +186,7 @@ def _solve_rep_pod(params: AstralParams, rep_jobs: List[PlacedJob],
     configs = [
         _config_for(
             placed,
-            tuple(rename_host(h, {rep_pod: 0}, block_map)
-                  for h in placed.hosts),
+            placed.host_names({rep_pod: 0}, block_map),
             placed.job.compute_time_s / compute_scale)
         for placed in rep_jobs
     ]

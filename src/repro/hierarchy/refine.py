@@ -80,7 +80,7 @@ from .fold import (EngineRunner, _config_for, _fold_rep_blocks,
                    _solve_rep_pod, pod_local_params)
 from .symmetry import (RefinedGroup, SymmetryMap, line_rate_certificate,
                        uf_find, uf_union)
-from .virtual import PlacedJob, rename_host
+from .virtual import PlacedJob
 
 __all__ = [
     "REFINE_MODES",
@@ -260,7 +260,7 @@ def plan_refined_group(params: AstralParams, group: RefinedGroup,
         raise ValueError(
             f"unknown refine mode {mode!r}; expected one of "
             f"{REFINE_MODES}")
-    n_full = sum(len(p.hosts) for p in group.jobs)
+    n_full = sum(len(p.coords) for p in group.jobs)
     if flat:
         return RefinePlan(
             pods=group.pods, level="flat",
@@ -312,7 +312,7 @@ def _run_group_pod(params: AstralParams, group: RefinedGroup,
     configs = [
         _config_for(
             placed,
-            tuple(rename_host(h, pod_map) for h in placed.hosts),
+            placed.host_names(pod_map),
             scaled_compute_s(placed.job, placed.pods, power_caps))
         for placed in group.jobs
     ]
@@ -381,8 +381,7 @@ def _run_group_bounded(params: AstralParams, group: RefinedGroup,
         configs = [
             _config_for(
                 placed,
-                tuple(rename_host(h, {pod: 0}, block_map)
-                      for h in placed.hosts),
+                placed.host_names({pod: 0}, block_map),
                 scaled_compute_s(placed.job, placed.pods, power_caps))
             for placed in jobs
         ]

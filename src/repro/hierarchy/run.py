@@ -52,7 +52,7 @@ def flat_job_configs(params: AstralParams, jobs: Sequence[HierJob],
                      ) -> List[JobConfig]:
     """Flat-run configs for a hierarchical scenario, placement-ordered."""
     caps = dict(pod_power_caps or {})
-    return [_config_for(placed, placed.hosts,
+    return [_config_for(placed, placed.host_names(),
                         scaled_compute_s(placed.job, placed.pods, caps))
             for placed in place_jobs(params, list(jobs))]
 
@@ -208,7 +208,7 @@ class HierarchicalRun:
             total_gpus=self.params.total_gpus,
             n_pods=self.params.pods,
             n_jobs=len(self.placed),
-            n_job_hosts=sum(len(p.hosts) for p in self.placed),
+            n_job_hosts=sum(len(p.coords) for p in self.placed),
             n_pod_classes=len(symmetry.classes),
             n_refined_groups=len(symmetry.refined),
             n_refined_pods=sum(len(g.pods) for g in symmetry.refined),

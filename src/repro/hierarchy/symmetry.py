@@ -75,7 +75,7 @@ def pod_signature(pod: int, local: Sequence[PlacedJob],
     cross_part = tuple(sorted(
         (job_shape(p.job),
          tuple((b, h) for q, b, h in p.coords if q == pod),
-         len(p.hosts), p.pods.index(pod))
+         len(p.coords), p.pods.index(pod))
         for p in cross))
     return (local_part, cross_part, power_cap)
 

@@ -9,18 +9,19 @@ formulas the builder uses, and placement is integer arithmetic over
 :class:`~repro.topology.astral.AstralParams`.  Nothing here allocates
 per-device state, so a 512K-GPU cluster costs a dataclass.
 
-Device names come from :mod:`repro.topology.astral`'s codec, the same
+A placement keeps coordinates only; :meth:`PlacedJob.host_names`
+renders them through :mod:`repro.topology.astral`'s codec, the same
 functions the builder uses, so folded sub-simulations and flat
-reference runs agree on every identifier.
+reference runs agree on every identifier.  A name is parsed only where
+it comes in from outside: a job's pinned ``hosts``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..topology.astral import (AstralParams, host_name, host_prefix,
-                               parse_device)
+from ..topology.astral import AstralParams, host_name, parse_device
 from ..topology.elements import DeviceKind
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "parse_host",
     "pod_of_device",
     "place_jobs",
-    "rename_host",
 ]
 
 #: (pod, block, host) — one host's coordinates in the fabric.
@@ -50,14 +50,6 @@ def pod_of_device(name: str) -> Optional[int]:
     ``link:`` ids and other opaque targets)."""
     parsed = parse_device(name)
     return None if parsed is None else parsed[1]
-
-
-def rename_host(name: str, pod_map: Dict[int, int],
-                block_map: Optional[Dict[int, int]] = None) -> str:
-    pod, block, host = parse_host(name)
-    if block_map is not None:
-        block = block_map[block]
-    return host_name(pod_map[pod], block, host)
 
 
 @dataclass(frozen=True)
@@ -96,12 +88,24 @@ class PlacedJob:
     """A job bound to concrete host coordinates."""
 
     job: HierJob
-    hosts: Tuple[str, ...]
-    coords: Tuple[Coord, ...] = field(default=())
+    coords: Tuple[Coord, ...]
 
     @property
     def name(self) -> str:
         return self.job.name
+
+    def host_names(self, pod_map: Optional[Dict[int, int]] = None,
+                   block_map: Optional[Dict[int, int]] = None
+                   ) -> Tuple[str, ...]:
+        """Its hosts' names, in placement order.  *pod_map* and
+        *block_map*, when given, move each host's pod and block into a
+        sub-simulation's coordinates; one missing from its map raises
+        ``KeyError``."""
+        return tuple(
+            host_name(pod if pod_map is None else pod_map[pod],
+                      block if block_map is None else block_map[block],
+                      host)
+            for pod, block, host in self.coords)
 
     @property
     def pods(self) -> Tuple[int, ...]:
@@ -163,11 +167,9 @@ def place_jobs(params: AstralParams,
     for job in jobs:
         if job.hosts:
             coords = tuple(parse_host(host) for host in job.hosts)
-            placed.append(PlacedJob(job=job, hosts=tuple(job.hosts),
-                                    coords=coords))
+            placed.append(PlacedJob(job=job, coords=coords))
             continue
         coords_list: List[Coord] = []
-        hosts: List[str] = []
         while len(coords_list) < job.n_hosts:
             if block_cursor >= n_blocks:
                 raise ValueError(
@@ -185,12 +187,9 @@ def place_jobs(params: AstralParams,
             else:
                 picked = range(offset, min(per_block, offset + want))
                 offset = picked.stop
-            prefix = host_prefix(pod, block)
             coords_list += [(pod, block, index) for index in picked]
-            hosts += [f"{prefix}{index}" for index in picked]
             if offset >= per_block:
                 block_cursor += 1
                 offset = 0
-        placed.append(PlacedJob(job=job, hosts=tuple(hosts),
-                                coords=tuple(coords_list)))
+        placed.append(PlacedJob(job=job, coords=tuple(coords_list)))
     return placed

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ...topology.elements import parse_nic
 from ..evolving import DetectorRegistry, default_registry
 from ..faults import Manifestation
 from ..telemetry import Layer, TelemetryStore
@@ -467,7 +468,10 @@ class HierarchicalAnalyzer:
     # -- helpers --------------------------------------------------------------
     @staticmethod
     def _host_of_ip(ip: str) -> str:
-        return ip.rsplit(".nic", 1)[0] if ".nic" in ip else ip
+        # Telemetry IPs come from outside: anything not a NIC name is
+        # taken as a host name already.
+        nic = parse_nic(ip)
+        return ip if nic is None else nic[0]
 
     def _common_endpoint(self, err_cqes) -> Optional[str]:
         """The single host every failed QP touches, if there is one."""

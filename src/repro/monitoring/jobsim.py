@@ -338,8 +338,7 @@ class MonitoredTrainingJob:
             else:
                 # A flapping/degraded optical link loses most of its
                 # effective capacity to retransmissions and down time.
-                topo.links[link_id].capacity_gbps *= 0.15
-                topo.version += 1
+                topo.scale_link(link_id, 0.15)
             device = topo.links[link_id].a.device
             snap.syslogs.append((device, "err", fault.syslog_message(),
                                  fault.profile.fatal_log))
@@ -363,8 +362,7 @@ class MonitoredTrainingJob:
                         break
             else:
                 for link in topo.links_of(fault.target):
-                    link.capacity_gbps *= 0.2
-                topo.version += 1
+                    topo.scale_link(link.link_id, 0.2)
         elif effect is Effect.SWITCH_DROPS:
             self._drop_switches.add(fault.target)
             snap.syslogs.append((fault.target, "warn",
@@ -375,8 +373,7 @@ class MonitoredTrainingJob:
             if fault.manifestation is Manifestation.FAIL_SLOW:
                 # Flaky NIC: traffic still flows, at a crawl.
                 for link in topo.links_of(fault.target):
-                    link.capacity_gbps *= 0.2
-                topo.version += 1
+                    topo.scale_link(link.link_id, 0.2)
             elif fault.manifestation is Manifestation.FAIL_HANG:
                 self._hung_hosts.add(fault.target)
             else:
@@ -384,8 +381,7 @@ class MonitoredTrainingJob:
         elif effect is Effect.PCIE_PFC_STORM:
             self._pcie_hosts.add(fault.target)
             for link in topo.links_of(fault.target):
-                link.capacity_gbps *= 0.1
-            topo.version += 1
+                topo.scale_link(link.link_id, 0.1)
             # A broken PCIe leaves no network-visible syslog at first —
             # the §5 incident took hours precisely because of that.
         elif effect is Effect.MISWIRE:
@@ -449,19 +445,7 @@ class MonitoredTrainingJob:
                 break
         if partner is None:
             return
-        # Swap the non-host endpoints.
-        link_sw = link.endpoint(link.other(host))
-        partner_sw = partner.endpoint(partner.other(host))
-        for swapped, new_end in ((link, partner_sw), (partner, link_sw)):
-            if swapped.a.device == host:
-                swapped.b = new_end
-            else:
-                swapped.a = new_end
-        topo._adjacency[link_sw.device].remove(link.link_id)
-        topo._adjacency[link_sw.device].append(partner.link_id)
-        topo._adjacency[partner_sw.device].remove(partner.link_id)
-        topo._adjacency[partner_sw.device].append(link.link_id)
-        topo.version += 1
+        topo.miswire(host, link.link_id, partner.link_id)
         snap.syslogs.append((host, "warn", fault.syslog_message(), False))
 
     # -- per-iteration dynamics -------------------------------------------------

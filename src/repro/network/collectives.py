@@ -290,17 +290,11 @@ def _intra_host_bits(endpoints: Sequence[Endpoint], size_bits: float,
 
 def run_collective(fabric: Fabric, endpoints: Sequence[Endpoint],
                    size_bits: float, collective: str = "all_to_all",
-                   config: CollectiveConfig | None = None,
-                   scheduled: bool = False) -> CollectiveResult:
-    """Generate, route, and complete one collective on the fabric.
-
-    With ``scheduled`` the collective runs as its dependency-aware
-    wave schedule (ring steps sequenced, each wave gated on the
-    previous one) on a private :class:`~repro.network.engine.
-    FabricEngine` instead of one flat flow set completed all at once —
-    the same schedule :func:`run_collective_timed` uses on a shared
-    clock.
-    """
+                   config: CollectiveConfig | None = None
+                   ) -> CollectiveResult:
+    """Generate, route, and complete one collective on the fabric as
+    one flat flow set; :func:`run_collective_timed` runs its
+    dependency-aware wave schedule on an engine's clock instead."""
     config = config or CollectiveConfig()
     generators = {
         "allreduce": ring_allreduce_flows,
@@ -310,20 +304,6 @@ def run_collective(fabric: Fabric, endpoints: Sequence[Endpoint],
     }
     if collective not in generators:
         raise ValueError(f"unknown collective: {collective}")
-    if scheduled:
-        from ..simcore import Simulator
-        from .engine import FabricEngine
-
-        engine = FabricEngine(fabric, sim=Simulator())
-        proc = run_collective_timed(engine, endpoints, size_bits,
-                                    collective, config)
-        run = engine.run()
-        timed = proc.value
-        return CollectiveResult(
-            name=collective, size_bits=size_bits,
-            network_time_s=timed.network_time_s,
-            intra_host_time_s=timed.intra_host_time_s,
-            run=run, n_endpoints=len(endpoints))
     flows = generators[collective](endpoints, size_bits, config)
     if not flows:
         return CollectiveResult(

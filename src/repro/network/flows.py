@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..topology.elements import nic_name
 from .ecmp import FiveTuple
 
 __all__ = ["Flow", "FlowPath", "make_flow", "reset_flow_ids"]
@@ -32,12 +33,15 @@ class Flow:
     ``size_bits`` is the message size (demand);
     :meth:`Fabric.max_min_rates` fills in ``rate_gbps``.  ``job`` and ``collective`` tag the
     flow for monitoring and for the controller's reassignment rounds.
+    ``rail`` is the source NIC's rail and ``dst_rail`` the destination
+    NIC's; the router binds the first and last hop to them.
     """
 
     flow_id: int
     src_host: str
     dst_host: str
     rail: int
+    dst_rail: int
     five_tuple: FiveTuple
     size_bits: float
     qp: int = 0
@@ -98,9 +102,11 @@ def make_flow(src_host: str, dst_host: str, rail: int, size_bits: float,
     """
     flow_id = next(_flow_counter)
     port = src_port if src_port is not None else 49152 + (flow_id % 16384)
+    if dst_rail is None:
+        dst_rail = rail
     five_tuple = FiveTuple(
-        src_ip=f"{src_host}.nic{rail}",
-        dst_ip=f"{dst_host}.nic{rail if dst_rail is None else dst_rail}",
+        src_ip=nic_name(src_host, rail),
+        dst_ip=nic_name(dst_host, dst_rail),
         src_port=port,
     )
     return Flow(
@@ -108,6 +114,7 @@ def make_flow(src_host: str, dst_host: str, rail: int, size_bits: float,
         src_host=src_host,
         dst_host=dst_host,
         rail=rail,
+        dst_rail=dst_rail,
         five_tuple=five_tuple,
         size_bits=size_bits,
         qp=qp if qp is not None else 1000 + flow_id,

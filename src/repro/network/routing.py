@@ -244,7 +244,7 @@ class EcmpRouter:
         at the source, so a plain ``dist - 1`` descent would wrongly
         assume the host may inject on any rail.
         """
-        routes, target = self._routes(flow.dst_host, self._dst_rail(flow))
+        routes, target = self._routes(flow.dst_host, flow.dst_rail)
         dist, nbr = routes.dist, self._nbr
         lo, hi = self._indptr[device], self._indptr[device + 1]
 
@@ -356,7 +356,7 @@ class EcmpRouter:
         """Shortest hop count for the flow (link count, not switches)."""
         if flow.src_host == flow.dst_host:
             return 0
-        dist = self.distances_to(flow.dst_host, self._dst_rail(flow))
+        dist = self.distances_to(flow.dst_host, flow.dst_rail)
         candidates = self.next_hop_links(flow.src_host, flow)
         if not candidates:
             raise RoutingError(
@@ -364,16 +364,3 @@ class EcmpRouter:
                 f"on rail {flow.rail}")
         first = candidates[0]
         return dist[first.other(flow.src_host)] + 1
-
-    @staticmethod
-    def _dst_rail(flow: Flow) -> Optional[int]:
-        # The destination NIC rail is encoded in the five-tuple dst ip
-        # ("<host>.nic<rail>"), written by flows.make_flow.
-        dst_ip = flow.five_tuple.dst_ip
-        marker = ".nic"
-        if marker in dst_ip:
-            try:
-                return int(dst_ip.rsplit(marker, 1)[1])
-            except ValueError:
-                return None
-        return None

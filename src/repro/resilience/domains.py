@@ -222,15 +222,14 @@ def expand_domains(params: AstralParams, placed: Sequence,
     """
     # Every member target lies in its domain's (pod, block)
     # (_domain_targets), so only those blocks' hosts and residents are
-    # indexed, in placement order — not every host of the cluster.
+    # indexed, in placement order, and only their names are rendered.
     hit = {(domain.pod, domain.block) for domain in domains}
     owner: Dict[str, str] = {}
     by_block: Dict[tuple, List] = {}
     for placed_job in placed:
-        for host, (pod, block, _) in zip(placed_job.hosts,
-                                         placed_job.coords):
+        for pod, block, host in placed_job.coords:
             if (pod, block) in hit:
-                owner[host] = placed_job.name
+                owner[host_name(pod, block, host)] = placed_job.name
                 by_block.setdefault((pod, block), []).append(placed_job)
     faults: Dict[str, FaultSpec] = {}
     for domain in domains:

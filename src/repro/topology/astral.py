@@ -30,13 +30,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .elements import (
     DeviceKind,
-    Gpu,
-    Host,
-    Nic,
     PortRef,
     Switch,
     Topology,
     TopologyError,
+    make_host,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "build_astral",
     "core_name",
     "host_name",
-    "host_prefix",
     "parse_device",
     "rename_device",
     "tor_name",
@@ -192,14 +189,8 @@ class AstralParams:
 # ``parse_device``/``rename_device``, which accept exactly the names
 # the builders produce (decimal fields, no sign, no leading zero).
 
-def host_prefix(pod: int, block: int) -> str:
-    """What every host name in (pod, block) starts with: append the
-    host index to get :func:`host_name`."""
-    return f"p{pod}.b{block}.h"
-
-
 def host_name(pod: int, block: int, host: int) -> str:
-    return f"{host_prefix(pod, block)}{host}"
+    return f"p{pod}.b{block}.h{host}"
 
 
 def tor_name(pod: int, block: int, rail: int, group: int) -> str:
@@ -307,25 +298,9 @@ def build_astral(params: AstralParams | None = None) -> Topology:
     for pod in pods:
         for block in blocks:
             for index in range(params.hosts_per_block):
-                name = host_name(pod, block, index)
-                host = Host(
-                    name=name, kind=DeviceKind.HOST, pod=pod, block=block,
-                    rank=index,
-                )
-                for rail in rails:
-                    host.gpus.append(
-                        Gpu(name=f"{name}.gpu{rail}", host=name, rail=rail)
-                    )
-                    host.nics.append(
-                        Nic(
-                            name=f"{name}.nic{rail}",
-                            host=name,
-                            rail=rail,
-                            ports=params.nic_ports,
-                            port_gbps=params.nic_port_gbps,
-                        )
-                    )
-                topo.add_device(host)
+                topo.add_device(make_host(
+                    host_name(pod, block, index), pod, block, index,
+                    params.rails, params.nic_ports, params.nic_port_gbps))
 
     # ToR switches (tier 1): one per (pod, block, rail, group).
     for (pod, block), names in tors.items():

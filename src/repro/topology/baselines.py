@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from .astral import AstralParams, build_astral
 from .elements import (
     DeviceKind,
-    Gpu,
-    Host,
-    Nic,
     PortRef,
     Switch,
     Topology,
+    make_host,
 )
 
 __all__ = [
@@ -84,17 +82,10 @@ def build_clos(params: ClosParams | None = None) -> Topology:
     for pod in range(params.pods):
         for block in range(params.blocks_per_pod):
             for index in range(params.hosts_per_block):
-                name = f"p{pod}.b{block}.h{index}"
-                host = Host(name=name, kind=DeviceKind.HOST, pod=pod,
-                            block=block, rank=index)
-                for rail in range(params.gpus_per_host):
-                    host.gpus.append(
-                        Gpu(name=f"{name}.gpu{rail}", host=name, rail=rail))
-                    host.nics.append(Nic(
-                        name=f"{name}.nic{rail}", host=name, rail=rail,
-                        ports=params.nic_ports,
-                        port_gbps=params.nic_port_gbps))
-                topo.add_device(host)
+                topo.add_device(make_host(
+                    f"p{pod}.b{block}.h{index}", pod, block, index,
+                    params.gpus_per_host, params.nic_ports,
+                    params.nic_port_gbps))
             for tor in range(params.tors_per_block):
                 topo.add_device(Switch(
                     name=f"p{pod}.b{block}.t{tor}.tor",

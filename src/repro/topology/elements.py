@@ -17,11 +17,19 @@ paper-scale block alone has ~68K links), so :class:`Link` and
 :class:`PortRef` are slotted: no per-instance ``__dict__``, and no
 attribute beyond their declared fields.  Builders that emit many links
 hand them to :meth:`Topology.add_links` in one call.
+
+This module owns two things every builder and consumer share: the NIC
+name ``<host>.nic<rail>`` (:func:`nic_name`, :func:`parse_nic`), which
+flows also use as their five-tuple IPs, and every change to a link
+after it is built (:meth:`Topology.fail_link`,
+:meth:`Topology.scale_link`, :meth:`Topology.miswire`), so the
+``version`` counter routers key their caches on cannot be skipped.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -36,6 +44,9 @@ __all__ = [
     "PortRef",
     "Topology",
     "TopologyError",
+    "make_host",
+    "nic_name",
+    "parse_nic",
 ]
 
 
@@ -94,6 +105,26 @@ class Nic:
         return self.ports * self.port_gbps
 
 
+def nic_name(host: str, rail: int) -> str:
+    """The name of *host*'s rail-*rail* NIC, which is also the "IP" a
+    flow's five-tuple carries for that end."""
+    return f"{host}.nic{rail}"
+
+
+_RAIL = re.compile("0|[1-9][0-9]*")
+
+
+def parse_nic(name: str) -> Optional[Tuple[str, int]]:
+    """``(host, rail)`` of a :func:`nic_name`, or ``None`` when *name*
+    does not end in ``.nic`` and a canonical rail number (decimal, no
+    sign, no leading zero).  Any host string is accepted, so prefixed
+    copies (``dc1.p0.b0.h0.nic3``) parse too."""
+    host, marker, rail = name.rpartition(".nic")
+    if not marker or _RAIL.fullmatch(rail) is None:
+        return None
+    return host, int(rail)
+
+
 @dataclass
 class Device:
     """Base device record. Position attributes are None when inapplicable."""
@@ -118,6 +149,20 @@ class Host(Device):
 
     gpus: List[Gpu] = field(default_factory=list)
     nics: List[Nic] = field(default_factory=list)
+
+
+def make_host(name: str, pod: int, block: int, rank: int, rails: int,
+              nic_ports: int, nic_port_gbps: float) -> Host:
+    """A host with one GPU and one ``nic_ports``-port NIC per rail."""
+    host = Host(name=name, kind=DeviceKind.HOST, pod=pod, block=block,
+                rank=rank)
+    for rail in range(rails):
+        host.gpus.append(Gpu(name=f"{name}.gpu{rail}", host=name,
+                             rail=rail))
+        host.nics.append(Nic(name=nic_name(name, rail), host=name,
+                             rail=rail, ports=nic_ports,
+                             port_gbps=nic_port_gbps))
+    return host
 
 
 @dataclass
@@ -194,31 +239,22 @@ class Topology:
             raise TopologyError(f"self-link on {a.device}")
 
     def add_link(self, a: PortRef, b: PortRef, capacity_gbps: float) -> Link:
-        self._check_link(a, b)
-        link = Link(self._next_link_id, a, b, capacity_gbps)
-        self._next_link_id += 1
-        self.links[link.link_id] = link
-        self._adjacency[a.device].append(link.link_id)
-        self._adjacency[b.device].append(link.link_id)
-        self.version += 1
-        return link
+        return self.add_links(((a, b, capacity_gbps),))[0]
 
     def add_links(self, specs: Iterable[Tuple[PortRef, PortRef, float]]
                   ) -> List[Link]:
-        """Add every ``(a, b, capacity_gbps)`` of *specs*, in order.
+        """Add every ``(a, b, capacity_gbps)`` of *specs*, in order,
+        with consecutive ids, one ``version`` bump per link.
 
-        Equivalent to calling :meth:`add_link` once per spec — same
-        checks and error text, same ids, same adjacency order, one
-        ``version`` bump per link — except that it is all or nothing:
-        every spec is checked before the topology changes, so a failing
-        call adds no link.
+        It is all or nothing: every spec is checked before the topology
+        changes, so a failing call adds no link.
         """
         devices = self.devices
         new: List[Link] = []
         link_id = self._next_link_id
         for a, b, capacity_gbps in specs:
             a_device, b_device = a.device, b.device
-            # Inline test; _check_link raises add_link's exact error.
+            # Inline test; _check_link raises the exact error.
             if (a_device not in devices or b_device not in devices
                     or a_device == b_device):
                 self._check_link(a, b)
@@ -277,6 +313,34 @@ class Topology:
     def restore_link(self, link_id: int) -> None:
         self.links[link_id].healthy = True
         self.version += 1
+
+    def scale_link(self, link_id: int, factor: float) -> None:
+        """Multiply one link's capacity by *factor* (a flapping optic or
+        a crawling NIC keeps its carrier but loses bandwidth)."""
+        self.links[link_id].capacity_gbps *= factor
+        self.version += 1
+
+    def miswire(self, host: str, link_id: int, other_id: int) -> None:
+        """Swap the far ends of two of *host*'s links in place (a
+        cabling mistake): each link keeps its id and its host end.
+
+        Each far device's adjacency list drops the link it had and
+        appends the one it now has; ``version`` bumps once per link.
+        """
+        link, other = self.links[link_id], self.links[other_id]
+        link_far = link.endpoint(link.other(host))
+        other_far = other.endpoint(other.other(host))
+        for swapped, new_end in ((link, other_far), (other, link_far)):
+            if swapped.a.device == host:
+                swapped.b = new_end
+            else:
+                swapped.a = new_end
+        adjacency = self._adjacency
+        adjacency[link_far.device].remove(link_id)
+        adjacency[link_far.device].append(other_id)
+        adjacency[other_far.device].remove(other_id)
+        adjacency[other_far.device].append(link_id)
+        self.version += 2
 
     def fail_device(self, device: str) -> List[int]:
         """Fail every healthy link of *device* (a dead switch, host or

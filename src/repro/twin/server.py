@@ -210,29 +210,25 @@ class TwinServer:
         self.stop_event.set()
 
 
-async def serve_forever(host: str, port: int, workers: int,
-                        install_signals: bool = True,
-                        announce=print) -> int:
+async def serve_forever(host: str, port: int, workers: int) -> int:
     """Run until SIGINT/SIGTERM; returns the CLI exit code (130 when
     interrupted, 0 on a programmatic stop)."""
     server = TwinServer(host=host, port=port, workers=workers)
     await server.start()
     loop = asyncio.get_running_loop()
-    if install_signals:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    signum, server.request_stop, signum)
-            except (NotImplementedError, RuntimeError):
-                pass
-    announce(f"twin: listening on http://{server.host}:{server.port} "
-             f"(workers={workers})")
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, server.request_stop, signum)
+        except (NotImplementedError, RuntimeError):
+            pass
+    print(f"twin: listening on http://{server.host}:{server.port} "
+          f"(workers={workers})")
     sys.stdout.flush()
     try:
         await server.stop_event.wait()
     finally:
         await server.stop()
     if server.signaled in (signal.SIGINT, signal.SIGTERM):
-        announce(f"twin: shut down on signal {server.signaled}")
+        print(f"twin: shut down on signal {server.signaled}")
         return 130
     return 0

@@ -44,8 +44,8 @@ def _batch_finish(spec: ScenarioSpec, scale: float = 1.0,
     """Complete the spec's flows at t=0, optionally transformed."""
     topology = build_topology(spec)
     if scale != 1.0:
-        for link in topology.links.values():
-            link.capacity_gbps *= scale
+        for link_id in topology.links:
+            topology.scale_link(link_id, scale)
     if fail_link_id is not None:
         topology.fail_link(fail_link_id)
     fabric = Fabric(topology)

@@ -226,8 +226,7 @@ class TestTimedBehaviour:
         fabric = Fabric(topology)
         flow = make_flow("p0.b0.h0", "p0.b0.h1", rail=0, size_bits=8e9)
         path = fabric.router.path(flow)
-        topology.links[path.link_ids[0]].capacity_gbps = 0.0
-        topology.version += 1
+        topology.scale_link(path.link_ids[0], 0.0)
         with pytest.raises(SimulationError) as excinfo:
             complete_batch(fabric, [flow])
         assert str(flow.flow_id) in str(excinfo.value)
@@ -851,20 +850,23 @@ class TestTimedCollectives:
         engine.run()
         assert proc.value.n_waves == 6
 
-    def test_run_collective_scheduled_mode(self):
-        """``run_collective(scheduled=True)`` runs the dependency-aware
-        wave schedule on a private engine — same total network time as
-        the flat batch on an uncongested ring, with a real run."""
+    def test_timed_collective_on_a_private_engine(self):
+        """The dependency-aware wave schedule on a private engine and
+        simulator: same total network time as the flat batch on an
+        uncongested ring, with a real run."""
         topology = build_astral(AstralParams.small())
         endpoints = [Endpoint(f"p0.b0.h{i}", 0) for i in range(4)]
         flat = run_collective(Fabric(topology), endpoints, 8e9,
                               "reduce_scatter")
-        sched = run_collective(Fabric(topology), endpoints, 8e9,
-                               "reduce_scatter", scheduled=True)
+        engine = FabricEngine(Fabric(topology), sim=Simulator())
+        proc = run_collective_timed(engine, endpoints, 8e9,
+                                    "reduce_scatter")
+        run = engine.run()
+        sched = proc.value
         assert sched.network_time_s == pytest.approx(
             flat.network_time_s, rel=1e-6)
-        assert sched.run is not None
-        assert sched.run.total_time_s == pytest.approx(
+        assert run is not None
+        assert run.total_time_s == pytest.approx(
             sched.network_time_s, rel=1e-6)
 
     def test_pipeline_chain_serializes(self):

@@ -155,7 +155,7 @@ def _reference_expand_domains(params, placed, domains):
     owner: Dict[str, str] = {}
     by_block: Dict[tuple, List] = {}
     for placed_job in placed:
-        for host in placed_job.hosts:
+        for host in placed_job.host_names():
             owner[host] = placed_job.name
         for coord in placed_job.coords:
             by_block.setdefault((coord[0], coord[1]),

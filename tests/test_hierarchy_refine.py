@@ -386,7 +386,8 @@ class TestFaultThenHealAtScale:
         engine = FabricEngine(Fabric(build_astral(params)))
         flows = []
         for placed in group.jobs:
-            flow = make_flow(placed.hosts[0], placed.hosts[1], rail=0,
+            hosts = placed.host_names()
+            flow = make_flow(hosts[0], hosts[1], rail=0,
                              size_bits=4e12)
             engine.submit(flow)
             flows.append(flow)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from repro.hierarchy import (HierJob, PlacedJob, detect_symmetry,
                              job_shape, line_rate_certificate, place_jobs)
 from repro.hierarchy.symmetry import uf_find, uf_union
-from repro.hierarchy.virtual import (Coord, parse_host, pod_of_device,
-                                     rename_host)
+from repro.hierarchy.virtual import Coord, parse_host, pod_of_device
 from repro.monitoring import FaultSpec, Manifestation, RootCause
 from repro.topology import AstralParams
 from repro.topology.astral import host_name, rename_device
@@ -43,7 +42,13 @@ class TestVirtualNaming:
 
     def test_rename_device_rebases_pod_and_block(self):
         pod_map, block_map = {3: 0}, {5: 1}
-        assert rename_host("p3.b5.h2", pod_map, block_map) == "p0.b1.h2"
+        placed = PlacedJob(HierJob("j", hosts=("p3.b5.h2",)),
+                           coords=((3, 5, 2),))
+        assert placed.host_names() == ("p3.b5.h2",)
+        assert placed.host_names(pod_map, block_map) == ("p0.b1.h2",)
+        assert placed.host_names(pod_map) == ("p0.b5.h2",)
+        with pytest.raises(KeyError):
+            placed.host_names(pod_map, {4: 0})
         assert rename_device("p3.b5.r1.g0.tor", pod_map, block_map) \
             == "p0.b1.r1.g0.tor"
         assert rename_device("p3.r1.g0.a0.agg", pod_map) \
@@ -84,10 +89,10 @@ class TestPlacement:
         placed = place_jobs(tiny(), [HierJob("a", n_hosts=4),
                                      HierJob("b", n_hosts=4),
                                      HierJob("c", n_hosts=4)])
-        assert placed[0].hosts[0] == "p0.b0.h0"
+        assert placed[0].host_names()[0] == "p0.b0.h0"
         assert placed[0].blocks == (0,)
         assert placed[1].blocks == (1,)        # next block, same pod
-        assert placed[2].hosts[0] == "p1.b0.h0"  # spills to pod 1
+        assert placed[2].host_names()[0] == "p1.b0.h0"  # spills to pod 1
         assert placed[0].positions_in_pod() \
             == placed[2].positions_in_pod()
 
@@ -103,7 +108,7 @@ class TestPlacement:
             HierJob("pinned", hosts=("p0.b0.h0", "p0.b0.h1")),
             HierJob("flow", n_hosts=2),
         ])
-        assert placed[1].hosts == ("p0.b0.h2", "p0.b0.h3")
+        assert placed[1].host_names() == ("p0.b0.h2", "p0.b0.h3")
 
     def test_double_pin_rejected(self):
         with pytest.raises(ValueError, match="more than one job"):
@@ -126,10 +131,11 @@ def _host_at(params: AstralParams, index: int) -> Coord:
     return pod, block, host
 
 
-def _oracle_place_jobs(params, jobs) -> List[PlacedJob]:
-    """The per-host placement loop ``place_jobs`` replaced, kept
-    verbatim as the oracle: one cursor step and one reserved-set probe
-    per host."""
+def _oracle_place_jobs(params, jobs) -> List[tuple]:
+    """The per-host placement loop ``place_jobs`` replaced, kept as the
+    oracle: one cursor step and one reserved-set probe per host.  It
+    yields ``(job, host names, coords)`` per job, the names taken
+    verbatim from pins and built by ``host_name`` otherwise."""
     total = params.pods * params.blocks_per_pod * params.hosts_per_block
     names = [job.name for job in jobs]
     if len(set(names)) != len(names):
@@ -142,13 +148,12 @@ def _oracle_place_jobs(params, jobs) -> List[PlacedJob]:
                 raise ValueError(
                     f"host {host} pinned by more than one job")
             reserved.add(coord)
-    placed: List[PlacedJob] = []
+    placed: List[tuple] = []
     cursor = 0
     for job in jobs:
         if job.hosts:
             coords = tuple(parse_host(host) for host in job.hosts)
-            placed.append(PlacedJob(job=job, hosts=tuple(job.hosts),
-                                    coords=coords))
+            placed.append((job, tuple(job.hosts), coords))
             continue
         coords_list: List[Coord] = []
         while len(coords_list) < job.n_hosts:
@@ -162,11 +167,16 @@ def _oracle_place_jobs(params, jobs) -> List[PlacedJob]:
                 continue
             coords_list.append(coord)
         coords = tuple(coords_list)
-        placed.append(PlacedJob(
-            job=job,
-            hosts=tuple(host_name(*coord) for coord in coords),
-            coords=coords))
+        placed.append(
+            (job, tuple(host_name(*coord) for coord in coords), coords))
     return placed
+
+
+def _rendered_place_jobs(params, jobs) -> List[tuple]:
+    """``place_jobs`` in the oracle's form: names rendered from the
+    placement's coordinates."""
+    return [(placed.job, placed.host_names(), placed.coords)
+            for placed in place_jobs(params, jobs)]
 
 
 def _outcome(place, params, jobs):
@@ -211,13 +221,14 @@ def placement_cases(draw):
 
 class TestPlacementDifferential:
     """Block-slice placement against the per-host cursor it replaced:
-    equal placements, or the same ValueError text."""
+    equal coordinates and rendered host names, or the same ValueError
+    text."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=placement_cases())
     def test_matches_per_host_oracle(self, case):
         params, jobs = case
-        assert _outcome(place_jobs, params, jobs) \
+        assert _outcome(_rendered_place_jobs, params, jobs) \
             == _outcome(_oracle_place_jobs, params, jobs)
 
     def test_skips_pins_inside_a_slice(self):
@@ -226,10 +237,12 @@ class TestPlacementDifferential:
                                       "p1.b0.h9")),
                 HierJob("a", n_hosts=5), HierJob("b", n_hosts=6)]
         placed = place_jobs(params, jobs)
-        assert placed == _oracle_place_jobs(params, jobs)
-        assert placed[1].hosts == ("p0.b0.h0", "p0.b0.h2", "p0.b0.h3",
-                                   "p0.b1.h0", "p0.b1.h1")
-        assert placed[2].hosts[0] == "p0.b1.h2"
+        assert _rendered_place_jobs(params, jobs) \
+            == _oracle_place_jobs(params, jobs)
+        assert placed[1].host_names() == ("p0.b0.h0", "p0.b0.h2",
+                                          "p0.b0.h3", "p0.b1.h0",
+                                          "p0.b1.h1")
+        assert placed[2].host_names()[0] == "p0.b1.h2"
 
 
 class TestJobShape:

@@ -91,8 +91,7 @@ class TestPfcSpreading:
         fabric = Fabric(topology)
         # Break the PCIe of h1: its access links crawl.
         for link in topology.links_of("p0.b0.h1"):
-            link.capacity_gbps *= 0.1
-        topology.version += 1
+            topology.scale_link(link.link_id, 0.1)
         return topology, fabric
 
     def _victim_through(self, fabric, device):

@@ -167,8 +167,7 @@ class TestTemplateModelTest:
         fabric = self._fabric()
         hosts = [f"p0.b0.h{i}" for i in range(4)]
         for link in fabric.topology.links_of(hosts[1]):
-            link.capacity_gbps *= 0.1
-        fabric.topology.version += 1
+            fabric.topology.scale_link(link.link_id, 0.1)
         report = OfflineToolset().template_model_test(fabric, hosts)
         assert not report.passed
         assert "expected" in report.detail

@@ -30,6 +30,7 @@ from repro.topology import (
     ClosParams,
 )
 from repro.topology.baselines import build_full_interconnect_tier2
+from repro.topology.elements import parse_nic
 
 
 @pytest.fixture(autouse=True)
@@ -331,7 +332,7 @@ class _OracleRouter:
 
     def next_hop_links(self, device, flow):
         topo = self.topology
-        dst_rail = EcmpRouter._dst_rail(flow)
+        dst_rail = parse_nic(flow.five_tuple.dst_ip)[1]
         dist = self.distances_to(flow.dst_host, dst_rail)
 
         if device == flow.src_host:
@@ -455,24 +456,12 @@ class TestSharedDistanceOracle:
     @staticmethod
     def _miswire(topo, rng):
         """Swap the switch ends of two of a host's uplinks in place, as
-        a cabling fault in ``monitoring.jobsim`` does: endpoints and
-        adjacency lists are edited directly, then the version bumps."""
+        a cabling fault in ``monitoring.jobsim`` does."""
         host = rng.choice(sorted(h.name for h in topo.hosts()))
         link, *others = topo.links_of(host)
         partner = next(other for other in others
                        if other.other(host) != link.other(host))
-        link_sw = link.endpoint(link.other(host))
-        partner_sw = partner.endpoint(partner.other(host))
-        for swapped, new_end in ((link, partner_sw), (partner, link_sw)):
-            if swapped.a.device == host:
-                swapped.b = new_end
-            else:
-                swapped.a = new_end
-        topo._adjacency[link_sw.device].remove(link.link_id)
-        topo._adjacency[link_sw.device].append(partner.link_id)
-        topo._adjacency[partner_sw.device].remove(partner.link_id)
-        topo._adjacency[partner_sw.device].append(link.link_id)
-        topo.version += 1
+        topo.miswire(host, link.link_id, partner.link_id)
 
     @classmethod
     def _fail_links(cls, topo, rng):

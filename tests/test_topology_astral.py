@@ -357,6 +357,7 @@ class TestWiringIdentity:
         built = build_astral(params)
         reference = _reference_build_astral(params)
         assert list(built.devices) == list(reference.devices)
+        assert built.devices == reference.devices     # GPUs and NICs too
         assert _wiring(built) == _wiring(reference)
 
     def _pair(self):

@@ -8,7 +8,13 @@ real server on a background thread — including the sharded mode where
 two concurrent sessions must not contaminate each other.
 """
 
+import asyncio
+import contextlib
+import io
 import json
+import os
+import re
+import signal
 import time
 
 import pytest
@@ -17,6 +23,7 @@ from repro.monitoring.telemetry import (CommGroup, JobMetadata,
                                         QpMetadata, TelemetryStore)
 from repro.network.ecmp import FiveTuple
 from repro.network.solver import use_backend
+from repro.twin import serve_forever
 from repro.twin import (ServerHarness, TwinClientError, TwinConfig,
                         TwinSession, replay)
 
@@ -390,6 +397,47 @@ def _wait_for_snapshots(client, session_id, count, timeout_s=60.0):
             return entry
         assert time.monotonic() < deadline, entry
         time.sleep(0.02)
+
+
+class TestServeForever:
+    def test_serves_until_sigterm(self):
+        """The ``repro twin serve`` entry point, in-process: it prints
+        its port, answers ``/healthz``, and a SIGTERM sent only after
+        that line has appeared drains it with exit code 130."""
+        out = io.StringIO()
+        default = signal.getsignal(signal.SIGTERM)
+
+        async def drive():
+            serving = asyncio.ensure_future(
+                serve_forever("127.0.0.1", 0, 0))
+            deadline = time.monotonic() + 30.0
+            while "listening on" not in out.getvalue():
+                assert not serving.done() and time.monotonic() < deadline
+                await asyncio.sleep(0.01)
+            port = int(re.search(r"listening on http://127\.0\.0\.1:"
+                                 r"(\d+) \(workers=0\)",
+                                 out.getvalue()).group(1))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Connection: close\r\n\r\n")
+            reply = await asyncio.wait_for(reader.read(), 30.0)
+            writer.close()
+            # The server's own handler must be in place, or SIGTERM
+            # would end the test process.
+            assert signal.getsignal(signal.SIGTERM) is not default
+            os.kill(os.getpid(), signal.SIGTERM)
+            return reply, await asyncio.wait_for(serving, 30.0)
+
+        with contextlib.redirect_stdout(out):
+            reply, code = asyncio.run(drive())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(body) == {"ok": True}
+        assert code == 130
+        assert out.getvalue().endswith(
+            f"twin: shut down on signal {int(signal.SIGTERM)}\n")
+        assert signal.getsignal(signal.SIGTERM) is default
 
 
 class TestShardedServer:
