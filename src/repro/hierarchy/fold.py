@@ -43,7 +43,6 @@ from ..monitoring.multijob import JobOutcome, MultiJobRun
 from ..network.fabric import Fabric
 from ..network.flows import reset_flow_ids
 from ..topology.astral import AstralParams, build_astral
-from .compose import scaled_compute_s
 from .symmetry import PodClass, block_signature, job_shape
 from .virtual import PlacedJob
 

@@ -19,7 +19,7 @@ classes rather than one degenerate fold.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from ..topology.astral import AstralParams
 from .virtual import HierJob

@@ -29,7 +29,6 @@ from ..faults import Manifestation
 from ..telemetry import Layer, TelemetryStore
 from .cross_host import CrossHostComparison
 from .int_hotspot import find_hotspots
-from .path_overlap import best_failure_point
 from .timeseries import SlidingWindowDetector
 
 __all__ = ["Diagnosis", "HierarchicalAnalyzer"]

@@ -11,7 +11,7 @@ their scope covers the affected hosts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 __all__ = ["ChangeRecord", "ChangeSuspect", "MaintenanceLog"]

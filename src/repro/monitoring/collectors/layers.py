@@ -19,9 +19,6 @@ what the analyzer later uses to stitch them back together.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from ...network.congestion import CongestionModel
 from ..telemetry import (
     ErrCqeRecord,
     HostSensorRecord,

@@ -26,7 +26,7 @@ def reset_flow_ids() -> None:
     _flow_counter = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """One RDMA flow between a source and destination GPU.
 

@@ -36,6 +36,7 @@ a structured error naming the offending fault instead of a deep
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
@@ -104,6 +105,13 @@ class FaultDomain:
     gray_factor: float = 0.8
 
     def __post_init__(self) -> None:
+        for name in ("pod", "block", "size", "at_iteration",
+                     "jitter_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) \
+                    or isinstance(value, bool):
+                raise ValueError(f"domain {name} must be an integer, "
+                                 f"got {value!r}")
         if self.kind not in _KIND_PROFILES:
             raise ValueError(
                 f"unknown fault-domain kind {self.kind!r}; expected "
@@ -360,6 +368,10 @@ def faults_from_document(params: AstralParams, placed: Sequence,
         if not job:
             raise ValueError(f"{where}: missing 'job' (the tenant the "
                              "fault rides on)")
+        if not isinstance(job, str) \
+                or not isinstance(fields.get("target", ""), str):
+            raise ValueError(f"{where}: 'job' and 'target' must be "
+                             f"names (strings)")
         if job not in by_name:
             raise ValueError(
                 f"{where}: job {job!r} is not a placed tenant "

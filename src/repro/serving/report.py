@@ -14,8 +14,8 @@ payload and the object every bit-identity test compares with ``==``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = ["ServingReport", "weighted_percentile"]
 

@@ -35,7 +35,7 @@ processes, workers, and backends.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cluster.scheduler import ClusterScheduler, SchedulingPolicy

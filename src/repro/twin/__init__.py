@@ -16,7 +16,7 @@ repo-wide determinism bar.
 from .client import TwinClient, TwinClientError
 from .config import TwinConfig
 from .demo import ServerHarness, run_demo, scripted_scenario
-from .manager import SessionManager, TwinError
+from .manager import SessionManager
 from .server import TwinServer, build_app, serve_forever
 from .session import TwinSession, replay, session_digest
 
@@ -26,7 +26,6 @@ __all__ = [
     "TwinClient",
     "TwinClientError",
     "TwinConfig",
-    "TwinError",
     "TwinServer",
     "TwinSession",
     "build_app",

@@ -6,7 +6,9 @@ simulation), queue until the session's next virtual-time boundary,
 and are applied there in submit order.  The *normalized* form is what
 the append-only action log records — application is a deterministic
 function of (session state, normalized action), which is the whole
-replay contract.
+replay contract.  An action can still fail against the state it meets
+at its boundary (a fault naming a job that has since finished); it
+stays in the log, and its boundary reports the error.
 
 Kinds:
 
@@ -32,14 +34,16 @@ Kinds:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Dict, List
 
 from ..cluster.powercap import ScheduleHostCap
+from ..farm.spec import canonical_json
 from ..resilience.domains import FaultDomain, faults_from_document, \
     inject_domain
 
 __all__ = ["ActionError", "ACTION_KINDS", "normalize_action",
-           "apply_cluster_action"]
+           "validate_cluster_action", "apply_cluster_action"]
 
 ACTION_KINDS = ("cordon", "uncordon", "drain", "preempt",
                 "inject-fault", "set-power-cap")
@@ -63,7 +67,18 @@ def _host_list(action: Dict[str, Any]) -> List[str]:
 
 
 def normalize_action(action: Any) -> Dict[str, Any]:
-    """Shape-check one action and return its canonical (logged) form."""
+    """Shape-check one action and return its canonical (logged) form,
+    which must hash as canonical JSON (no NaN, no infinities)."""
+    normalized = _normalize(action)
+    try:
+        canonical_json(normalized)
+    except (TypeError, ValueError) as exc:
+        raise ActionError(f"{normalized['kind']}: not plain JSON with "
+                          f"finite numbers: {exc}") from None
+    return normalized
+
+
+def _normalize(action: Any) -> Dict[str, Any]:
     if not isinstance(action, dict):
         raise ActionError(
             f"action must be an object, got {type(action).__name__}")
@@ -80,10 +95,17 @@ def normalize_action(action: Any) -> Dict[str, Any]:
         return {"kind": kind, "job": job}
     if kind == "inject-fault":
         document = action.get("document")
-        if not isinstance(document, dict):
+        if not isinstance(document, dict) \
+                or set(document) - {"domains", "faults"}:
             raise ActionError(
                 "inject-fault: 'document' must be an object with "
                 "'domains' and/or 'faults' lists")
+        for key in ("domains", "faults"):
+            entries = document.get(key, ())
+            if not isinstance(entries, (list, tuple)) or not all(
+                    isinstance(entry, dict) for entry in entries):
+                raise ActionError(
+                    f"inject-fault: {key!r} must be a list of objects")
         return {"kind": kind, "document": document}
     # set-power-cap
     if "frac" in action:
@@ -110,9 +132,12 @@ def normalize_action(action: Any) -> Dict[str, Any]:
             raise ActionError(
                 "set-power-cap: 'times_s' and 'allowed' must be "
                 "equal-length non-empty lists")
-        return {"kind": kind,
-                "times_s": [float(t) for t in times],
-                "allowed": [int(n) for n in allowed]}
+        try:
+            return {"kind": kind,
+                    "times_s": [float(t) for t in times],
+                    "allowed": [int(n) for n in allowed]}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ActionError(f"set-power-cap: {exc}") from None
     raise ActionError("set-power-cap: provide 'frac' (plus optional "
                       "'at_s') or an explicit 'times_s'/'allowed' "
                       "schedule")
@@ -136,6 +161,22 @@ def _cap_from_action(action: Dict[str, Any],
             total_hosts, action["times_s"], action["allowed"])
     except ValueError as exc:
         raise ActionError(f"set-power-cap: {exc}") from None
+
+
+def validate_cluster_action(stack, action: Dict[str, Any]) -> None:
+    """Submit-time checks against the cluster's shape: fail now what
+    could never apply (the boundary checks what depends on state)."""
+    kind = action["kind"]
+    if kind in ("cordon", "uncordon", "drain"):
+        for host in action["hosts"]:
+            device = stack.topology.devices.get(host)
+            if device is None or device.tier != 0:
+                raise ActionError(f"{kind}: {host!r} is not a host of "
+                                  f"this cluster")
+    elif kind == "inject-fault":
+        _fault_domains(stack.params, action["document"])
+    elif kind == "set-power-cap":
+        _cap_from_action(action, stack.total_hosts)
 
 
 def apply_cluster_action(stack, action: Dict[str, Any]
@@ -179,44 +220,33 @@ def apply_cluster_action(stack, action: Dict[str, Any]
             "hosts_allowed_now": cap.hosts_allowed(stack.sim.now)}
 
 
-class _PlacedTenant:
-    """Adapter giving live allocations the shape
-    :func:`faults_from_document` expects of placed jobs."""
-
-    def __init__(self, name: str, hosts: List[str]):
-        self.name = name
-        self.hosts = list(hosts)
-        self.coords = ()
-
-    def __repr__(self) -> str:  # pragma: no cover — debug aid
-        return f"_PlacedTenant({self.name!r}, {len(self.hosts)} hosts)"
+def _fault_domains(params, document: Dict[str, Any]
+                   ) -> List[FaultDomain]:
+    """Build and range-check a document's domains; each error names
+    its entry."""
+    domains = []
+    for index, entry in enumerate(document.get("domains", ())):
+        try:
+            domains.append(FaultDomain(**entry).validate_against(params))
+        except (TypeError, ValueError) as exc:
+            raise ActionError(f"domains[{index}]: {exc}") from None
+    return domains
 
 
 def _apply_fault_document(stack, document: Dict[str, Any]
                           ) -> Dict[str, Any]:
-    placed = [
-        _PlacedTenant(name, stack.allocator.allocation(name).hosts)
-        for name in stack.scheduler.running_jobs()
-        if stack.allocator.allocation(name) is not None
-    ]
+    # The live tenants, by name: domains arm on the injector directly,
+    # so no tenant needs coordinates.
+    placed = [SimpleNamespace(name=name, coords=())
+              for name in stack.scheduler.running_jobs()
+              if stack.allocator.allocation(name) is not None]
     # Validate the whole document first (every error names its entry),
     # then arm: domains expand on the injector regardless of tenancy,
     # explicit faults ride on the named running job.
-    domains = []
-    for index, entry in enumerate(document.get("domains", ())
-                                  if isinstance(document, dict) else ()):
-        if isinstance(entry, dict):
-            try:
-                domain = FaultDomain(**entry)
-                domain.validate_against(stack.params)
-            except (TypeError, ValueError) as exc:
-                raise ActionError(f"domains[{index}]: {exc}") from None
-            domains.append(domain)
+    domains = _fault_domains(stack.params, document)
     try:
-        keyed = faults_from_document(
-            stack.params, placed,
-            {**document, "domains": []} if "domains" in document
-            else document)
+        keyed = faults_from_document(stack.params, placed,
+                                     {**document, "domains": []})
     except ValueError as exc:
         raise ActionError(str(exc)) from None
     armed = []

@@ -53,18 +53,7 @@ class TwinClient:
                 headers["Content-Type"] = "application/json"
             connection.request(method, path, body=body,
                                headers=headers)
-            response = connection.getresponse()
-            text = response.read().decode("utf-8")
-            if response.getheader("Content-Type", "").startswith(
-                    "application/json"):
-                value = json.loads(text) if text.strip() else {}
-            else:
-                value = text
-            if response.status >= 400:
-                message = value.get("error", text) \
-                    if isinstance(value, dict) else text
-                raise TwinClientError(response.status, message)
-            return value
+            return _read(connection.getresponse())
         finally:
             connection.close()
 
@@ -161,12 +150,7 @@ class TwinClient:
                 headers={"Connection": "close"})
             response = connection.getresponse()
             if response.status >= 400:
-                text = response.read().decode("utf-8")
-                try:
-                    message = json.loads(text).get("error", text)
-                except json.JSONDecodeError:
-                    message = text
-                raise TwinClientError(response.status, message)
+                _read(response)
             while True:
                 line = response.readline()
                 if not line:
@@ -186,3 +170,17 @@ class TwinClient:
         """The session's raw ``TelemetryStore`` as JSONL text."""
         return self.request(
             "GET", f"/sessions/{session_id}/telemetry/records")
+
+
+def _read(response: http.client.HTTPResponse) -> Any:
+    """A response's JSON (or text) value; an error status raises
+    :class:`TwinClientError` with the server's message."""
+    text = response.read().decode("utf-8")
+    value: Any = text
+    if response.getheader("Content-Type", "").startswith(
+            "application/json"):
+        value = json.loads(text) if text.strip() else {}
+    if response.status >= 400:
+        raise TwinClientError(response.status, value.get("error", text)
+                              if isinstance(value, dict) else text)
+    return value

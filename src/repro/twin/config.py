@@ -69,8 +69,11 @@ class TwinConfig:
                 f"TwinConfig.solver must be None, got {self.solver!r}; "
                 f"pick a fill kernel with "
                 f"repro.network.solver.use_backend")
-        if self.jobs < 0:
-            raise ValueError(f"jobs cannot be negative: {self.jobs}")
+        if not isinstance(self.jobs, int) or self.jobs < 0:
+            raise ValueError(f"jobs must be a count >= 0: {self.jobs!r}")
+        if self.dampening_s < 0:
+            raise ValueError(f"dampening_s cannot be negative: "
+                             f"{self.dampening_s}")
         if self.probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive: "
                              f"{self.probe_interval_s}")
@@ -82,6 +85,9 @@ class TwinConfig:
         if self.serving is not None \
                 and not isinstance(self.serving, dict):
             raise ValueError("serving overrides must be an object")
+        if self.kind == "serving":   # the overrides must build a day
+            from ..serving import ServingScenario
+            ServingScenario.from_params(self.scenario_params())
 
     # -- derived ---------------------------------------------------------
     def astral_params(self) -> AstralParams:

@@ -28,7 +28,8 @@ class ServerHarness:
         self.workers = workers
         self.host = host
         self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: the server's event loop, once started.
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[TwinServer] = None
         self._started = threading.Event()
         self._failure: Optional[BaseException] = None
@@ -44,16 +45,13 @@ class ServerHarness:
             self._started.set()
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        self.loop = asyncio.get_running_loop()
         self._server = TwinServer(host=self.host, port=0,
                                   workers=self.workers)
-        await self._server.start()
-        self.port = self._server.port
-        self._started.set()
-        try:
+        async with self._server:
+            self.port = self._server.port
+            self._started.set()
             await self._server.stop_event.wait()
-        finally:
-            await self._server.stop()
 
     def start(self) -> "ServerHarness":
         self._thread.start()
@@ -65,8 +63,8 @@ class ServerHarness:
         return self
 
     def stop(self) -> None:
-        if self._loop is not None and self._server is not None:
-            self._loop.call_soon_threadsafe(self._server.request_stop)
+        if self.loop is not None and self._server is not None:
+            self.loop.call_soon_threadsafe(self._server.request_stop)
         self._thread.join(timeout=60)
 
     # -- conveniences ----------------------------------------------------

@@ -19,15 +19,21 @@ A :class:`Response` whose ``stream`` is an async iterator is sent with
 ``Transfer-Encoding: chunked``, one chunk per yielded item — that is
 how ``/telemetry/stream`` pushes NDJSON snapshots for as long as the
 client stays connected.
+
+:class:`HttpError` is the one error class, from request framing up
+through the twin's session layers; anything else is a bug: a 500.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import re
 import sys
 import traceback
+from functools import partialmethod
+from http import HTTPStatus
 from typing import (Any, AsyncIterator, Awaitable, Callable, Dict, List,
                     Optional, Tuple)
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -38,13 +44,6 @@ __all__ = ["App", "HttpError", "Request", "Response", "start_http_server"]
 #: small JSON documents; anything bigger is a client bug).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 _LINE_LIMIT = 64 * 1024
-
-_STATUS_TEXT = {
-    200: "OK", 201: "Created", 204: "No Content",
-    400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 413: "Payload Too Large",
-    500: "Internal Server Error",
-}
 
 
 class HttpError(Exception):
@@ -69,14 +68,19 @@ class Request:
         #: ``{name}`` captures from the matched route pattern.
         self.params: Dict[str, str] = {}
 
-    def json(self) -> Any:
-        """Parse the body as JSON; empty bodies parse as ``{}``."""
+    def json(self) -> Dict[str, Any]:
+        """Parse the body as a JSON object; empty bodies parse as
+        ``{}``, and anything else is a 400."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            value = json.loads(self.body.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
             raise HttpError(400, f"request body is not JSON: {exc}")
+        if not isinstance(value, dict):
+            raise HttpError(400, f"request body must be a JSON object, "
+                                 f"got {type(value).__name__}")
+        return value
 
 
 class Response:
@@ -132,14 +136,9 @@ class App:
             return handler
         return decorate
 
-    def get(self, pattern: str):
-        return self.route("GET", pattern)
-
-    def post(self, pattern: str):
-        return self.route("POST", pattern)
-
-    def delete(self, pattern: str):
-        return self.route("DELETE", pattern)
+    get = partialmethod(route, "GET")
+    post = partialmethod(route, "POST")
+    delete = partialmethod(route, "DELETE")
 
     # -- dispatch --------------------------------------------------------
     async def dispatch(self, request: Request) -> Response:
@@ -180,6 +179,10 @@ class App:
                         writer,
                         Response({"error": exc.message}, status=exc.status),
                         keep_alive=False)
+                    # Closing with unread input would reset the
+                    # connection before the client reads the error.
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(_drain(reader), 1.0)
                     break
                 if request is None:
                     break
@@ -192,10 +195,8 @@ class App:
                 if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels in-flight connection tasks; ending
+                asyncio.IncompleteReadError, asyncio.CancelledError):
+            # A client gone, or (cancelled) loop teardown: ending
             # quietly here is the orderly-shutdown path.
             pass
         finally:
@@ -207,37 +208,40 @@ class App:
                 pass
 
 
+async def _drain(reader: asyncio.StreamReader) -> None:
+    while await reader.read(_LINE_LIMIT):
+        pass
+
+
 async def _read_request(reader: asyncio.StreamReader
                         ) -> Optional[Request]:
-    line = await reader.readline()
-    if not line or line in (b"\r\n", b"\n"):
-        return None
     try:
+        line = await reader.readline()
+        if not line or line in (b"\r\n", b"\n"):
+            return None
         method, target, _version = line.decode("latin-1").split(None, 2)
-    except ValueError:
-        raise HttpError(400, "malformed request line")
-    headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        if len(raw) > _LINE_LIMIT:
-            raise HttpError(400, "header line too long")
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length > MAX_BODY_BYTES:
+        split = urlsplit(target)
+        headers: Dict[str, str] = {}
+        while (raw := await reader.readline()) not in (b"\r\n", b"\n",
+                                                       b""):
+            name, _, value = raw.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    except ValueError as exc:  # also asyncio's "line over the limit"
+        raise HttpError(400, f"malformed request head: {exc}") from None
+    length = headers.get("content-length", "0") or "0"
+    if not length.isdecimal():
+        raise HttpError(400, f"Content-Length must be a non-negative "
+                             f"integer, got {length!r}")
+    if int(length) > MAX_BODY_BYTES:
         raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    split = urlsplit(target)
+    body = await reader.readexactly(int(length))
     query = dict(parse_qsl(split.query, keep_blank_values=True))
     return Request(method.upper(), unquote(split.path), query,
                    headers, body)
 
 
 def _head(status: int, content_type: str, extra: str) -> bytes:
-    text = _STATUS_TEXT.get(status, "Unknown")
-    return (f"HTTP/1.1 {status} {text}\r\n"
+    return (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"{extra}\r\n").encode("latin-1")
 

@@ -1,50 +1,43 @@
 """Async façade over local or sharded sessions, plus streaming.
 
-The HTTP layer talks only to :class:`SessionManager`.  With
-``workers=0`` sessions live in-process (handy for tests and the demo);
+The HTTP layer talks only to :class:`SessionManager`, and every
+failure leaves it as an :class:`~repro.twin.http.HttpError`.  With
+``workers=0`` sessions live in-process, in the manager's own table;
 with ``workers=N`` every session is pinned to a shard worker process
-(:mod:`.shard`) and all commands cross the process boundary as
-JSON-pure dicts.  Either way the manager serializes commands per
-session with an ``asyncio.Lock`` — the action log is append-only and
-ordered, which is what the replay contract quantifies over — and keeps
-the archive of boundary snapshots that ``/telemetry/stream``
-subscribers replay and then follow live.
+(:mod:`.shard`) and commands cross the process boundary as JSON-pure
+dicts.  Both run one dispatch, :func:`~repro.twin.shard.shard_call`,
+handed the table it acts on.  Either way the manager serializes
+commands per session with an ``asyncio.Lock`` — the action log is
+append-only and ordered, which is what the replay contract quantifies
+over — and keeps the archive of boundary snapshots that
+``/telemetry/stream`` subscribers replay and then follow live.
 
-Replay verification goes through the farm: the session's
-``(config, action_log)`` becomes a ``twin-replay``
-:class:`~repro.farm.spec.TaskSpec` executed by a one-worker
-:class:`~repro.farm.executor.FarmExecutor` — the same content-hashed
-``execute_spec`` choke point every other subsystem replays through.
+Replay verification runs the session's ``(config, action_log)`` as a
+``twin-replay`` :class:`~repro.farm.spec.TaskSpec` through
+``execute_spec`` in a worker thread — the farm's one choke point, with
+no pool and no cache entry.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, AsyncIterator, Dict, List, Optional
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
-from .actions import ActionError
 from .config import TwinConfig
+from .http import HttpError
 from .session import TwinSession
 from .shard import ShardPool, shard_call
 
-__all__ = ["SessionManager", "TwinError"]
-
-
-class TwinError(Exception):
-    """Manager-level failure with an HTTP status."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-        self.message = message
+__all__ = ["SessionManager"]
 
 
 class _SessionHandle:
     """Parent-side bookkeeping for one session."""
 
-    def __init__(self, session_id: str, config: Dict[str, Any]):
-        self.session_id = session_id
+    def __init__(self, config: Dict[str, Any]):
         self.config = config
         self.lock = asyncio.Lock()
         self.snapshots: List[Dict[str, Any]] = []
@@ -80,50 +73,52 @@ class SessionManager:
             # In-process sessions still run off the event loop so a
             # 64K-scale advance cannot stall concurrent requests.
             result = await loop.run_in_executor(
-                self._local_executor, shard_call,
-                self._attach_local(payload))
+                self._local_executor, shard_call, payload, self._local)
         if not result["ok"]:
-            raise TwinError(result.get("status", 500), result["error"])
+            raise HttpError(result["status"], result["error"])
         return result["value"]
-
-    def _attach_local(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        # workers=0 reuses the shard dispatch table against this
-        # process's session dict — one code path, two deployments.
-        from . import shard
-        shard._SESSIONS = self._local
-        return payload
 
     def _handle(self, session_id: str) -> _SessionHandle:
         handle = self._handles.get(session_id)
         if handle is None:
-            raise TwinError(404, f"no session {session_id!r}")
+            raise HttpError(404, f"no session {session_id!r}")
         return handle
 
     # -- lifecycle -------------------------------------------------------
-    async def create(self, config_params: Optional[Dict[str, Any]],
-                     session_id: Optional[str] = None
+    async def create(self, config_params: Any,
+                     session_id: Any = None, pace: Any = None
                      ) -> Dict[str, Any]:
+        """Create a session (paced from the start if *pace* is given);
+        every field is checked before anything is created."""
         try:
-            config = TwinConfig.from_params(config_params or {})
-        except (ActionError, ValueError) as exc:
-            raise TwinError(400, str(exc))
+            config = TwinConfig.from_params(
+                {} if config_params is None else config_params)
+        except (TypeError, ValueError) as exc:  # TypeError: ill-typed field
+            raise HttpError(400, str(exc))
+        if pace:
+            _pace_args(pace)
         if session_id is None:
             self._counter += 1
             session_id = f"s{self._counter}"
+        if not isinstance(session_id, str) or not session_id:
+            raise HttpError(400, f"session id must be a non-empty "
+                                 f"string, got {session_id!r}")
         if session_id in self._handles:
-            raise TwinError(409, f"session {session_id!r} already "
+            raise HttpError(409, f"session {session_id!r} already "
                                  f"exists")
-        handle = _SessionHandle(session_id, config.to_params())
+        handle = _SessionHandle(config.to_params())
         self._handles[session_id] = handle
         try:
             async with handle.lock:
                 info = await self._call(session_id, {
                     "op": "create", "config": config.to_params()})
-        except TwinError:
+        except HttpError:
             del self._handles[session_id]
             raise
         if self._pool is not None:
             info["shard"] = self._pool.shard_of(session_id)
+        if pace:
+            await self.start_pace(session_id, pace)
         return info
 
     async def delete(self, session_id: str) -> Dict[str, Any]:
@@ -131,9 +126,7 @@ class SessionManager:
         await self.stop_pace(session_id)
         async with handle.lock:
             result = await self._call(session_id, {"op": "delete"})
-        handle.closed = True
-        for queue in handle.subscribers:
-            queue.put_nowait(None)
+        _close(handle)
         del self._handles[session_id]
         return result
 
@@ -198,21 +191,18 @@ class SessionManager:
                 "match": live == replayed["digest"]}
 
     # -- paced advancement -----------------------------------------------
-    async def start_pace(self, session_id: str, dt_s: float,
-                         interval_s: float) -> Dict[str, Any]:
+    async def start_pace(self, session_id: str,
+                         pace: Any) -> Dict[str, Any]:
+        """(Re)start pacing from a ``{"dt_s", "interval_s"}`` object."""
         handle = self._handle(session_id)
-        if not dt_s > 0 or not interval_s >= 0:
-            raise TwinError(400, "pace needs dt_s > 0 and "
-                                 "interval_s >= 0")
+        dt_s, interval_s = _pace_args(pace)
         await self.stop_pace(session_id)
 
         async def _pace() -> None:
-            try:
+            with contextlib.suppress(asyncio.CancelledError, HttpError):
                 while True:
                     await self.advance(session_id, dt_s)
                     await asyncio.sleep(interval_s)
-            except (asyncio.CancelledError, TwinError):
-                pass
 
         handle.pacer = asyncio.get_running_loop().create_task(_pace())
         return {"paced": True, "dt_s": dt_s, "interval_s": interval_s}
@@ -221,24 +211,31 @@ class SessionManager:
         handle = self._handle(session_id)
         if handle.pacer is not None:
             handle.pacer.cancel()
-            try:
+            with contextlib.suppress(asyncio.CancelledError):
                 await handle.pacer
-            except asyncio.CancelledError:
-                pass
             handle.pacer = None
         return {"paced": False}
 
     # -- streaming -------------------------------------------------------
-    async def stream(self, session_id: str, start: int = 0,
-                     follow: bool = False
-                     ) -> AsyncIterator[Dict[str, Any]]:
+    def stream(self, session_id: str, start: Any = 0,
+               follow: bool = False) -> AsyncIterator[Dict[str, Any]]:
+        """Check the session and *start* before any header goes out;
+        the iterator serves the archive, then (*follow*) new ones."""
         handle = self._handle(session_id)
+        try:
+            index = max(0, int(start))
+        except (TypeError, ValueError):
+            raise HttpError(400, f"start must be an integer, "
+                                 f"got {start!r}") from None
+        return self._serve(handle, index, follow)
+
+    async def _serve(self, handle: _SessionHandle, index: int,
+                     follow: bool) -> AsyncIterator[Dict[str, Any]]:
         queue: Optional[asyncio.Queue] = None
         if follow:
             queue = asyncio.Queue()
             handle.subscribers.append(queue)
         try:
-            index = max(0, int(start))
             while index < len(handle.snapshots):
                 yield handle.snapshots[index]
                 index += 1
@@ -260,16 +257,20 @@ class SessionManager:
     # -- teardown --------------------------------------------------------
     async def shutdown(self) -> None:
         for session_id in list(self._handles):
-            handle = self._handles[session_id]
             await self.stop_pace(session_id)
-            handle.closed = True
-            for queue in handle.subscribers:
-                queue.put_nowait(None)
+            _close(self._handles[session_id])
         if self._pool is not None:
             self._pool.shutdown()
         if self._local_executor is not None:
             self._local_executor.shutdown(wait=False,
                                           cancel_futures=True)
+
+
+def _close(handle: _SessionHandle) -> None:
+    """End the session's streams: followers see the end of the feed."""
+    handle.closed = True
+    for queue in handle.subscribers:
+        queue.put_nowait(None)
 
 
 def _replay_via_farm(log: Dict[str, Any]) -> Dict[str, Any]:
@@ -283,5 +284,18 @@ def _replay_via_farm(log: Dict[str, Any]) -> Dict[str, Any]:
     try:
         return execute_spec(spec)
     except Exception as exc:  # noqa: BLE001 — surfaced as a 500
-        raise TwinError(500, f"replay failed: "
+        raise HttpError(500, f"replay failed: "
                              f"{type(exc).__name__}: {exc}") from None
+
+
+def _pace_args(pace: Any) -> Tuple[float, float]:
+    """Coerce and range-check a pace object's ``dt_s``/``interval_s``."""
+    try:
+        dt_s = float(pace.get("dt_s", 60.0))
+        interval_s = float(pace.get("interval_s", 1.0))
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        dt_s = interval_s = math.nan      # not an object, or not numbers
+    if not 0.0 < dt_s < math.inf or not 0.0 <= interval_s < math.inf:
+        raise HttpError(400, "pace needs an object with finite numbers "
+                             "dt_s > 0 and interval_s >= 0")
+    return dt_s, interval_s

@@ -30,19 +30,17 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
-from .http import App, HttpError, Request, Response, start_http_server
-from .manager import SessionManager, TwinError
+from .http import App, Request, Response, start_http_server
+from .manager import SessionManager
 
 __all__ = ["build_app", "serve_forever", "TwinServer"]
 
 
-def _wrap(error: TwinError) -> HttpError:
-    return HttpError(error.status, error.message)
-
-
 def build_app(manager: SessionManager) -> App:
+    """Routes are plain calls: every bad request surfaces as the
+    :class:`~repro.twin.http.HttpError` of the layer that checks it."""
     app = App("repro-twin")
 
     @app.get("/healthz")
@@ -67,114 +65,67 @@ def build_app(manager: SessionManager) -> App:
     @app.post("/sessions")
     async def create_session(request: Request) -> Response:
         body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "expected an object body")
-        try:
-            info = await manager.create(body.get("config"),
-                                        session_id=body.get("id"))
-            pace = body.get("pace")
-            if pace:
-                await manager.start_pace(
-                    info["id"], float(pace.get("dt_s", 60.0)),
-                    float(pace.get("interval_s", 1.0)))
-        except TwinError as exc:
-            raise _wrap(exc)
-        return Response(info, status=201)
+        return Response(await manager.create(
+            body.get("config"), session_id=body.get("id"),
+            pace=body.get("pace")), status=201)
 
     @app.get("/sessions/{sid}")
     async def session_info(request: Request) -> Response:
-        try:
-            return Response(await manager.info(request.params["sid"]))
-        except TwinError as exc:
-            raise _wrap(exc)
+        return Response(await manager.info(request.params["sid"]))
 
     @app.delete("/sessions/{sid}")
     async def delete_session(request: Request) -> Response:
-        try:
-            return Response(
-                await manager.delete(request.params["sid"]))
-        except TwinError as exc:
-            raise _wrap(exc)
+        return Response(await manager.delete(request.params["sid"]))
 
     @app.post("/sessions/{sid}/advance")
     async def advance(request: Request) -> Response:
         body = request.json()
-        try:
-            snapshots = await manager.advance(
-                request.params["sid"],
-                body.get("dt_s", 60.0),
-                steps=int(body.get("steps", 1)))
-        except TwinError as exc:
-            raise _wrap(exc)
+        snapshots = await manager.advance(
+            request.params["sid"], body.get("dt_s", 60.0),
+            steps=body.get("steps", 1))
         return Response({"snapshots": snapshots,
                          "t_s": snapshots[-1]["t_s"]
                          if snapshots else None})
 
     @app.post("/sessions/{sid}/actions")
     async def submit_action(request: Request) -> Response:
-        try:
-            queued = await manager.submit(request.params["sid"],
-                                          request.json())
-        except TwinError as exc:
-            raise _wrap(exc)
+        queued = await manager.submit(request.params["sid"],
+                                      request.json())
         return Response({"queued": queued}, status=201)
 
     @app.get("/sessions/{sid}/actions")
     async def action_log(request: Request) -> Response:
-        try:
-            return Response(
-                await manager.action_log(request.params["sid"]))
-        except TwinError as exc:
-            raise _wrap(exc)
+        return Response(await manager.action_log(request.params["sid"]))
 
     @app.get("/sessions/{sid}/digest")
     async def digest(request: Request) -> Response:
-        try:
-            value = await manager.digest(request.params["sid"])
-        except TwinError as exc:
-            raise _wrap(exc)
-        return Response({"digest": value})
+        return Response(
+            {"digest": await manager.digest(request.params["sid"])})
 
     @app.post("/sessions/{sid}/replay")
     async def replay(request: Request) -> Response:
-        try:
-            return Response(
-                await manager.verify_replay(request.params["sid"]))
-        except TwinError as exc:
-            raise _wrap(exc)
+        return Response(
+            await manager.verify_replay(request.params["sid"]))
 
     @app.post("/sessions/{sid}/pace")
     async def pace(request: Request) -> Response:
         body = request.json()
-        sid = request.params["sid"]
-        try:
-            if body.get("stop"):
-                return Response(await manager.stop_pace(sid))
-            return Response(await manager.start_pace(
-                sid, float(body.get("dt_s", 60.0)),
-                float(body.get("interval_s", 1.0))))
-        except TwinError as exc:
-            raise _wrap(exc)
+        if body.get("stop"):
+            return Response(await manager.stop_pace(request.params["sid"]))
+        return Response(
+            await manager.start_pace(request.params["sid"], body))
 
     @app.get("/sessions/{sid}/telemetry/stream")
     async def stream(request: Request) -> Response:
-        sid = request.params["sid"]
-        start = int(request.query.get("start", "0"))
         follow = request.query.get("follow", "0") not in ("0", "",
                                                           "false")
-        try:
-            manager._handle(sid)
-        except TwinError as exc:
-            raise _wrap(exc)
-        return Response(stream=manager.stream(sid, start=start,
-                                              follow=follow))
+        return Response(stream=manager.stream(
+            request.params["sid"], start=request.query.get("start", "0"),
+            follow=follow))
 
     @app.get("/sessions/{sid}/telemetry/records")
     async def records(request: Request) -> Response:
-        try:
-            text = await manager.records_jsonl(request.params["sid"])
-        except TwinError as exc:
-            raise _wrap(exc)
+        text = await manager.records_jsonl(request.params["sid"])
         return Response(body=text.encode("utf-8"),
                         content_type="application/x-ndjson")
 
@@ -182,7 +133,9 @@ def build_app(manager: SessionManager) -> App:
 
 
 class TwinServer:
-    """Bind/serve/shutdown bundle used by the CLI and the demo."""
+    """Bind/serve/shutdown bundle used by the CLI and the demo:
+    ``async with`` binds, and its exit closes the listener and shuts
+    the sessions down."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
                  workers: int = 0):
@@ -194,15 +147,15 @@ class TwinServer:
         self.stop_event = asyncio.Event()
         self.signaled: Optional[int] = None
 
-    async def start(self) -> None:
+    async def __aenter__(self) -> "TwinServer":
         self._server = await start_http_server(self.app, self.host,
                                                self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        return self
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def __aexit__(self, *exc_info: Any) -> None:
+        self._server.close()
+        await self._server.wait_closed()
         await self.manager.shutdown()
 
     def request_stop(self, signum: Optional[int] = None) -> None:
@@ -212,22 +165,17 @@ class TwinServer:
 
 async def serve_forever(host: str, port: int, workers: int) -> int:
     """Run until SIGINT/SIGTERM; returns the CLI exit code (130 when
-    interrupted, 0 on a programmatic stop)."""
-    server = TwinServer(host=host, port=port, workers=workers)
-    await server.start()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
+    interrupted, 0 on a programmatic stop).  Call it on the main
+    thread of a POSIX process: the signal handlers are the point."""
+    async with TwinServer(host=host, port=port,
+                          workers=workers) as server:
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, server.request_stop, signum)
-        except (NotImplementedError, RuntimeError):
-            pass
-    print(f"twin: listening on http://{server.host}:{server.port} "
-          f"(workers={workers})")
-    sys.stdout.flush()
-    try:
+        print(f"twin: listening on http://{server.host}:{server.port} "
+              f"(workers={workers})")
+        sys.stdout.flush()
         await server.stop_event.wait()
-    finally:
-        await server.stop()
     if server.signaled in (signal.SIGINT, signal.SIGTERM):
         print(f"twin: shut down on signal {server.signaled}")
         return 130

@@ -56,7 +56,6 @@ class ServingDayStack:
                 "fraction), not an explicit host schedule")
 
     def apply(self, action: Dict[str, Any]) -> Dict[str, Any]:
-        self.validate(action)
         import dataclasses
         self.scenario = dataclasses.replace(
             self.scenario, power_cap_frac=action["frac"])

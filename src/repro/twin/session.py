@@ -11,7 +11,9 @@ virtual time, then a telemetry snapshot is cut into the session's
 :class:`~repro.monitoring.telemetry.TelemetryStore` and returned.
 
 Every boundary appends ``{"dt_s", "actions"}`` to an append-only
-action log.  Because applying a normalized action is a deterministic
+action log — an action that fails against the state it meets there is
+logged all the same, and the boundary's ``applied`` list reports its
+error.  Because applying a normalized action is a deterministic
 function of session state, re-running the log from a fresh session
 built from the same config lands on the same state bit-for-bit:
 ``replay(config, log).digest() == live.digest()`` with ``==``, the
@@ -21,6 +23,7 @@ same determinism bar the farm and solver backends meet.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..cluster.scheduler import ClusterScheduler
@@ -37,7 +40,8 @@ from ..network.flows import reset_flow_ids
 from ..resilience.injector import FailureInjector
 from ..resilience.pipeline import RecoveryPipeline
 from ..topology.astral import build_astral
-from .actions import ActionError, apply_cluster_action, normalize_action
+from .actions import (ActionError, apply_cluster_action,
+                      normalize_action, validate_cluster_action)
 from .config import TwinConfig
 
 __all__ = ["TwinSession", "replay", "session_digest"]
@@ -101,19 +105,8 @@ class _ClusterStack:
         return interrupted
 
     # -- session protocol ------------------------------------------------
-    def validate(self, action: Dict[str, Any]) -> None:
-        """Submit-time semantic checks (boundary application does the
-        stateful validation; here we only fail what can never work)."""
-        if action["kind"] in ("cordon", "uncordon", "drain"):
-            for host in action["hosts"]:
-                device = self.topology.devices.get(host)
-                if device is None or device.tier != 0:
-                    raise ActionError(
-                        f"{action['kind']}: {host!r} is not a host "
-                        f"of this cluster")
-
-    def apply(self, action: Dict[str, Any]) -> Dict[str, Any]:
-        return apply_cluster_action(self, action)
+    validate = validate_cluster_action
+    apply = apply_cluster_action
 
     def advance_to(self, t: float) -> None:
         self.sim.run(until=t)
@@ -239,12 +232,18 @@ class TwinSession:
     def advance(self, dt_s: float) -> Dict[str, Any]:
         """One boundary: apply queued actions, run ``dt_s`` of virtual
         time, cut and return a snapshot."""
-        if not isinstance(dt_s, (int, float)) or not dt_s > 0:
-            raise ActionError(f"advance dt_s must be positive, "
-                              f"got {dt_s!r}")
+        if not isinstance(dt_s, (int, float)) or not 0 < dt_s < math.inf:
+            raise ActionError(f"advance dt_s must be positive and "
+                              f"finite, got {dt_s!r}")
         dt_s = float(dt_s)
         pending, self._pending = self._pending, []
-        effects = [self.stack.apply(action) for action in pending]
+        effects = []
+        for action in pending:
+            try:
+                effects.append(self.stack.apply(action))
+            except ActionError as exc:
+                effects.append({"kind": action["kind"],
+                                "error": str(exc)})
         self.t_s += dt_s
         self.stack.advance_to(self.t_s)
         snapshot = self.stack.collect(self.store)

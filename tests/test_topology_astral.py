@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.flows import make_flow
 from repro.topology import (
     AstralParams,
     DeviceKind,
@@ -424,6 +425,13 @@ class TestSlottedRecords:
         assert not hasattr(port, "note")
         with pytest.raises(AttributeError):
             port.port = 1
+
+    def test_undeclared_flow_attribute_rejected(self):
+        flow = make_flow("p0.b0.h0", "p0.b0.h1", 0, 8e9)
+        assert not hasattr(flow, "__dict__")
+        with pytest.raises(AttributeError):
+            flow.note = "state hung on a flow"
+        flow.rate_gbps = 100.0      # declared fields stay writable
 
 
 # -- the device-name codec ---------------------------------------------------

@@ -18,15 +18,19 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.monitoring.telemetry import (CommGroup, JobMetadata,
                                         QpMetadata, TelemetryStore)
 from repro.network.ecmp import FiveTuple
 from repro.network.solver import use_backend
 from repro.twin import serve_forever
-from repro.twin import (ServerHarness, TwinClientError, TwinConfig,
-                        TwinSession, replay)
+from repro.twin import (ServerHarness, SessionManager, TwinClientError,
+                        TwinConfig, TwinSession, replay)
+from repro.twin.actions import ActionError
 
+from . import twin_wire
 from .hashseed import outputs_under_hash_seeds
 
 
@@ -146,6 +150,128 @@ class TestActionValidation:
             session.advance(0.0)
 
 
+#: any JSON value, NaN and infinities included (the wire admits them).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_HOSTS = st.sampled_from(["p0.b0.h0", "p0.b0.h1", "p1.b0.h2", "p0.b1.h3"])
+_DOMAIN = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["optics-batch", "rack", "power-domain",
+                              "switch-asic"]),
+     "pod": st.integers(0, 1), "block": st.integers(0, 1),
+     "size": st.integers(1, 2), "mode": st.sampled_from(["hard", "gray"]),
+     "seed": st.integers(0, 9)},
+    optional={"at_time_s": st.sampled_from([0.0, 90.0]),
+              "jitter_s": st.sampled_from([0.0, 5.0])})
+_FAULT = st.fixed_dictionaries(
+    {"job": st.sampled_from(["job-000", "ghost"]),
+     "cause": st.sampled_from(["nic-error", "user-code", "optical-fiber"]),
+     "manifestation": st.sampled_from(["fail-stop", "fail-slow"])},
+    optional={"target": _HOSTS | st.sampled_from(["job-000", "link:3"])})
+_INJECT = st.builds(
+    lambda domains, faults: {"kind": "inject-fault",
+                             "document": {"domains": domains,
+                                          "faults": faults}},
+    st.lists(_DOMAIN, max_size=1), st.lists(_FAULT, min_size=1, max_size=1))
+_VALID_ACTION = st.one_of(
+    st.builds(lambda kind, hosts: {"kind": kind, "hosts": hosts},
+              st.sampled_from(["cordon", "uncordon", "drain"]),
+              st.lists(_HOSTS, min_size=1, max_size=2)),
+    st.builds(lambda job: {"kind": "preempt", "job": job},
+              st.sampled_from(["job-000", "job-001", "ghost"])),
+    _INJECT,
+    st.builds(lambda frac: {"kind": "set-power-cap", "frac": frac},
+              st.floats(0.0, 1.0)))
+
+
+def _ill_typed(valid):
+    """A valid action with one field, or (odd *pick*) one field of one
+    of its fault or domain entries, replaced by an arbitrary JSON
+    value."""
+    def corrupt(args):
+        action, junk, pick = args
+        action = json.loads(json.dumps(action))
+        entries = [entry for part in ("domains", "faults")
+                   for entry in action.get("document", {}).get(part, ())]
+        holders = entries if entries and pick % 2 else [action]
+        fields = [(holder, key) for holder in holders
+                  for key in sorted(holder)]
+        holder, key = fields[pick // 2 % len(fields)]
+        holder[key] = junk
+        return action
+    return st.tuples(valid, _JSON, st.integers(0, 31)).map(corrupt)
+
+
+_ACTION = st.one_of(_VALID_ACTION, _ill_typed(_VALID_ACTION),
+                    _ill_typed(_INJECT), _JSON)
+_STEPS = st.lists(
+    st.one_of(st.tuples(st.just("submit"), _ACTION),
+              st.tuples(st.just("advance"),
+                        st.sampled_from([30.0, 60.0, 600.0]))),
+    max_size=10)
+
+
+class TestBoundaryReplay:
+    """Whatever an operator submits, a boundary completes and the log
+    replays to the live digest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_STEPS)
+    def test_submit_rejects_or_queues_and_replay_matches(self, steps):
+        live = TwinSession(_tiny())
+        live.advance(600.0)  # job-000 runs from here on
+        for op, arg in steps:
+            if op == "advance":
+                live.advance(arg)
+                continue
+            pending = live.info()["pending_actions"]
+            try:
+                live.submit(arg)
+            except ActionError:
+                assert live.info()["pending_actions"] == pending
+            else:
+                assert live.info()["pending_actions"] == pending + 1
+        live.advance(60.0)
+        assert replay(live.config, live.action_log).digest() \
+            == live.digest()
+
+    def test_ill_typed_domains_fail_at_submit(self):
+        """The cordon stays queued; the bad document never reaches the
+        boundary, so the batch applies and replays whole."""
+        live = TwinSession(_tiny())
+        live.submit({"kind": "cordon", "hosts": ["p0.b0.h1"]})
+        for document in ({"domains": 5}, {"domains": [5]},
+                         {"domains": [{"kind": "rack", "pod": "x"}]},
+                         {"domains": [{"kind": "rack", "pod": 0.5}]},
+                         {"faults": {"job": "job-000"}}):
+            with pytest.raises(ActionError):
+                live.submit({"kind": "inject-fault",
+                             "document": document})
+        live.advance(60.0)
+        live.advance(60.0)
+        assert live.snapshots[-1]["hosts"]["cordoned"] == 1
+        replayed = replay(live.config, live.action_log)
+        assert replayed.snapshots[-1]["hosts"]["cordoned"] == 1
+        assert replayed.digest() == live.digest()
+
+    def test_action_rejected_at_its_boundary_is_logged(self):
+        live = TwinSession(_tiny())
+        live.submit({"kind": "inject-fault", "document": {"faults": [
+            {"job": "job-000", "cause": "nic-error",
+             "manifestation": "fail-stop", "target": "p0.b0.h0"}]}})
+        live.submit({"kind": "cordon", "hosts": ["p0.b0.h1"]})
+        applied = live.advance(60.0)["applied"]
+        assert applied[0]["kind"] == "inject-fault"
+        assert "not a placed tenant" in applied[0]["error"]
+        assert applied[1] == {"kind": "cordon", "cordoned": ["p0.b0.h1"]}
+        assert len(live.action_log[0]["actions"]) == 2
+        replayed = replay(live.config, live.action_log)
+        assert replayed.snapshots == live.snapshots
+
+
 class TestTelemetryJsonl:
     def test_store_round_trip_from_session(self):
         live = _drive(TwinSession(_tiny()))
@@ -198,8 +324,9 @@ class TestReplayTask:
         assert not cache.exists()
 
     def test_failed_replay_is_a_500(self):
-        from repro.twin.manager import TwinError, _replay_via_farm
-        with pytest.raises(TwinError, match="replay failed") as failure:
+        from repro.twin.http import HttpError
+        from repro.twin.manager import _replay_via_farm
+        with pytest.raises(HttpError, match="replay failed") as failure:
             _replay_via_farm({"config": {"kind": "quantum"},
                               "action_log": []})
         assert failure.value.status == 500
@@ -397,6 +524,126 @@ def _wait_for_snapshots(client, session_id, count, timeout_s=60.0):
             return entry
         assert time.monotonic() < deadline, entry
         time.sleep(0.02)
+
+
+_REQUEST_BYTES = st.builds(
+    lambda method, path, suffix, version, headers, body, cut: ((
+        f"{method} {path}{suffix} {version}\r\n"
+        + "".join(f"{line}\r\n" for line in headers) + "\r\n"
+    ).encode("latin-1") + body)[:cut],
+    st.sampled_from(["GET", "POST", "DELETE", "PUT", ""])
+    | st.text(st.characters(max_codepoint=255), max_size=4),
+    st.sampled_from(["/", "/healthz", "/sessions", "/sessions/malformed",
+                     "/sessions/malformed/advance",
+                     "/sessions/malformed/actions",
+                     "/sessions/malformed/pace",
+                     "/sessions/malformed/telemetry/stream",
+                     "/sessions/ghost/digest", "/nope"]),
+    st.text(alphabet="?=&%/[]:#x0 ", max_size=8),
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", "", "junk"]),
+    st.lists(st.sampled_from([
+        "Content-Length: 0", "Content-Length: 7", "Content-Length: abc",
+        "Content-Length: -4", "Content-Length: 99999999999",
+        "Content-Length: 1_0", "Transfer-Encoding: chunked",
+        "Connection: close", "Host: localhost", "no colon"])
+        | st.text(st.characters(max_codepoint=255,
+                                blacklist_characters="\r\n"),
+                  max_size=12),
+        max_size=4),
+    st.binary(max_size=32)
+    | _JSON.map(lambda value: json.dumps(value).encode()),
+    st.integers(1, 400))
+_LONG_LINES = st.integers(60_000, 140_000).map(
+    lambda n: twin_wire.raw_request("GET", "/" + "a" * n))
+
+
+@pytest.fixture(scope="module")
+def front_door():
+    """An in-process server whose event loop records every exception
+    that reaches its handler, with one live session, ``"malformed"``."""
+    caught = []
+    with ServerHarness(workers=0) as server:
+        server.loop.set_exception_handler(
+            lambda loop, context: caught.append(context))
+        server.client().create_session(twin_wire.CONFIG,
+                                       session_id="malformed")
+        yield server, caught
+
+
+def _send(server, data):
+    return twin_wire.exchange(server.host, server.port, data)
+
+
+class TestFrontDoor:
+    """Malformed input ends in a JSON 4xx (or, for a request the client
+    never finished, a clean close) — never a 500, a dropped connection
+    or an exception loose in the event loop."""
+
+    @pytest.mark.parametrize("label,build", twin_wire.MALFORMED,
+                             ids=[label for label, _ in twin_wire.MALFORMED])
+    def test_malformed_request_is_a_json_4xx(self, front_door, label,
+                                             build):
+        server, caught = front_door
+        twin_wire.json_4xx(_send(server, build("malformed")))
+        assert caught == []
+        assert "malformed-p" not in {
+            s["id"] for s in server.client().sessions()}
+
+    @pytest.mark.parametrize("body", [
+        {"config": dict(twin_wire.CONFIG, solver="auto")},
+        {"config": twin_wire.CONFIG, "pace": {"dt_s": 0}},
+        {"config": twin_wire.CONFIG, "pace": {"dt_s": "x"}},
+        {"config": twin_wire.CONFIG, "pace": 5},
+        {"config": dict(twin_wire.CONFIG, jobs="x")},
+        {"config": dict(twin_wire.CONFIG, jobs=1.5)},
+        {"config": dict(twin_wire.CONFIG, dampening_s="x")},
+        {"config": {"kind": "serving", "serving": {"a": 1}}},
+        {"config": twin_wire.CONFIG, "id": ["x"]},
+    ], ids=["solver", "pace-zero", "pace-text", "pace-number",
+            "jobs-text", "jobs-fraction", "dampening-text",
+            "serving-key", "id-list"])
+    def test_rejected_create_leaves_no_session(self, front_door, body):
+        server, caught = front_door
+        client = server.client()
+        before = client.sessions()
+        with pytest.raises(TwinClientError) as excinfo:
+            client.request("POST", "/sessions", dict(body, id="rejected")
+                           if "id" not in body else body)
+        assert excinfo.value.status == 400
+        assert client.sessions() == before
+        assert caught == []
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(_REQUEST_BYTES, st.binary(max_size=96),
+                     _LONG_LINES))
+    def test_fuzzed_bytes_get_a_4xx_or_a_clean_close(self, front_door,
+                                                     data):
+        server, caught = front_door
+        for status, _headers, _body in twin_wire.parse_responses(
+                _send(server, data)):
+            assert status < 500
+        assert caught == []
+        assert server.client().request("GET", "/healthz") == {"ok": True}
+
+
+class TestSessionTables:
+    def test_in_process_managers_keep_their_own_sessions(self):
+        """Two ``workers=0`` managers in one loop: each one's session
+        ``"x"`` is its own."""
+        async def drive():
+            managers = [SessionManager(workers=0) for _ in range(2)]
+            try:
+                await asyncio.gather(*(
+                    manager.create(_tiny(seed=seed).to_params(),
+                                   session_id="x")
+                    for seed, manager in enumerate(managers)))
+                return [(await manager.action_log("x"))["config"]["seed"]
+                        for manager in managers]
+            finally:
+                for manager in managers:
+                    await manager.shutdown()
+
+        assert asyncio.run(drive()) == [0, 1]
 
 
 class TestServeForever:
