@@ -13,7 +13,9 @@ UDP source port.  This module provides:
 * :class:`EcmpHasher` — per-switch hash that maps a five-tuple to an
   index among ``n`` candidate next hops.  All switches in a fabric
   share one hash function by default, which is precisely what produces
-  the hash polarization the paper observes on multi-hop paths.
+  the hash polarization the paper observes on multi-hop paths.  The
+  hash is defined in two steps, so a path walk computes the
+  five-tuple's CRC once and continues it at each hop.
 """
 
 from __future__ import annotations
@@ -80,11 +82,29 @@ class EcmpHasher:
         self.seed = seed
         self.per_device_salt = per_device_salt
 
+    @staticmethod
+    def salt_bytes(device: str) -> bytes:
+        """The bytes a hop at *device* appends to the packed five-tuple
+        (none for an empty name)."""
+        return b"@" + device.encode() if device else b""
+
+    def flow_hash(self, flow: FiveTuple) -> int:
+        """The first step of every hop's hash: the CRC of the packed
+        five-tuple, computed once per flow."""
+        return crc16(flow.pack(), seed=self.seed)
+
+    def hop_hash(self, flow_hash: int, salt: bytes) -> int:
+        """The second step: continue *flow_hash* over a hop's
+        :meth:`salt_bytes`.  A CRC continues from its previous value,
+        ``crc(a + b, s) == crc(b, crc(a, s))``, so this is the CRC of
+        the five-tuple and the salt together.  With the salt off, every
+        hop's hash is the flow's."""
+        if not self.per_device_salt:
+            return flow_hash
+        return crc16(salt, seed=flow_hash)
+
     def hash(self, flow: FiveTuple, salt: str = "") -> int:
-        payload = flow.pack()
-        if salt and self.per_device_salt:
-            payload += b"@" + salt.encode()
-        return crc16(payload, seed=self.seed)
+        return self.hop_hash(self.flow_hash(flow), self.salt_bytes(salt))
 
     def select(self, flow: FiveTuple, n_choices: int,
                salt: str = "") -> int:

@@ -12,10 +12,12 @@ Implementation notes:
 
 * Compiled adjacency: once per ``topology.version`` the router compiles
   the healthy links into CSR arrays — ``indptr``, an int32 neighbour
-  index per entry, and one object array holding each entry's
-  :class:`Link` — in ascending link id within each device.  It reads
-  the links' endpoints, not the topology's adjacency lists, so a link
-  rewired in place (a miswire) is followed.
+  index per entry, each entry's *twin* (the same link seen from its
+  other end), and a list of each entry's link id — in ascending link id
+  within each device.  It reads the links' endpoints, not the
+  topology's adjacency lists, so a link rewired in place (a miswire) is
+  followed.  It also keeps each device's hash salt bytes
+  (:meth:`EcmpHasher.salt_bytes`).
 * Next-hop sets come from a BFS over the compiled adjacency, seeded at
   the destination.  The BFS is level-synchronous numpy: each level
   gathers the frontier's neighbour slices and keeps the unvisited ones.
@@ -34,10 +36,8 @@ Implementation notes:
   destination is a host, and a host never expands in either BFS, so no
   other entry can differ.  A switch destination would expand inside a
   shared BFS, so it gets a BFS of its own, with itself marked 0.
-* The destination rule: next-hop sets (the neighbours one hop closer)
-  are memoised per (seed set, device) from the shared array.  Only the
-  destination's own entry differs from the array, so at a device at
-  distance ``h``:
+* The destination rule: only the destination's own entry differs from
+  the shared array, so at a device at distance ``h``:
 
   - ``h == 1``: the one device at distance 0 is the destination, so the
     candidates are the device's links to it;
@@ -46,9 +46,35 @@ Implementation notes:
     links to it are dropped exactly when its shared distance is
     ``h - 1``.
 
-  Candidates stay in ascending link id.  The compiled adjacency and
-  both caches are rebuilt whenever the topology's version counter
-  changes (link failures, rewiring).
+* The next-hop memo: every next-hop set (CSR entries, in ascending link
+  id) is memoised on the routes it was computed from, keyed by what it
+  depends on and by the role the walk visits the device in:
+
+  - the flow's source, ``(device, rail, None)``: the rail-matching
+    neighbours at the least distance.  It depends on the destination
+    only when that is a neighbour (read as 0), which only a host
+    neighbour can be; then the key holds ``_BY_TARGET`` and the set is
+    kept under ``(device, rail, destination)``.  The flow's own source
+    is always visited in this role, never as a transit device;
+  - any other device, ``device``: at ``h >= 2`` the neighbours at
+    ``h - 1``.  If one of them is a host, the destination rule may drop
+    it: the key holds ``_BY_TARGET`` and the set is kept under
+    ``(device, destination)``;
+  - at ``h == 1`` the key holds ``_TO_TARGET``: the set depends on the
+    destination, and is read from the destination's own few links
+    through their twins instead of being memoised per destination.
+
+  The memo lives on the routes, so it is dropped with them.
+* The cost of one walk: one routes lookup, then per hop one memo lookup
+  and two scalar reads (neighbour and link id); the last hop scans the
+  destination's links.  The hash is computed in two steps
+  (:meth:`EcmpHasher.flow_hash`, :meth:`EcmpHasher.hop_hash`): the
+  five-tuple's CRC once per walk, continued over each hop's salt bytes,
+  and only if some hop has more than one candidate; a hop with one
+  candidate takes it without hashing.
+
+The compiled adjacency, both caches and the memo are rebuilt whenever
+the topology's version counter changes (link failures, rewiring).
 """
 
 from __future__ import annotations
@@ -95,9 +121,12 @@ class PartitionError(RoutingError):
             + f"; cut links: {list(self.cut)}")
 
 
-#: an empty next-hop set (CSR positions)
-_NO_HOPS = np.empty(0, np.int64)
-_NO_HOPS.flags.writeable = False
+#: memo value of a set that depends on the flow's destination: the set
+#: itself is memoised again under a key that names the destination.
+_BY_TARGET = object()
+#: memo value at distance 1: the set is the device's links to the
+#: destination, read from the destination's side.
+_TO_TARGET = object()
 
 
 class _Routes:
@@ -108,9 +137,9 @@ class _Routes:
     def __init__(self, dist: np.ndarray):
         #: hop count per device index, -1 where unreached
         self.dist = dist
-        #: device index -> CSR positions of the neighbours one hop
-        #: closer in ``dist`` (before the destination rule)
-        self.hops: Dict[int, np.ndarray] = {}
+        #: next-hop memo: key (see the module notes) -> CSR entries of
+        #: the candidates, in ascending link id, or a marker
+        self.hops: Dict[object, object] = {}
 
 
 class EcmpRouter:
@@ -133,6 +162,9 @@ class EcmpRouter:
         self.bfs_runs = 0
         self.dist_cache_hits = 0
         self.dist_cache_misses = 0
+        #: next-hop memo hits and misses (sets computed)
+        self.hops_memo_hits = 0
+        self.hops_memo_misses = 0
 
     # -- compiled adjacency ------------------------------------------------
     def _compile(self) -> None:
@@ -144,6 +176,7 @@ class EcmpRouter:
         self._seed_cache.clear()
         self._names = list(topo.devices)
         self._index = {name: i for i, name in enumerate(self._names)}
+        self._salts = [self.hasher.salt_bytes(name) for name in self._names]
         devices = topo.devices.values()
         self._rails = [device.rail for device in devices]
         self._is_host = np.fromiter(
@@ -159,9 +192,12 @@ class EcmpRouter:
              for ref in (link.a, link.b)), np.int32, 2 * len(links))
         order = np.argsort(ends, kind="stable")
         self._nbr = ends.reshape(-1, 2)[:, ::-1].ravel()[order]
-        link_of = np.empty(len(links), object)
-        link_of[:] = links
-        self._link = link_of[order // 2]
+        # The entry of the same link seen from its other end.
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        self._twin = position[order ^ 1].astype(np.int32)
+        # The links' own id objects, so a path holds no copies.
+        self._link_id = [links[i].link_id for i in (order // 2).tolist()]
         self._indptr = np.zeros(len(self._names) + 1, np.int32)
         np.cumsum(np.bincount(ends, minlength=len(self._names)),
                   out=self._indptr[1:])
@@ -235,59 +271,99 @@ class EcmpRouter:
         return dist
 
     # -- next hops and path walks -------------------------------------------
-    def _next_hops(self, device: int, flow: Flow) -> np.ndarray:
-        """CSR positions of the equal-cost next hops from *device*.
-
-        At the source host the candidate set is restricted to the flow's
-        source rail and the equal-cost criterion is "minimal distance
-        among rail-matching neighbours" — the distances are rail-agnostic
-        at the source, so a plain ``dist - 1`` descent would wrongly
-        assume the host may inject on any rail.
-        """
-        routes, target = self._routes(flow.dst_host, flow.dst_rail)
-        dist, nbr = routes.dist, self._nbr
-        lo, hi = self._indptr[device], self._indptr[device + 1]
-
-        if device == self._index[flow.src_host]:
-            rails = self._rails
-            neighbors = nbr[lo:hi]
-            rail_neighbors = []
-            for entry, j, d in zip(count(lo), neighbors.tolist(),
-                                   dist[neighbors].tolist()):
-                if rails[j] is not None and rails[j] != flow.rail:
-                    continue
-                if j == target:
-                    d = 0
-                if d >= 0:
-                    rail_neighbors.append((d, entry))
-            if not rail_neighbors:
-                return _NO_HOPS
-            best = min(d for d, _ in rail_neighbors)
-            return np.array([entry for d, entry in rail_neighbors
-                             if d == best], np.int64)
-
-        # The destination rule (module notes): only the destination's
-        # own entry differs from the shared array; it reads as 0.
-        if device == target:
-            return _NO_HOPS
-        here = dist[device]
-        if here < 0:
-            return _NO_HOPS
-        if here == 1:
-            return lo + np.flatnonzero(nbr[lo:hi] == target)
-        hops = routes.hops.get(device)
-        if hops is None:
-            hops = routes.hops[device] = lo + np.flatnonzero(
-                dist[nbr[lo:hi]] == here - 1)
-        if dist[target] == here - 1:
-            hops = hops[nbr[hops] != target]
+    def _next_hops(self, routes: _Routes, device: int, src: int,
+                   target: int, rail: int) -> Tuple[int, ...]:
+        """CSR entries of the equal-cost next hops from *device*, in
+        ascending link id, through the memo (see the module notes)."""
+        source = device == src
+        if not source and device == target:
+            return ()
+        hops = self._memo(routes, device, source, rail, None)
+        if hops is _BY_TARGET:
+            hops = self._memo(routes, device, source, rail, target)
+        elif hops is _TO_TARGET:
+            hops = self._links_to(device, target)
         return hops
+
+    def _links_to(self, device: int, target: int) -> Tuple[int, ...]:
+        """CSR entries of *device*'s links to *target*, in ascending
+        link id, found among the target's own links."""
+        lo, hi = self._indptr.item(target), self._indptr.item(target + 1)
+        row, twin = self._nbr[lo:hi].tolist(), self._twin
+        if row.count(device) == 1:  # the common case: one link
+            return (twin.item(lo + row.index(device)),)
+        return tuple([twin.item(lo + k) for k, j in enumerate(row)
+                      if j == device])
+
+    def _memo(self, routes: _Routes, device: int, source: bool,
+              rail: int, target: Optional[int]) -> object:
+        """The memoised set of *device* in its role, computed on a miss;
+        *target* is None for the key that does not name it."""
+        if source:
+            key = (device, rail, target)
+        else:
+            key = device if target is None else (device, target)
+        hops = routes.hops.get(key)
+        if hops is None:
+            self.hops_memo_misses += 1
+            fill = self._source_hops if source else self._transit_hops
+            hops = routes.hops[key] = fill(routes, device, rail, target)
+        else:
+            self.hops_memo_hits += 1
+        return hops
+
+    def _source_hops(self, routes: _Routes, device: int, rail: int,
+                     target: Optional[int]) -> object:
+        """The source set: the neighbours on the flow's source *rail*
+        at the least distance among them.  The distances are
+        rail-agnostic at the source, so a plain ``dist - 1`` descent
+        would wrongly assume the host may inject on any rail.
+
+        ``_BY_TARGET`` when *target* is None and a rail-matching
+        neighbour is a host, which a host destination reads as 0."""
+        lo, hi = self._indptr.item(device), self._indptr.item(device + 1)
+        rails, is_host, dist = self._rails, self._is_host, routes.dist
+        rail_neighbors = []
+        for entry, j in zip(count(lo), self._nbr[lo:hi].tolist()):
+            if rails[j] is not None and rails[j] != rail:
+                continue
+            if target is None and is_host[j]:
+                return _BY_TARGET
+            d = 0 if j == target else dist.item(j)
+            if d >= 0:
+                rail_neighbors.append((d, entry))
+        if not rail_neighbors:
+            return ()
+        best = min(d for d, _ in rail_neighbors)
+        return tuple(entry for d, entry in rail_neighbors if d == best)
+
+    def _transit_hops(self, routes: _Routes, device: int, rail: int,
+                      target: Optional[int]) -> object:
+        """The set at a device the walk passes through, by the
+        destination rule; ``_BY_TARGET`` when *target* is None and the
+        rule may depend on it."""
+        dist, nbr = routes.dist, self._nbr
+        lo, hi = self._indptr.item(device), self._indptr.item(device + 1)
+        here = dist.item(device)
+        if here < 0:
+            return ()
+        if here == 1:
+            return _TO_TARGET
+        hops = lo + np.flatnonzero(dist[nbr[lo:hi]] == here - 1)
+        if target is None:
+            if self._is_host[nbr[hops]].any():
+                return _BY_TARGET
+            return tuple(hops.tolist())
+        return tuple(hops[nbr[hops] != target].tolist())
 
     def next_hop_links(self, device: str, flow: Flow) -> List[Link]:
         """Equal-cost candidate links from *device* toward the flow's
         dst, in ascending link id."""
-        self._compile()
-        return list(self._link[self._next_hops(self._index[device], flow)])
+        routes, target = self._routes(flow.dst_host, flow.dst_rail)
+        links, link_id = self.topology.links, self._link_id
+        return [links[link_id[entry]] for entry in self._next_hops(
+            routes, self._index[device], self._index[flow.src_host],
+            target, flow.rail)]
 
     def partition_cut(self, src: str, dst: str,
                       src_rail: Optional[int] = None
@@ -328,24 +404,46 @@ class EcmpRouter:
         Raises :class:`PartitionError` when the destination is cut off
         entirely, :class:`RoutingError` for any other dead end.
         """
-        self._compile()
-        names, nbr, link_of = self._names, self._nbr, self._link
-        device = self._index[flow.src_host]
-        target = self._index[flow.dst_host]
+        routes, target = self._routes(flow.dst_host, flow.dst_rail)
+        memo, names, salts = routes.hops, self._names, self._salts
+        nbr, link_id, hasher = self._nbr, self._link_id, self.hasher
+        rail = flow.rail
+        src = device = self._index[flow.src_host]
+        src_key = (src, rail, None)
         route = FlowPath(flow_id=flow.flow_id, devices=[flow.src_host])
-        for _ in range(max_hops):
-            if device == target:
-                return route
-            candidates = self._next_hops(device, flow)
-            if not len(candidates):
-                raise self._no_route(names[device], flow)
-            entry = candidates[self.hasher.select(
-                flow.five_tuple, len(candidates), salt=names[device])]
-            device = int(nbr[entry])
-            route.devices.append(names[device])
-            route.link_ids.append(link_of[entry].link_id)
-        raise RoutingError(
-            f"path exceeded {max_hops} hops for flow {flow.flow_id}")
+        devices, link_ids = route.devices, route.link_ids
+        flow_hash = None
+        hits = 0
+        try:
+            for _ in range(max_hops):
+                if device == target:
+                    return route
+                hops = memo.get(src_key if device == src else device)
+                if hops is None:
+                    hops = self._next_hops(routes, device, src, target, rail)
+                else:
+                    hits += 1
+                    if hops is _TO_TARGET:
+                        hops = self._links_to(device, target)
+                    elif hops is _BY_TARGET:
+                        hops = self._memo(routes, device, device == src,
+                                          rail, target)
+                n = len(hops)
+                if n == 1:
+                    entry = hops[0]
+                elif n:
+                    if flow_hash is None:
+                        flow_hash = hasher.flow_hash(flow.five_tuple)
+                    entry = hops[hasher.hop_hash(flow_hash, salts[device]) % n]
+                else:
+                    raise self._no_route(names[device], flow)
+                device = nbr.item(entry)
+                devices.append(names[device])
+                link_ids.append(link_id[entry])
+            raise RoutingError(
+                f"path exceeded {max_hops} hops for flow {flow.flow_id}")
+        finally:
+            self.hops_memo_hits += hits
 
     def reachable(self, flow: Flow) -> bool:
         if flow.src_host == flow.dst_host:

@@ -1,5 +1,7 @@
 """Tests for ECMP hashing, hash linearity exploitation, and five-tuples."""
 
+import binascii
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,3 +135,27 @@ class TestEcmpHasher:
             for i in range(256)
         }
         assert seen == set(range(8))
+
+    @given(st.text(min_size=1, max_size=24), st.text(min_size=1, max_size=24),
+           st.integers(min_value=0, max_value=0xFFFF),
+           st.integers(min_value=0, max_value=0xFFFF),
+           st.integers(min_value=0, max_value=0xFF),
+           st.integers(min_value=0, max_value=(1 << 20) - 1),
+           st.text(min_size=1, max_size=24))
+    @settings(max_examples=300)
+    def test_two_step_hash_is_one_shot_crc(self, src, dst, sport, dport,
+                                           protocol, seed, salt):
+        """The per-walk CRC continued over a hop's salt `==` the CRC of
+        the whole salted payload, computed independently."""
+        ft = FiveTuple(src, dst, sport, dport, protocol)
+        hasher = EcmpHasher(seed=seed)
+        expected = binascii.crc_hqx(ft.pack() + b"@" + salt.encode(),
+                                    seed & 0xFFFF)
+        two_step = hasher.hop_hash(hasher.flow_hash(ft),
+                                   hasher.salt_bytes(salt))
+        assert two_step == expected == hasher.hash(ft, salt=salt)
+        unsalted = EcmpHasher(seed=seed, per_device_salt=False)
+        assert unsalted.hop_hash(unsalted.flow_hash(ft),
+                                 unsalted.salt_bytes(salt)) \
+            == binascii.crc_hqx(ft.pack(), seed & 0xFFFF) \
+            == unsalted.hash(ft, salt=salt)

@@ -262,9 +262,7 @@ class TestRouterCaching:
         and index; per seed set its distances and memoised next hops."""
         maps = {key: (routes.dist.tolist(), target)
                 for key, (routes, target) in router._dist_cache.items()}
-        shared = {seeds: (routes.dist.tolist(),
-                          {device: hops.tolist()
-                           for device, hops in routes.hops.items()})
+        shared = {seeds: (routes.dist.tolist(), dict(routes.hops))
                   for seeds, routes in router._seed_cache.items()}
         return maps, shared
 
@@ -283,6 +281,62 @@ class TestRouterCaching:
         assert self._by_value(router) == (maps, shared)
         # A failed host link splits its block's seed set: one more BFS.
         assert router.bfs_runs == 3 * runs + 1
+
+    def test_reused_router_matches_fresh_router(self):
+        """The memo lives and dies with the routes: after a failure, a
+        restore and a miswire, the router that walked every flow before
+        the change walks each one as a fresh router does."""
+        topo = build_astral(AstralParams.tiny())
+        router = EcmpRouter(topo)
+        flows = self._all_to_all(topo)
+
+        def check():
+            walked = [_route(router, flow) for flow in flows]
+            assert walked == [_route(EcmpRouter(topo), flow)
+                              for flow in flows]
+
+        check()
+        uplink = router.path(flows[0]).link_ids[1]
+        topo.fail_link(uplink)
+        check()
+        topo.restore_link(uplink)
+        check()
+        TestSharedDistanceOracle._miswire(topo, random.Random("memo"))
+        check()
+
+    def test_second_walk_adds_no_misses(self):
+        """Walking the same flows again costs one memo hit per hop and
+        no miss, and finds the same paths."""
+        topo = build_astral(AstralParams.tiny())
+        router = EcmpRouter(topo)
+        flows = self._all_to_all(topo)
+        first = [router.path(flow) for flow in flows]
+        hits, misses = router.hops_memo_hits, router.hops_memo_misses
+        assert misses > 0
+        assert [router.path(flow) for flow in flows] == first
+        assert router.hops_memo_misses == misses
+        assert router.hops_memo_hits - hits == sum(p.hops for p in first)
+
+    def test_source_of_one_flow_transits_another(self):
+        """Host ``x`` is the source of one flow and a transit device of
+        another toward the same destination, so both walks share one
+        memo; each matches the oracle in either order."""
+        topo = _host_transit_topology()
+        oracle = _OracleRouter(topo)
+        ports = range(49152, 49152 + 64)
+        through_x = [make_flow("s", "d", rail=1, size_bits=8e9,
+                               src_port=port, dst_rail=0)
+                     for port in ports]
+        through_x = [flow for flow in through_x
+                     if "x" in oracle.path(flow).devices]
+        assert through_x
+        from_x = [make_flow("x", "d", rail=1, size_bits=8e9,
+                            src_port=port, dst_rail=0) for port in ports]
+        for order in (through_x + from_x, from_x + through_x):
+            router = EcmpRouter(topo)
+            for flow in order:
+                assert _route(router, flow) == _route(oracle, flow), flow
+        _check_against_oracle(topo, EcmpRouter(topo), ports=ports[:16])
 
 
 def _oracle_distances(topo, dst_host, dst_rail):
@@ -318,9 +372,9 @@ class _OracleRouter:
     lookups over ``Topology.neighbors``, and a dict partition flood.
     Build one per topology state."""
 
-    def __init__(self, topology):
+    def __init__(self, topology, hasher=None):
         self.topology = topology
-        self.hasher = EcmpHasher()
+        self.hasher = hasher or EcmpHasher()
         self._maps = {}
 
     def distances_to(self, dst_host, dst_rail):
@@ -430,7 +484,7 @@ def _check_against_oracle(topo, router, ports=(None,)):
         for rail in [None] + rails:
             assert router.distances_to(name, rail) \
                 == _oracle_distances(topo, name, rail), (name, rail)
-    oracle = _OracleRouter(topo)
+    oracle = _OracleRouter(topo, router.hasher)
     hosts = sorted(host.name for host in topo.hosts())
     for rail in rails or [0]:
         for src in hosts:
@@ -487,6 +541,29 @@ class TestSharedDistanceOracle:
         _check_against_oracle(topo, router)
 
 
+HASHERS = {
+    "seed-1d0f": lambda: EcmpHasher(seed=0x1D0F),
+    "unsalted": lambda: EcmpHasher(per_device_salt=False),
+}
+
+
+class TestHasherVariants:
+    """The walk's two-step hash against the oracle's one-shot
+    ``EcmpHasher.select``, for a non-default seed and with the per-hop
+    salt off, before and after link failures and a miswire."""
+
+    @pytest.mark.parametrize("hasher", sorted(HASHERS))
+    @pytest.mark.parametrize("name", ["astral", "clos"])
+    def test_matches_oracle(self, name, hasher):
+        topo = TOPOLOGIES[name]()
+        router = EcmpRouter(topo, HASHERS[hasher]())
+        ports = range(49152, 49152 + 4)
+        _check_against_oracle(topo, router, ports)
+        TestSharedDistanceOracle._fail_links(
+            topo, random.Random(f"{name}-{hasher}"))
+        _check_against_oracle(topo, router, ports)
+
+
 def _beyond_destination_topology():
     """Host ``dst`` on rail-0 ToR ``t0`` and rail-1 ToR ``t1``; host
     ``src`` on ``t1`` only; both ToRs under one Agg.
@@ -510,6 +587,45 @@ def _beyond_destination_topology():
     return topo
 
 
+def _host_transit_topology():
+    """Host ``d`` on rail-0 ToR ``t0``; host ``s`` on rail-1 ToR ``t1``;
+    host ``x`` on both ToRs; both ToRs under one Agg.
+
+    Toward ``d`` on rail 0, ``t1`` is at 3 and both the Agg and ``x``
+    are at 2, so a flow from ``s`` may pass through ``x``.  A flow from
+    ``x`` on rail 1 starts at ``t1`` instead: ``x`` as a source and
+    ``x`` as a transit device have different next-hop sets.
+    """
+    topo = Topology("host-transit")
+    for name in ("d", "s", "x"):
+        topo.add_device(Host(name, DeviceKind.HOST))
+    topo.add_device(Switch("t0", DeviceKind.TOR, rail=0))
+    topo.add_device(Switch("t1", DeviceKind.TOR, rail=1))
+    topo.add_device(Switch("agg", DeviceKind.AGG))
+    for a, b in (("d", "t0"), ("x", "t0"), ("x", "t1"), ("s", "t1"),
+                 ("t0", "agg"), ("t1", "agg")):
+        topo.add_link(PortRef(a, 0), PortRef(b, 0), 400.0)
+    return topo
+
+
+def _adjacent_hosts_topology():
+    """Hosts ``s`` and ``d`` linked directly, and both on rail-0 ToR
+    ``t0`` under an Agg.
+
+    Toward ``d`` the shared distances put ``t0`` at 1 and ``d`` at 2,
+    but at the source ``d`` reads as 0, so a flow from ``s`` takes the
+    direct link.  No fabric family links two hosts.
+    """
+    topo = Topology("adjacent-hosts")
+    topo.add_device(Host("s", DeviceKind.HOST))
+    topo.add_device(Host("d", DeviceKind.HOST))
+    topo.add_device(Switch("t0", DeviceKind.TOR, rail=0))
+    topo.add_device(Switch("agg", DeviceKind.AGG))
+    for a, b in (("s", "d"), ("s", "t0"), ("d", "t0"), ("t0", "agg")):
+        topo.add_link(PortRef(a, 0), PortRef(b, 0), 400.0)
+    return topo
+
+
 class TestDestinationRule:
     def test_link_to_destination_beyond_it_is_dropped(self):
         topo = _beyond_destination_topology()
@@ -521,4 +637,12 @@ class TestDestinationRule:
             == oracle.next_hop_links("t1", flow) \
             == topo.link_between("t1", "agg")
         assert router.path(flow).devices == ["src", "t1", "agg", "t0", "dst"]
+        _check_against_oracle(topo, router, ports=range(49152, 49152 + 16))
+
+    def test_source_next_to_destination_goes_direct(self):
+        topo = _adjacent_hosts_topology()
+        router = EcmpRouter(topo)
+        flow = make_flow("s", "d", rail=0, size_bits=8e9)
+        assert router.distances_to("d", 0)["t0"] == 1
+        assert router.path(flow).devices == ["s", "d"]
         _check_against_oracle(topo, router, ports=range(49152, 49152 + 16))
