@@ -70,27 +70,23 @@ def package_version() -> str:
     except Exception:  # noqa: BLE001 — any miss means unknown dev tree
         return "0.0.0+dev"
 
-_MODELS = {
-    "gpt3-175b": "GPT3_175B",
-    "llama2-70b": "LLAMA2_70B",
-    "llama3-70b": "LLAMA3_70B",
-    "hunyuan-moe": "HUNYUAN_MOE",
-    "deepseek-moe": "DEEPSEEK_MOE",
-}
-
 
 def _resolve_model(name: str):
-    from repro import seer
+    from repro.seer.names import MODEL_NAMES, model_config
+    return model_config(MODEL_NAMES[name])
+
+
+def _seed(text: str):
+    """An int seed when it parses as one; string seeds are first-class."""
     try:
-        return getattr(seer, _MODELS[name])
-    except KeyError:
-        raise SystemExit(
-            f"unknown model {name!r}; choose from "
-            f"{', '.join(sorted(_MODELS))}")
+        return int(text)
+    except ValueError:
+        return text
 
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.hierarchy.presets import SCALE_PRESETS
+    from repro.seer.names import MODEL_NAMES
     from repro.topology.astral import NAMED_SCALES
 
     parser = argparse.ArgumentParser(
@@ -107,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     forecast = sub.add_parser("forecast",
                               help="Seer training forecast")
     forecast.add_argument("--model", default="llama3-70b",
-                          choices=sorted(_MODELS))
+                          choices=sorted(MODEL_NAMES))
     forecast.add_argument("--gpu", default="H800")
     forecast.add_argument("--tp", type=int, default=8)
     forecast.add_argument("--pp", type=int, default=4)
@@ -120,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     inference = sub.add_parser("inference",
                                help="Seer inference forecast")
     inference.add_argument("--model", default="llama3-70b",
-                           choices=sorted(_MODELS))
+                           choices=sorted(MODEL_NAMES))
     inference.add_argument("--gpu", default="H800")
     inference.add_argument("--tp", type=int, default=8)
     inference.add_argument("--ep", type=int, default=1)
@@ -129,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     memory = sub.add_parser("memory", help="HBM footprint of a layout")
     memory.add_argument("--model", default="llama3-70b",
-                        choices=sorted(_MODELS))
+                        choices=sorted(MODEL_NAMES))
     memory.add_argument("--gpu", default="H800")
     memory.add_argument("--tp", type=int, default=8)
     memory.add_argument("--pp", type=int, default=4)
@@ -140,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="rank parallelism layouts for a GPU budget")
     sweep.add_argument("--model", default="llama3-70b",
-                       choices=sorted(_MODELS))
+                       choices=sorted(MODEL_NAMES))
     sweep.add_argument("--gpu", default="H800")
     sweep.add_argument("--gpus", type=int, default=64)
     sweep.add_argument("--microbatches", type=int, default=16)
@@ -311,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--preset", default="64k",
                        choices=SCALE_PRESETS,
                        help="cluster scale preset the pools carve up")
-    serve.add_argument("--seed", default="0",
+    serve.add_argument("--seed", default=0, type=_seed,
                        help="campaign seed (int or string); feeds every "
                             "string-keyed draw stream")
     serve.add_argument("--duration", type=float, default=86400.0,
@@ -362,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     in NAMED_SCALES + SCALE_PRESETS
                                     if scale != "512k"],
                            help="session cluster scale")
-    twin_demo.add_argument("--seed", default="0",
+    twin_demo.add_argument("--seed", default=0, type=_seed,
                            help="session seed (int or string)")
     twin_demo.add_argument("--workers", type=int, default=0,
                            help="shard sessions across N worker "
@@ -389,24 +385,22 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    from repro.seer import NetworkSuite, ParallelismConfig, Seer
-    model = _resolve_model(args.model)
-    parallel = ParallelismConfig(tp=args.tp, pp=args.pp, dp=args.dp,
-                                 ep=args.ep,
-                                 microbatches=args.microbatches)
-    seer = Seer(gpu=args.gpu, network=NetworkSuite(),
-                corrected=not args.uncorrected)
-    forecast = seer.forecast_training(model, parallel)
-    print(f"model            : {model.name}")
-    print(f"world size       : {parallel.world_size} GPUs "
+    from repro.seer.names import MODEL_NAMES
+    result = _run_task("seer-forecast", {
+        "model": MODEL_NAMES[args.model], "gpu": args.gpu,
+        "tp": args.tp, "pp": args.pp, "dp": args.dp, "ep": args.ep,
+        "microbatches": args.microbatches,
+        "corrected": not args.uncorrected})
+    print(f"model            : {result['model']}")
+    print(f"world size       : {result['world_size']} GPUs "
           f"(TP{args.tp} x PP{args.pp} x DP{args.dp})")
-    print(f"iteration time   : {forecast.iteration_time_s:.4f} s")
-    print(f"tokens/s         : {forecast.tokens_per_s:,.0f}")
-    print(f"tokens/s/GPU     : {forecast.throughput_per_gpu:,.1f}")
-    print(f"exposed comm     : {forecast.exposed_comm_fraction():.1%}")
-    if not args.uncorrected:
-        deviation = seer.accuracy_deviation(model, parallel)
-        print(f"vs testbed       : {deviation:.3%} deviation")
+    print(f"iteration time   : {result['iteration_time_s']:.4f} s")
+    print(f"tokens/s         : {result['tokens_per_s']:,.0f}")
+    print(f"tokens/s/GPU     : {result['throughput_per_gpu']:,.1f}")
+    print(f"exposed comm     : {result['exposed_comm_fraction']:.1%}")
+    if "accuracy_deviation" in result:
+        print(f"vs testbed       : {result['accuracy_deviation']:.3%} "
+              f"deviation")
     return 0
 
 
@@ -460,34 +454,29 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pue(args) -> int:
-    from repro.power import astral_vs_traditional, pue_evolution
-    for report in pue_evolution():
-        print(f"  {report.label:<30} PUE {report.pue:.3f}")
-    comparison = astral_vs_traditional()
+    result = _run_task("figure-bench", {"figure": "pue"})
+    for point in result["series"]:
+        print(f"  {point['label']:<30} PUE {point['pue']:.3f}")
     print(f"  improvement vs traditional: "
-          f"{comparison['improvement_frac']:.2%}")
+          f"{result['improvement_frac']:.2%}")
     return 0
 
 
 def _cmd_taxonomy(args) -> int:
-    from collections import Counter
-
-    from repro.monitoring import sample_faults
-    faults = sample_faults(args.count, seed=args.seed)
-    manifestations = Counter(f.manifestation.value for f in faults)
-    causes = Counter(f.cause.value for f in faults)
+    result = _run_task("figure-bench", {
+        "figure": "taxonomy", "count": args.count, "seed": args.seed})
     print("manifestations:")
-    for name, count in manifestations.most_common():
-        print(f"  {name:<15} {count / args.count:6.1%}")
+    for name, count in result["manifestations"]:
+        print(f"  {name:<15} {count / result['count']:6.1%}")
     print("root causes:")
-    for name, count in causes.most_common():
-        print(f"  {name:<18} {count / args.count:6.1%}")
+    for name, count in result["causes"]:
+        print(f"  {name:<18} {count / result['count']:6.1%}")
     return 0
 
 
 def _cmd_overhead(args) -> int:
-    from repro.monitoring import MonitoringOverhead
-    report = MonitoringOverhead().report(args.gpus)
+    report = _run_task("figure-bench",
+                       {"figure": "overhead", "gpus": args.gpus})
     print(f"cluster          : {report['n_gpus']:,} GPUs")
     print(f"mirror traffic   : {report['mirror_gbps']:.1f} Gbps "
           f"({report['mirror_fraction']:.7%} of fabric)")
@@ -497,16 +486,14 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_goodput(args) -> int:
-    from repro.core import training_goodput
+    result = _run_task("figure-bench",
+                       {"figure": "goodput", "gpus": args.gpus})
     print(f"{'GPUs':>8} {'MTBF(h)':>9} {'manual':>8} {'Astral':>8} "
           f"{'gain':>7}")
-    for n_gpus in args.gpus:
-        manual = training_goodput(n_gpus, localization="manual")
-        auto = training_goodput(n_gpus, localization="automated")
-        print(f"{n_gpus:>8,} {auto.mtbf_hours:>9.1f} "
-              f"{manual.goodput_fraction:>8.1%} "
-              f"{auto.goodput_fraction:>8.1%} "
-              f"{auto.goodput_fraction - manual.goodput_fraction:>+7.1%}")
+    for row in result["rows"]:
+        print(f"{row['gpus']:>8,} {row['mtbf_hours']:>9.1f} "
+              f"{row['manual']:>8.1%} {row['astral']:>8.1%} "
+              f"{row['astral'] - row['manual']:>+7.1%}")
     return 0
 
 
@@ -531,37 +518,25 @@ def _cmd_diagnose_demo(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    from repro.core import AstralInfrastructure
-    from repro.topology import AstralParams
-    infra = AstralInfrastructure(params=AstralParams.named(args.scale),
-                                 seed=args.seed)
-    report = infra.run_cluster(
-        jobs=args.jobs, policy=args.policy, seed=args.seed,
-        failure_scale=args.failure_scale,
-        tidal_cap=not args.no_tidal)
-    print(report.render(max_rows=args.rows))
-    if args.contention:
-        outcomes = infra.cluster_contention(report)
-        print("peak-set fabric contention:")
-        for name in sorted(outcomes):
-            outcome = outcomes[name]
-            print(f"  {name:<10} efficiency {outcome.efficiency:6.1%} "
-                  f"({outcome.mean_iteration_s:.3f} s/iter)")
+    from repro.cluster.metrics import render_cluster_report
+    result = _run_task("cluster-sweep", {
+        "seed": args.seed, "scale": args.scale, "jobs": args.jobs,
+        "policy": args.policy, "failure_scale": args.failure_scale,
+        "tidal": not args.no_tidal, "contention": args.contention})
+    print(render_cluster_report(result, max_rows=args.rows))
     return 0
 
 
 def _cmd_resilience(args) -> int:
     import json
 
-    from repro.farm import TaskSpec, execute_spec
-
-    report = execute_spec(TaskSpec("resilience-campaign", {
+    report = _run_task("resilience-campaign", {
         "seed": args.seed, "scale": args.scale, "jobs": args.jobs,
         "hosts_per_job": args.hosts_per_job,
         "iterations": args.iterations, "faults": args.faults,
         "fault_at_s": args.fault_at,
         "checkpoint_interval_s": args.checkpoint_interval,
-    }, label="cli"))
+    })
     if args.json:
         print(json.dumps(report, indent=2))
         return 0
@@ -713,7 +688,6 @@ def _cmd_scale(args) -> int:
     import json
     import time
 
-    from repro.farm import TaskSpec
     from repro.hierarchy import preset_params
 
     task_params = {
@@ -781,9 +755,9 @@ def _cmd_scale(args) -> int:
     if caps:
         task_params["power_caps"] = caps
 
-    spec = TaskSpec("hierarchy-run", task_params, label="cli")
     started = time.perf_counter()
-    result = _run_spec(spec, args.workers, args.cache_dir)
+    result = _run_task("hierarchy-run", task_params, args.workers,
+                       args.cache_dir)
     if result is None:
         return 1
     wall_s = time.perf_counter() - started
@@ -821,12 +795,15 @@ def _cmd_scale(args) -> int:
     return 0
 
 
-def _run_spec(spec, workers: int, cache_dir: Optional[str]
-              ) -> Optional[dict]:
-    """Run one task inline, or through the farm when *workers* > 1 or
-    a result cache is asked for; None (after printing why) when the
-    farm reports the task failed."""
-    from repro.farm import FarmExecutor, ResultCache, execute_spec
+def _run_task(kind: str, params: dict, workers: int = 1,
+              cache_dir: Optional[str] = None) -> Optional[dict]:
+    """Run one farm task inline, or through the farm when *workers* > 1
+    or a result cache is asked for; None (after printing why) when the
+    farm reports the task failed.  Every computing command prints what
+    this returns, so the CLI and ``repro farm`` share one code path."""
+    from repro.farm import (FarmExecutor, ResultCache, TaskSpec,
+                            execute_spec)
+    spec = TaskSpec(kind, params, label="cli")
     if workers <= 1 and cache_dir is None:
         return execute_spec(spec)
     cache = ResultCache(root=cache_dir) if cache_dir else ResultCache()
@@ -846,28 +823,21 @@ def _cmd_serve(args) -> int:
     import json
     import time
 
-    from repro.farm import TaskSpec
     from repro.serving import ServingReport, ServingScenario
 
-    seed = args.seed
-    try:
-        seed = int(seed)
-    except ValueError:
-        pass  # string seeds are first-class in the draw convention
     cap = args.power_cap_frac
     scenario = ServingScenario(
         preset=args.preset,
         duration_s=args.duration,
         bucket_s=args.bucket,
         users_m_scale=args.users_scale,
-        seed=seed,
+        seed=args.seed,
         power_cap_frac=None if cap is not None and cap < 0 else cap,
         train_jobs=args.train_jobs,
         slo_ttft_s=args.slo_ttft)
-    task_params = {"scenario": scenario.to_params()}
-    spec = TaskSpec("serving-run", task_params, label="cli")
     started = time.perf_counter()
-    result = _run_spec(spec, args.workers, args.cache_dir)
+    result = _run_task("serving-run", {"scenario": scenario.to_params()},
+                       args.workers, args.cache_dir)
     if result is None:
         return 1
     wall_s = time.perf_counter() - started
@@ -890,13 +860,9 @@ def _cmd_twin(args) -> int:
         from repro.twin import serve_forever
         return asyncio.run(serve_forever(
             host=args.host, port=args.port, workers=args.workers))
-    seed = args.seed
-    try:
-        seed = int(seed)
-    except ValueError:
-        pass  # string seeds are first-class in the draw convention
     from repro.twin import run_demo
-    return run_demo(scale=args.scale, workers=args.workers, seed=seed)
+    return run_demo(scale=args.scale, workers=args.workers,
+                    seed=args.seed)
 
 
 _HANDLERS = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["JobRecord", "ClusterReport"]
+__all__ = ["JobRecord", "ClusterReport", "render_cluster_report"]
 
 
 @dataclass
@@ -51,12 +51,6 @@ class JobRecord:
         if self.first_start_s is None:
             return None
         return self.first_start_s - self.submit_s
-
-    @property
-    def mean_pods_spanned(self) -> float:
-        if not self.pods_spanned:
-            return 0.0
-        return sum(self.pods_spanned) / len(self.pods_spanned)
 
     def to_dict(self) -> Dict:
         return {
@@ -182,34 +176,46 @@ class ClusterReport:
 
     def render(self, max_rows: int = 20) -> str:
         """Operator-facing text report."""
-        statuses = ", ".join(f"{k}={v}"
-                             for k, v in self.status_counts().items())
-        lines = [
-            f"cluster schedule — policy={self.policy} "
-            f"seed={self.seed} hosts={self.total_hosts}",
-            f"  jobs            : {len(self.records)} ({statuses})",
-            f"  makespan        : {self.makespan_s / 3600.0:.2f} h",
-            f"  utilization     : {self.utilization:.1%}",
-            f"  goodput         : {self.goodput_fraction:.1%}",
-            f"  mean JCT        : {self.mean_jct_s / 3600.0:.2f} h",
-            f"  mean queue delay: {self.mean_queue_delay_s / 60.0:.1f} min",
-            f"  mean pods span  : {self.mean_pods_spanned:.2f}",
-            f"  failures        : {self.total_failures} "
-            f"(preemptions {self.total_preemptions})",
-        ]
-        header = (f"  {'job':<10} {'prio':>4} {'hosts':>5} {'status':<10} "
-                  f"{'wait(m)':>8} {'jct(h)':>7} {'fail':>4} {'pods':>4}")
-        lines.append(header)
-        for record in self.records[:max_rows]:
-            wait = record.queue_delay_s
-            jct = record.jct_s
-            lines.append(
-                f"  {record.name:<10} {record.priority:>4} "
-                f"{record.n_hosts_requested:>5} {record.status:<10} "
-                f"{'-' if wait is None else f'{wait / 60.0:8.1f}':>8} "
-                f"{'-' if jct is None else f'{jct / 3600.0:7.2f}':>7} "
-                f"{record.failures:>4} "
-                f"{record.mean_pods_spanned:>4.1f}")
-        if len(self.records) > max_rows:
-            lines.append(f"  ... {len(self.records) - max_rows} more")
-        return "\n".join(lines)
+        return render_cluster_report(self.to_dict(), max_rows)
+
+
+def render_cluster_report(report: Dict, max_rows: int = 20) -> str:
+    """Operator-facing text of a :meth:`ClusterReport.to_dict` value,
+    plus the ``contention`` section a ``cluster-sweep`` task adds."""
+    statuses = ", ".join(f"{k}={v}" for k, v in report["status"].items())
+    lines = [
+        f"cluster schedule — policy={report['policy']} "
+        f"seed={report['seed']} hosts={report['total_hosts']}",
+        f"  jobs            : {report['jobs']} ({statuses})",
+        f"  makespan        : {report['makespan_s'] / 3600.0:.2f} h",
+        f"  utilization     : {report['utilization']:.1%}",
+        f"  goodput         : {report['goodput_fraction']:.1%}",
+        f"  mean JCT        : {report['mean_jct_s'] / 3600.0:.2f} h",
+        f"  mean queue delay: "
+        f"{report['mean_queue_delay_s'] / 60.0:.1f} min",
+        f"  mean pods span  : {report['mean_pods_spanned']:.2f}",
+        f"  failures        : {report['failures']} "
+        f"(preemptions {report['preemptions']})",
+        f"  {'job':<10} {'prio':>4} {'hosts':>5} {'status':<10} "
+        f"{'wait(m)':>8} {'jct(h)':>7} {'fail':>4} {'pods':>4}",
+    ]
+    for record in report["records"][:max_rows]:
+        start, end = record["first_start_s"], record["end_s"]
+        wait = "-" if start is None else \
+            f"{(start - record['submit_s']) / 60.0:8.1f}"
+        jct = "-" if end is None or record["status"] != "completed" \
+            else f"{(end - record['submit_s']) / 3600.0:7.2f}"
+        spans = record["pods_spanned"]
+        lines.append(
+            f"  {record['name']:<10} {record['priority']:>4} "
+            f"{record['n_hosts']:>5} {record['status']:<10} {wait:>8} "
+            f"{jct:>7} {record['failures']:>4} "
+            f"{sum(spans) / max(1, len(spans)):>4.1f}")
+    if len(report["records"]) > max_rows:
+        lines.append(f"  ... {len(report['records']) - max_rows} more")
+    if "contention" in report:
+        lines.append("peak-set fabric contention:")
+        lines += [f"  {name:<10} efficiency {outcome['efficiency']:6.1%} "
+                  f"({outcome['mean_iteration_s']:.3f} s/iter)"
+                  for name, outcome in sorted(report["contention"].items())]
+    return "\n".join(lines)

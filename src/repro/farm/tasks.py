@@ -201,11 +201,12 @@ def run_cluster_sweep(params: Dict[str, Any]) -> Dict[str, Any]:
 @register_task("seer-forecast", version=1,
                description="Seer training forecast for one layout")
 def run_seer_forecast(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Params: ``model`` (registry name), ``gpu``, ``tp``, ``pp``,
-    ``dp``, ``ep``, ``microbatches``, ``corrected``."""
-    from .. import seer as seer_mod
+    """Params: ``model`` (a ``repro.seer.names.MODEL_NAMES`` value such
+    as ``GPT3_175B``), ``gpu``, ``tp``, ``pp``, ``dp``, ``ep``,
+    ``microbatches``, ``corrected``."""
     from ..seer import NetworkSuite, ParallelismConfig, Seer
-    model = getattr(seer_mod, params.get("model", "LLAMA3_70B"))
+    from ..seer.names import model_config
+    model = model_config(params.get("model", "LLAMA3_70B"))
     parallel = ParallelismConfig(
         tp=int(params.get("tp", 8)), pp=int(params.get("pp", 4)),
         dp=int(params.get("dp", 4)), ep=int(params.get("ep", 1)),
@@ -271,10 +272,10 @@ def _figure_taxonomy(params: Dict[str, Any]) -> Dict[str, Any]:
     faults = sample_faults(count, seed=int(params.get("seed", 0)))
     return {
         "count": count,
-        "manifestations": dict(sorted(Counter(
-            f.manifestation.value for f in faults).items())),
-        "causes": dict(sorted(Counter(
-            f.cause.value for f in faults).items())),
+        "manifestations": [list(pair) for pair in Counter(
+            f.manifestation.value for f in faults).most_common()],
+        "causes": [list(pair) for pair in Counter(
+            f.cause.value for f in faults).most_common()],
     }
 
 
@@ -286,7 +287,10 @@ _FIGURES = {
 }
 
 
-@register_task("figure-bench", version=1,
+# version 2: taxonomy ``manifestations``/``causes`` became ``[name,
+# count]`` lists in ``most_common()`` order (ties first-seen), not
+# name-sorted dicts: the cache's sorted-key JSON would lose dict order.
+@register_task("figure-bench", version=2,
                description="regenerate one cheap paper figure")
 def run_figure_bench(params: Dict[str, Any]) -> Dict[str, Any]:
     """Params: ``figure`` in {pue, goodput, overhead, taxonomy} plus

@@ -205,8 +205,8 @@ class ScenarioGenerator:
         rails = spec.topo["gpus_per_host"]
         if spec.family == "rail_only":
             # No Core tier: cross-pod destinations are unreachable.
-            pod = rng.choice(sorted({h.split(".")[0] for h in hosts}))
-            hosts = [h for h in hosts if h.startswith(pod + ".")]
+            pod = rng.choice(sorted({topo.devices[h].pod for h in hosts}))
+            hosts = [h for h in hosts if topo.devices[h].pod == pod]
         n_flows = rng.randint(2, min(12, len(hosts) * 2))
         flow_specs = []
         for index in range(n_flows):

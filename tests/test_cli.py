@@ -198,21 +198,19 @@ class TestScaleCommand:
 
 
 class TestRunSpec:
-    """The one farm-or-inline route ``scale`` and ``serve`` share."""
+    """The one farm-or-inline route every computing command shares."""
 
     def test_inline_without_workers_or_cache(self, capsys):
-        from repro.cli import _run_spec
-        from repro.farm import TaskSpec
-        spec = TaskSpec("farm-selftest", {"mode": "ok", "value": 3})
-        assert _run_spec(spec, 1, None) == {"value": 3, "squared": 9}
+        from repro.cli import _run_task
+        assert _run_task("farm-selftest", {"mode": "ok", "value": 3}) \
+            == {"value": 3, "squared": 9}
         assert capsys.readouterr().out == ""
 
     def test_farm_failure_prints_and_returns_none(self, capsys,
                                                   tmp_path):
-        from repro.cli import _run_spec
-        from repro.farm import TaskSpec
-        spec = TaskSpec("farm-selftest", {"mode": "fail"})
-        assert _run_spec(spec, 1, str(tmp_path / "cache")) is None
+        from repro.cli import _run_task
+        assert _run_task("farm-selftest", {"mode": "fail"}, 1,
+                         str(tmp_path / "cache")) is None
         assert capsys.readouterr().out.startswith("FAILED [")
 
 

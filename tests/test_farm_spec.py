@@ -105,6 +105,24 @@ class TestRegistry:
         assert result["figure"] == "pue"
         assert result["series"]
 
+    @pytest.mark.parametrize("model", ["Seer", "ParallelismConfig",
+                                       "nope", "llama3-70b"])
+    def test_seer_forecast_refuses_what_is_not_a_model(self, model):
+        # A spec document names the model: only the table's config
+        # names reach the forecaster, anything else fails up front.
+        with pytest.raises(ValueError, match="choose from .*GPT3_175B"):
+            execute_spec(TaskSpec("seer-forecast", {"model": model}))
+
+    def test_taxonomy_keeps_most_common_order_with_ties(self):
+        # The default campaign ties fail-slow and fail-hang at 146:
+        # most_common() keeps them in first-seen order, and the list
+        # survives the cache's sorted-key JSON where a dict would not.
+        result = execute_spec(TaskSpec("figure-bench",
+                                       {"figure": "taxonomy"}))
+        counts = json.loads(canonical_json(result))["manifestations"]
+        assert counts == [["fail-stop", 646], ["fail-slow", 146],
+                          ["fail-hang", 146], ["fail-on-start", 62]]
+
 
 class TestRoundTrip:
     def test_spec_json_round_trip(self):
