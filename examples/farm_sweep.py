@@ -2,35 +2,27 @@
 """The experiment farm: parallel sweeps that cannot change the answer.
 
 ``repro.farm`` wraps every runnable unit in the repo as a content-
-hashed ``TaskSpec``, executes batches of them on a crash-isolated
-process pool, and memoizes results in an on-disk cache keyed by spec
-hash + code fingerprint.  This walkthrough shows the guarantees one
-at a time:
+hashed ``TaskSpec``.  ``grid_specs`` expands a sweep into specs and
+``FarmExecutor.run`` — the one way a list of specs is run — executes
+them on a crash-isolated process pool, memoizing results in an on-disk
+cache keyed by spec hash + code fingerprint when, and only when, a
+cache is named.  This walkthrough shows the guarantees one at a time:
 
 1. specs are values — canonical JSON in, stable content hash out;
    labels don't affect identity, parameters do;
-2. a cluster-policy grid sweep run serially and at 4 workers, with
-   the two reports compared bit for bit;
-3. a warm rerun of the same sweep served entirely from the cache —
-   zero simulations executed;
+2. a cluster-policy grid sweep run serially and at 4 workers with no
+   cache, the two reports compared bit for bit;
+3. the same sweep into a named cache, then a warm rerun served
+   entirely from it — zero simulations executed;
 4. crash isolation: a task that hard-kills its worker fails alone
    while innocent siblings complete.
 
-Run:  python examples/farm_sweep.py
+Run:  python on this file, from the repository root (no arguments).
 """
 
 import tempfile
-from pathlib import Path
 
-from repro.farm import (
-    FarmExecutor,
-    ResultCache,
-    TaskSpec,
-    grid_specs,
-    run_sweep,
-)
-
-CACHE_ROOT = Path(tempfile.mkdtemp(prefix="repro-farm-demo-"))
+from repro.farm import FarmExecutor, ResultCache, TaskSpec, grid_specs
 
 
 def demo_specs():
@@ -64,35 +56,32 @@ def demo_parallel_equals_serial():
     print(f"{len(specs)} sweep points:")
     for spec in specs:
         print(f"  {spec.label}")
-    serial = FarmExecutor(
-        workers=1, use_cache=False,
-        cache=ResultCache(root=CACHE_ROOT / "serial")).run(specs)
-    parallel = FarmExecutor(
-        workers=4, use_cache=False,
-        cache=ResultCache(root=CACHE_ROOT / "sweep")).run(specs)
+    serial = FarmExecutor(workers=1).run(specs)
+    parallel = FarmExecutor(workers=4).run(specs)
     assert serial.ok and parallel.ok
     assert serial.identity() == parallel.identity()
     print(f"serial:   {serial.wall_s:.2f}s   "
           f"parallel: {parallel.wall_s:.2f}s   identity: equal")
-    sweep = run_sweep(specs, workers=1,
-                      cache=ResultCache(root=CACHE_ROOT / "sweep"))
-    for (params, _), util in zip(sweep.rows(),
-                                 sweep.column("utilization")):
+    for result in parallel.results:
+        params = result.spec.params
         print(f"  policy={params['policy']:<9} seed={params['seed']}"
-              f"  utilization={util:.3f}")
+              f"  utilization={result.result['utilization']:.3f}")
     return specs
 
 
-def demo_warm_rerun(specs):
+def demo_warm_rerun(specs, cache_root):
     print()
     print("=" * 64)
-    print("3. Warm rerun: the cache does the work")
+    print("3. A named cache, then a warm rerun: the cache does the work")
     print("=" * 64)
-    warm = FarmExecutor(
-        workers=4,
-        cache=ResultCache(root=CACHE_ROOT / "sweep")).run(specs)
-    assert warm.n_executed == 0
-    print(f"{warm.n_cached} results from cache, {warm.n_executed} "
+    cold = FarmExecutor(workers=4,
+                        cache=ResultCache(root=cache_root)).run(specs)
+    warm = FarmExecutor(workers=4,
+                        cache=ResultCache(root=cache_root)).run(specs)
+    assert cold.n_executed == len(specs) and warm.n_executed == 0
+    assert warm.identity() == cold.identity()
+    print(f"cold: {cold.n_executed} executed into the named cache")
+    print(f"warm: {warm.n_cached} results from cache, {warm.n_executed} "
           f"executed, wall {warm.wall_s*1000:.0f} ms")
     print("any source-file edit changes the code fingerprint and "
           "cold-starts the cache")
@@ -108,9 +97,7 @@ def demo_crash_isolation():
         TaskSpec("farm-selftest", {"mode": "crash"}),
         TaskSpec("farm-selftest", {"mode": "ok", "value": 2}),
     ]
-    report = FarmExecutor(
-        workers=2, max_retries=1, use_cache=False,
-        cache=ResultCache(root=CACHE_ROOT / "crash")).run(specs)
+    report = FarmExecutor(workers=2, max_retries=1).run(specs)
     for result in report.results:
         mode = result.spec.params["mode"]
         print(f"  mode={mode:<6} status={result.status:<8} "
@@ -121,7 +108,8 @@ def demo_crash_isolation():
 def main():
     demo_specs()
     specs = demo_parallel_equals_serial()
-    demo_warm_rerun(specs)
+    with tempfile.TemporaryDirectory(prefix="repro-farm-demo-") as root:
+        demo_warm_rerun(specs, root)
     demo_crash_isolation()
     print()
     print("Farm guarantees demonstrated.")

@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=NAMED_SCALES,
                          help="fabric size (cluster = 256 hosts)")
     cluster.add_argument("--failure-scale", type=float, default=1.0,
-                         help="MTBF multiplier; 0 disables failures")
+                         help="failure-rate multiplier; 0 disables "
+                              "failures")
     cluster.add_argument("--no-tidal", action="store_true",
                          help="disable the 22:00-08:00 host cap")
     cluster.add_argument("--contention", action="store_true",
@@ -391,6 +392,8 @@ def _cmd_forecast(args) -> int:
         "tp": args.tp, "pp": args.pp, "dp": args.dp, "ep": args.ep,
         "microbatches": args.microbatches,
         "corrected": not args.uncorrected})
+    if result is None:
+        return 1
     print(f"model            : {result['model']}")
     print(f"world size       : {result['world_size']} GPUs "
           f"(TP{args.tp} x PP{args.pp} x DP{args.dp})")
@@ -423,7 +426,11 @@ def _cmd_memory(args) -> int:
     model = _resolve_model(args.model)
     parallel = ParallelismConfig(tp=args.tp, pp=args.pp, dp=args.dp,
                                  ep=args.ep, zero_stage=args.zero)
-    estimate = estimate_memory(model, parallel)
+    try:
+        estimate = estimate_memory(model, parallel)
+    except ValueError as exc:
+        print(f"FAILED [error] ValueError: {exc}")
+        return 1
     gpu = gpu_suite(args.gpu)
     print(f"model        : {model.name}")
     print(f"weights      : {estimate.weights / 1e9:8.2f} GB")
@@ -455,6 +462,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_pue(args) -> int:
     result = _run_task("figure-bench", {"figure": "pue"})
+    if result is None:
+        return 1
     for point in result["series"]:
         print(f"  {point['label']:<30} PUE {point['pue']:.3f}")
     print(f"  improvement vs traditional: "
@@ -465,6 +474,8 @@ def _cmd_pue(args) -> int:
 def _cmd_taxonomy(args) -> int:
     result = _run_task("figure-bench", {
         "figure": "taxonomy", "count": args.count, "seed": args.seed})
+    if result is None:
+        return 1
     print("manifestations:")
     for name, count in result["manifestations"]:
         print(f"  {name:<15} {count / result['count']:6.1%}")
@@ -477,6 +488,8 @@ def _cmd_taxonomy(args) -> int:
 def _cmd_overhead(args) -> int:
     report = _run_task("figure-bench",
                        {"figure": "overhead", "gpus": args.gpus})
+    if report is None:
+        return 1
     print(f"cluster          : {report['n_gpus']:,} GPUs")
     print(f"mirror traffic   : {report['mirror_gbps']:.1f} Gbps "
           f"({report['mirror_fraction']:.7%} of fabric)")
@@ -488,6 +501,8 @@ def _cmd_overhead(args) -> int:
 def _cmd_goodput(args) -> int:
     result = _run_task("figure-bench",
                        {"figure": "goodput", "gpus": args.gpus})
+    if result is None:
+        return 1
     print(f"{'GPUs':>8} {'MTBF(h)':>9} {'manual':>8} {'Astral':>8} "
           f"{'gain':>7}")
     for row in result["rows"]:
@@ -523,6 +538,8 @@ def _cmd_cluster(args) -> int:
         "seed": args.seed, "scale": args.scale, "jobs": args.jobs,
         "policy": args.policy, "failure_scale": args.failure_scale,
         "tidal": not args.no_tidal, "contention": args.contention})
+    if result is None:
+        return 1
     print(render_cluster_report(result, max_rows=args.rows))
     return 0
 
@@ -537,6 +554,8 @@ def _cmd_resilience(args) -> int:
         "fault_at_s": args.fault_at,
         "checkpoint_interval_s": args.checkpoint_interval,
     })
+    if report is None:
+        return 1
     if args.json:
         print(json.dumps(report, indent=2))
         return 0
@@ -615,7 +634,7 @@ def _cmd_validate(args) -> int:
     print(f"wall {wall_s:.2f}s ({rate:.2f} cases/s, "
           f"case-time sum {report.total_elapsed_s:.2f}s, "
           f"workers {args.workers})")
-    if report.farm is not None:
+    if args.workers > 1 or args.cache_dir is not None:
         stats = report.farm.cache_stats or {}
         print(f"cache: {stats.get('hits', 0)} hits, "
               f"{stats.get('misses', 0)} misses; "
@@ -651,11 +670,9 @@ def _cmd_farm(args) -> int:
         print(f"  [{done:>3}/{total}] {result.spec.describe():<48} "
               f"{verdict:<8} ({tag})")
 
-    cache = ResultCache(root=args.cache_dir) if args.cache_dir \
-        else ResultCache()
     executor = FarmExecutor(
         workers=args.workers, use_cache=not args.no_cache,
-        cache=cache, timeout_s=args.timeout,
+        cache=ResultCache(root=args.cache_dir), timeout_s=args.timeout,
         max_retries=args.retries, progress=_progress)
     report = executor.run(specs)
     if args.json:
@@ -797,25 +814,21 @@ def _cmd_scale(args) -> int:
 
 def _run_task(kind: str, params: dict, workers: int = 1,
               cache_dir: Optional[str] = None) -> Optional[dict]:
-    """Run one farm task inline, or through the farm when *workers* > 1
-    or a result cache is asked for; None (after printing why) when the
-    farm reports the task failed.  Every computing command prints what
-    this returns, so the CLI and ``repro farm`` share one code path."""
-    from repro.farm import (FarmExecutor, ResultCache, TaskSpec,
-                            execute_spec)
-    spec = TaskSpec(kind, params, label="cli")
-    if workers <= 1 and cache_dir is None:
-        return execute_spec(spec)
-    cache = ResultCache(root=cache_dir) if cache_dir else ResultCache()
-    report = FarmExecutor(workers=workers, use_cache=cache_dir is not None,
-                          cache=cache).run([spec])
+    """Run one farm task through the farm, cached only under
+    *cache_dir*; None (after printing why) when the task failed.  Every
+    computing command prints what this returns, so the CLI and
+    ``repro farm`` share one code path."""
+    from repro.farm import FarmExecutor, ResultCache, TaskSpec
+    cache = None if cache_dir is None else ResultCache(root=cache_dir)
+    report = FarmExecutor(workers=workers, cache=cache).run(
+        [TaskSpec(kind, params, label="cli")])
     if not report.ok:
         failure = report.failures[0]
-        print(f"FAILED [{failure.status}] "
-              f"{(failure.error or '').splitlines()[0]}")
+        print(f"FAILED [{failure.status}] {failure.error.splitlines()[0]}")
         return None
-    print(f"farm: {report.n_executed} executed, "
-          f"{report.n_cached} from cache (workers {workers})")
+    if workers > 1 or cache is not None:
+        print(f"farm: {report.n_executed} executed, "
+              f"{report.n_cached} from cache (workers {workers})")
     return report.results[0].result
 
 

@@ -1,13 +1,18 @@
-"""repro.farm — parallel experiment execution with result caching.
+"""repro.farm — parallel experiment execution, cached on request.
 
 The farm turns every runnable unit in the repo — a validation fuzz
 case, a resilience campaign, a monitoring campaign, a cluster-sweep
 point, a Seer forecast, a figure benchmark — into a content-addressed
 :class:`TaskSpec`, and executes batches of them on a process pool with
-per-task crash isolation, timeouts, bounded retry, and an on-disk
-result cache keyed by spec hash + code fingerprint.  Parallel
-execution is bit-identical to serial; warm reruns of unchanged
-scenarios skip simulation entirely.
+per-task crash isolation, timeouts and bounded retry.
+:meth:`FarmExecutor.run` is the one way a list of specs is run;
+:func:`execute_spec`, the primitive it calls per task, is the only
+thing beside it.  Parallel execution is bit-identical to serial.
+
+Nothing is cached unless a cache is named: pass a
+:class:`ResultCache` (keyed by spec hash + code fingerprint) and warm
+reruns of unchanged scenarios skip simulation entirely; leave
+``cache=None`` and the farm neither reads nor writes anything on disk.
 
 Quick use::
 
@@ -20,8 +25,10 @@ Quick use::
     report = FarmExecutor(workers=4).run(specs)
     assert report.ok
 
-or from the shell: ``repro farm sweep.json --workers 4`` and
-``repro validate --workers 4``.
+or from the shell: ``repro farm sweep.json --workers 4`` (which caches
+under ``$REPRO_FARM_CACHE`` or ``~/.cache/repro-farm``) and
+``repro validate --workers 4`` (which caches only with
+``--cache-dir``).
 """
 
 from .cache import (CacheStats, ResultCache, code_fingerprint,
@@ -29,9 +36,8 @@ from .cache import (CacheStats, ResultCache, code_fingerprint,
 from .executor import (FarmExecutor, FarmReport, FarmTaskTimeout,
                        TaskResult)
 from .spec import (TaskSpec, UnknownTaskKind, canonical_json,
-                   dedupe_specs, execute_spec, register_task,
+                   execute_spec, grid_specs, register_task,
                    specs_from_document, task_kind, task_kinds)
-from .sweep import SweepResult, grid_specs, run_sweep, seed_specs
 
 __all__ = [
     "CacheStats",
@@ -39,19 +45,15 @@ __all__ = [
     "FarmReport",
     "FarmTaskTimeout",
     "ResultCache",
-    "SweepResult",
     "TaskResult",
     "TaskSpec",
     "UnknownTaskKind",
     "canonical_json",
     "code_fingerprint",
-    "dedupe_specs",
     "default_cache_dir",
     "execute_spec",
     "grid_specs",
     "register_task",
-    "run_sweep",
-    "seed_specs",
     "specs_from_document",
     "task_kind",
     "task_kinds",

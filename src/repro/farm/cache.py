@@ -17,6 +17,12 @@ self-describing archive of completed experiments.  Entries are written
 atomically (tmp + rename) so a crashed writer can never leave a
 half-entry that later reads as a corrupt hit.
 
+Nothing is cached unless a cache is given: a
+:class:`~repro.farm.executor.FarmExecutor` built without one neither
+reads nor writes here.  ``repro farm`` names one (``--cache-dir``, else
+:func:`default_cache_dir`); ``repro validate``, ``scale`` and
+``serve`` name one only with ``--cache-dir``.
+
 Invalidation is explicit: ``--no-cache`` bypasses reads (but still
 writes, warming the cache for the next run), ``ResultCache.clear()``
 removes the current generation, and stale generations are simply
@@ -89,13 +95,15 @@ class CacheStats:
 class ResultCache:
     """Spec-hash + code-fingerprint addressed store of task results."""
 
-    root: Path = field(default_factory=default_cache_dir)
+    #: ``None`` means :func:`default_cache_dir`.
+    root: Optional[Path] = None
     #: override for tests; ``None`` means the live code fingerprint.
     fingerprint: Optional[str] = None
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        self.root = Path(self.root).expanduser()
+        self.root = default_cache_dir() if self.root is None \
+            else Path(self.root).expanduser()
 
     # -- keys ----------------------------------------------------------------
     def _generation_dir(self) -> Path:

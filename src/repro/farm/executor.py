@@ -3,9 +3,12 @@
 :class:`FarmExecutor` runs a list of :class:`~repro.farm.spec.TaskSpec`
 to completion with
 
-* **result-cache short-circuiting** — specs whose hash is already in
-  the :class:`~repro.farm.cache.ResultCache` for the current code
-  fingerprint never reach a worker;
+* **result-cache short-circuiting, when a cache is given** — specs
+  whose hash is already in the :class:`~repro.farm.cache.ResultCache`
+  for the current code fingerprint never reach a worker.  With
+  ``cache=None`` (the default) nothing is read or written and no code
+  fingerprint is computed; with a cache and ``use_cache=False``
+  results are written but never read (``repro farm --no-cache``);
 * **crash isolation** — a worker dying mid-task (segfault,
   ``os._exit``, OOM-kill) breaks only that pool generation: the pool
   is rebuilt, in-flight tasks are retried up to ``max_retries``, and a
@@ -227,7 +230,9 @@ class FarmExecutor:
     """Run task specs across workers with caching and isolation."""
 
     workers: int = 1
+    #: read hits from ``cache``; ``False`` keeps it write-only.
     use_cache: bool = True
+    #: where results are stored; ``None`` stores nothing anywhere.
     cache: Optional[ResultCache] = None
     #: generic per-task budget; a spec's own ``timeout_s`` overrides it.
     timeout_s: Optional[float] = None
@@ -237,8 +242,6 @@ class FarmExecutor:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.cache is None:
-            self.cache = ResultCache()
 
     # -- public API ----------------------------------------------------------
     def run(self, specs: Sequence[TaskSpec]) -> FarmReport:
@@ -282,20 +285,20 @@ class FarmExecutor:
             wall_s=time.perf_counter() - started,
             workers=self.workers,
             cache_stats=self.cache.stats.to_dict()
-            if self.use_cache else None,
+            if self.cache is not None and self.use_cache else None,
             interrupted=interrupted)
         return report
 
     # -- cache ---------------------------------------------------------------
     def _cache_get(self, spec: TaskSpec) -> Optional[Dict[str, Any]]:
-        if not self.use_cache:
+        if self.cache is None or not self.use_cache:
             return None
         return self.cache.get(spec)
 
     def _cache_put(self, result: TaskResult) -> None:
-        # Warm the cache even with reads disabled: --no-cache means
+        # Warm a named cache even with reads disabled: --no-cache means
         # "recompute now", not "forget what you computed".
-        if result.status == "ok":
+        if self.cache is not None and result.status == "ok":
             self.cache.put(result.spec, result.result,
                            elapsed_s=result.elapsed_s)
 

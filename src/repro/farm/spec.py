@@ -30,9 +30,11 @@ caller cannot tell the difference.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import (Any, Callable, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
@@ -41,7 +43,9 @@ __all__ = [
     "UnknownTaskKind",
     "canonical_json",
     "execute_spec",
+    "grid_specs",
     "register_task",
+    "specs_from_document",
     "task_kind",
     "task_kinds",
 ]
@@ -195,16 +199,52 @@ def execute_spec(spec: TaskSpec) -> Any:
     return result
 
 
+def grid_specs(kind: str, base: Optional[Mapping[str, Any]] = None,
+               grid: Optional[Mapping[str, Sequence[Any]]] = None,
+               seeds: Optional[Iterable[int]] = None,
+               seed_key: str = "seed") -> List[TaskSpec]:
+    """Expand ``base`` x ``grid`` x ``seeds`` into one spec per cell.
+
+    ``grid`` maps param names to candidate values; ``seeds`` is
+    shorthand for one more axis on ``seed_key``.  A grid value
+    overrides the base value for its cell; an empty/absent grid with
+    no seeds yields exactly one spec (the base).  Axes are sorted by
+    name and values keep their declared order, so the same document
+    always yields the same spec list and therefore the same hashes.
+    """
+    base = dict(base or {})
+    axes: List[Tuple[str, List[Any]]] = [
+        (key, list(values)) for key, values in sorted(
+            (grid or {}).items())
+    ]
+    if seeds is not None:
+        if any(key == seed_key for key, _ in axes):
+            raise ValueError(
+                f"{seed_key!r} appears in both grid= and seeds=")
+        axes.append((seed_key, [int(seed) for seed in seeds]))
+        axes.sort(key=lambda axis: axis[0])
+    if not axes:
+        return [TaskSpec(kind=kind, params=base)]
+    specs = []
+    names = [name for name, _ in axes]
+    for cell in itertools.product(*(values for _, values in axes)):
+        params = dict(base)
+        params.update(zip(names, cell))
+        label = ",".join(f"{name}={value}"
+                         for name, value in zip(names, cell))
+        specs.append(TaskSpec(kind=kind, params=params,
+                              label=f"{kind}[{label}]"))
+    return specs
+
+
 def specs_from_document(document: Dict[str, Any]) -> List[TaskSpec]:
     """Parse a spec document (the ``repro farm`` file format).
 
     ``{"tasks": [{kind, params, label?}, ...]}`` enumerates explicit
     specs; ``{"sweep": {kind, base?, grid?, seeds?, seed_key?}}``
-    expands a parameter grid / seed matrix via :mod:`repro.farm.sweep`.
+    expands a parameter grid / seed matrix via :func:`grid_specs`.
     Both keys may be present; tasks come first.
     """
-    from .sweep import grid_specs
-
     specs: List[TaskSpec] = [
         TaskSpec.from_dict(entry)
         for entry in document.get("tasks", [])
@@ -223,15 +263,3 @@ def specs_from_document(document: Dict[str, Any]) -> List[TaskSpec]:
             "spec document declares no tasks (need 'tasks', 'sweep', "
             "or 'sweeps')")
     return specs
-
-
-def dedupe_specs(specs: Iterable[TaskSpec]) -> List[TaskSpec]:
-    """Drop exact-duplicate specs, keeping first-seen order."""
-    seen: Dict[str, None] = {}
-    unique: List[TaskSpec] = []
-    for spec in specs:
-        key = spec.content_hash
-        if key not in seen:
-            seen[key] = None
-            unique.append(spec)
-    return unique

@@ -155,38 +155,6 @@ class FaultCampaign:
         return fabric, hosts, sorted(set(switch_pool)), \
             sorted(set(link_pool))
 
-    # -- farm fan-out --------------------------------------------------------
-    @staticmethod
-    def farm_sweep(seeds, n_faults: int = 5, job_hosts: int = 6,
-                   iterations: int = 5, workers: int = 1,
-                   use_cache: bool = False,
-                   cache_dir: Optional[str] = None
-                   ) -> List[Dict[str, object]]:
-        """Run one scored campaign per seed across farm workers.
-
-        Each seed becomes a ``monitoring-campaign``
-        :class:`~repro.farm.spec.TaskSpec`; results are summary dicts
-        (detection rate, localization accuracy, per-record scoring) in
-        seed order.  Parallel output is bit-identical to serial — the
-        campaign threads every draw through its explicit seed.
-        """
-        from ..farm import ResultCache, run_sweep, seed_specs
-        specs = seed_specs(
-            "monitoring-campaign",
-            base={"n_faults": n_faults, "job_hosts": job_hosts,
-                  "iterations": iterations},
-            seeds=list(seeds))
-        cache = ResultCache(root=cache_dir) if cache_dir else None
-        sweep = run_sweep(specs, workers=workers,
-                          use_cache=use_cache, cache=cache)
-        failed = [result for result in sweep.results if not result.ok]
-        if failed:
-            raise RuntimeError(
-                f"monitoring campaigns failed: "
-                f"{[r.spec.params['seed'] for r in failed]}; first "
-                f"error: {failed[0].error}")
-        return [result.result for result in sweep.results]
-
     # -- campaign ------------------------------------------------------------
     def run(self, n_faults: int) -> CampaignResult:
         result = CampaignResult()

@@ -24,8 +24,7 @@ simulated clock:
 """
 
 from .campaign import (JobOutcome, ResilienceCampaign, ResilienceReport,
-                       ResilientJob, default_tor_faults,
-                       run_campaign_matrix)
+                       ResilientJob, default_tor_faults)
 from .domains import (DOMAIN_KINDS, DOMAIN_MODES, FaultDomain,
                       domain_fault_specs, expand_domains,
                       faults_from_document, inject_domain)
@@ -49,5 +48,4 @@ __all__ = [
     "ResilienceCampaign",
     "ResilienceReport",
     "default_tor_faults",
-    "run_campaign_matrix",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster.recovery import RecoveryManager
 from ..core.placement import (AllocationError, GpuAllocator,
@@ -40,8 +40,7 @@ from .injector import FailureInjector
 from .pipeline import RecoveryPipeline
 
 __all__ = ["ResilientJob", "JobOutcome", "ResilienceCampaign",
-           "ResilienceReport", "default_tor_faults",
-           "run_campaign_matrix"]
+           "ResilienceReport", "default_tor_faults"]
 
 
 def default_tor_faults(params: AstralParams, seed: int = 0,
@@ -72,35 +71,6 @@ def default_tor_faults(params: AstralParams, seed: int = 0,
                   at_time_s=first_at_s + index * spacing_s)
         for index in range(n_faults)
     ]
-
-
-def run_campaign_matrix(seeds, scale: str = "small",
-                        workers: int = 1, use_cache: bool = False,
-                        cache_dir: Optional[str] = None,
-                        **campaign_params) -> List[Dict[str, Any]]:
-    """Fan a seed matrix of resilience campaigns across farm workers.
-
-    Each seed becomes one ``resilience-campaign``
-    :class:`~repro.farm.spec.TaskSpec` (params mirror the
-    ``repro resilience`` CLI); results come back as
-    :meth:`ResilienceReport.to_dict` payloads in seed order.  Raises
-    ``RuntimeError`` listing the failed seeds if any campaign did not
-    complete.
-    """
-    from ..farm import ResultCache, run_sweep, seed_specs
-    specs = seed_specs("resilience-campaign",
-                       base={"scale": scale, **campaign_params},
-                       seeds=list(seeds))
-    cache = ResultCache(root=cache_dir) if cache_dir else None
-    sweep = run_sweep(specs, workers=workers, use_cache=use_cache,
-                      cache=cache)
-    failed = [result.spec.params["seed"]
-              for result in sweep.results if not result.ok]
-    if failed:
-        raise RuntimeError(
-            f"resilience campaigns failed for seeds {failed}: "
-            f"{[r.error for r in sweep.results if not r.ok][0]}")
-    return [result.result for result in sweep.results]
 
 
 @dataclass

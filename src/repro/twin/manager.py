@@ -13,9 +13,9 @@ over — and keeps the archive of boundary snapshots that
 ``/telemetry/stream`` subscribers replay and then follow live.
 
 Replay verification runs the session's ``(config, action_log)`` as a
-``twin-replay`` :class:`~repro.farm.spec.TaskSpec` through
-``execute_spec`` in a worker thread — the farm's one choke point, with
-no pool and no cache entry.
+``twin-replay`` :class:`~repro.farm.spec.TaskSpec` through a
+one-worker :class:`~repro.farm.executor.FarmExecutor` in a worker
+thread — the farm's one way to run a task, with no pool and no cache.
 """
 
 from __future__ import annotations
@@ -274,18 +274,17 @@ def _close(handle: _SessionHandle) -> None:
 
 
 def _replay_via_farm(log: Dict[str, Any]) -> Dict[str, Any]:
-    """Run the registered ``twin-replay`` task in this thread, through
-    the farm's one execution choke point; nothing is cached."""
-    from ..farm import tasks as _tasks  # noqa: F401 — registry import
-    from ..farm.spec import TaskSpec, execute_spec
+    """Run the registered ``twin-replay`` task in this thread through
+    the farm, with no cache; a failed replay is a 500."""
+    from ..farm import FarmExecutor, TaskSpec
     spec = TaskSpec(kind="twin-replay",
                     params={"config": log["config"],
                             "action_log": log["action_log"]})
-    try:
-        return execute_spec(spec)
-    except Exception as exc:  # noqa: BLE001 — surfaced as a 500
+    result, = FarmExecutor().run([spec]).results
+    if not result.ok:
         raise HttpError(500, f"replay failed: "
-                             f"{type(exc).__name__}: {exc}") from None
+                             f"{result.error.splitlines()[0]}")
+    return result.result
 
 
 def _pace_args(pace: Any) -> Tuple[float, float]:

@@ -201,9 +201,9 @@ class TwinSession:
                  session_id: str = "twin"):
         self.config = config
         self.session_id = session_id
-        # Farm-style seeding choke: same entry discipline as
-        # ``execute_spec`` so a session built live in a shard worker
-        # and one rebuilt by replay start from identical streams.
+        # Farm-style seeding choke: the same entry discipline as a
+        # farm task, so a session built live in a shard worker and one
+        # rebuilt by replay start from identical streams.
         spec = TaskSpec(kind="twin-replay",
                         params={"config": config.to_params(),
                                 "action_log": []})

@@ -3,9 +3,10 @@
 ``run_case(seed, index)`` regenerates one scenario from its seed,
 drives it through the appropriate simulator path, and collects
 violations from the invariant, differential, and metamorphic oracles.
-``run_campaign`` loops cases and aggregates a JSON-serialisable
-report; every failing case carries a self-contained repro command
-(``repro validate --seed S --case I``) plus its full spec.
+``run_campaign`` runs every case as a farm task and aggregates a
+JSON-serialisable report; every failing case carries a self-contained
+repro command (``repro validate --seed S --case I``) plus its full
+spec.
 
 Which oracles run depends on the scenario profile:
 
@@ -152,8 +153,8 @@ class CampaignReport:
 
     seed: int
     cases: List[CaseReport] = field(default_factory=list)
-    #: set when the campaign ran through the farm (parallel/cached);
-    #: carries worker count, wall-clock, and cache hit/miss stats.
+    #: the farm report the cases came from: worker count, wall-clock,
+    #: and cache hit/miss stats (``None`` only for a hand-built report).
     farm: Optional[Any] = None
 
     @property
@@ -622,36 +623,17 @@ def run_campaign(seed: int, n_cases: int,
                  ) -> CampaignReport:
     """Validate ``n_cases`` scenarios (or an explicit index list).
 
-    ``workers > 1`` fans the cases out across a
-    :class:`~repro.farm.executor.FarmExecutor` process pool;
-    ``use_cache`` serves unchanged cases from the farm's
-    content-addressed result cache (``cache_dir`` overrides its
-    location).  Both paths produce bit-identical reports — the farm
-    route exists purely for wall-clock and memoization.  Cases run on
-    the kernel of the caller's ``use_backend`` scope; the farm path
-    writes that backend's name into each task's params, so it reaches
-    worker processes and cached results never cross backends.
+    Every case is one ``validation-case`` task through a
+    :class:`~repro.farm.executor.FarmExecutor` with ``workers``
+    processes; any worker count gives bit-identical reports.  Nothing
+    is cached unless asked: ``use_cache`` serves unchanged cases from
+    the farm's content-addressed result cache at ``cache_dir`` (default
+    :func:`~repro.farm.cache.default_cache_dir`), and ``cache_dir``
+    alone stores results there without reading them.  Cases run on the
+    kernel of the caller's ``use_backend`` scope: each task's params
+    name that backend, so it reaches worker processes and cached
+    results never cross backends.
     """
-    if workers > 1 or use_cache:
-        return _run_campaign_farm(seed, n_cases, indices=indices,
-                                  fast=fast, progress=progress,
-                                  workers=workers, use_cache=use_cache,
-                                  cache_dir=cache_dir)
-    report = CampaignReport(seed=seed)
-    for index in (indices if indices is not None else range(n_cases)):
-        case = run_case(seed, index, fast=fast)
-        report.cases.append(case)
-        if progress is not None:
-            progress(case)
-    return report
-
-
-def _run_campaign_farm(seed: int, n_cases: int,
-                       indices: Optional[Sequence[int]],
-                       fast: bool, progress, workers: int,
-                       use_cache: bool, cache_dir: Optional[str]
-                       ) -> CampaignReport:
-    """The farm-backed campaign path (parallel and/or cached)."""
     from ..farm import FarmExecutor, ResultCache, TaskSpec
 
     backend = resolve_backend()
@@ -663,36 +645,29 @@ def _run_campaign_farm(seed: int, n_cases: int,
         for index in (indices if indices is not None
                       else range(n_cases))
     ]
-    cache = ResultCache(root=cache_dir) if cache_dir \
-        else ResultCache()
+    cache = ResultCache(root=cache_dir) \
+        if use_cache or cache_dir is not None else None
 
-    def _farm_progress(result, done, total) -> None:
-        if progress is None:
-            return
-        if result.status == "ok":
-            case = CaseReport.from_dict(result.result)
-            case.elapsed_s = result.elapsed_s
-            progress(case)
-
-    executor = FarmExecutor(workers=workers, use_cache=use_cache,
-                            cache=cache, progress=_farm_progress)
-    farm_report = executor.run(specs)
-    report = CampaignReport(seed=seed)
-    report.farm = farm_report
-    for task in farm_report.results:
-        if task.status == "ok":
+    def _case(task) -> CaseReport:
+        if task.ok:
             case = CaseReport.from_dict(task.result)
-            case.elapsed_s = task.elapsed_s
         else:
             # An executor-level failure (timeout/crash) still yields a
             # case row, so the campaign exit code reflects it.
-            params = task.spec.params
             case = CaseReport(
-                seed=seed, index=params["index"], family="?",
+                seed=seed, index=task.spec.params["index"], family="?",
                 profile="?",
                 violations=[Violation(
                     f"farm-{task.status}",
                     task.error or "task did not complete")])
-            case.elapsed_s = task.elapsed_s
-        report.cases.append(case)
-    return report
+        case.elapsed_s = task.elapsed_s
+        return case
+
+    def _farm_progress(task, done, total) -> None:
+        if progress is not None and task.ok:
+            progress(_case(task))
+
+    farm = FarmExecutor(workers=workers, use_cache=use_cache,
+                        cache=cache, progress=_farm_progress).run(specs)
+    return CampaignReport(seed=seed, farm=farm,
+                          cases=[_case(task) for task in farm.results])

@@ -75,6 +75,15 @@ class TestCommands:
         assert "optimizer" in out
         assert "GB" in out
 
+    @pytest.mark.parametrize("command", ["forecast", "memory"])
+    def test_unsplittable_layout_is_one_line(self, capsys, command):
+        # DeepSeek-MoE's 61 layers do not split over the default pp=4.
+        assert main([command, "--model", "deepseek-moe",
+                     "--ep", "8"]) == 1
+        assert capsys.readouterr().out == (
+            "FAILED [error] ValueError: 61 layers not divisible by "
+            "pp*virtual=4\n")
+
     def test_sweep(self, capsys):
         assert main(["sweep", "--model", "llama3-70b", "--gpus", "64",
                      "--microbatches", "8", "--top", "3"]) == 0
@@ -198,7 +207,8 @@ class TestScaleCommand:
 
 
 class TestRunSpec:
-    """The one farm-or-inline route every computing command shares."""
+    """The one farm route every computing command shares; it prints a
+    farm line only when workers or a cache were asked for."""
 
     def test_inline_without_workers_or_cache(self, capsys):
         from repro.cli import _run_task

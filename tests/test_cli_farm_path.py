@@ -1,18 +1,22 @@
 """The farm-backed CLI commands compute only through their farm task.
 
 ``repro cluster``, ``forecast``, ``pue``, ``goodput``, ``overhead``,
-``taxonomy`` and ``resilience`` each build a ``TaskSpec``, run it with
-``execute_spec`` and print the result.  A stdlib AST scan keeps a
-second, in-process copy of any of them from coming back: their bodies
-may import ``repro.farm``, the cluster renderer and the model name
-table, but nothing from the simulation packages, and they name none of
-the calls that compute the reports.
+``taxonomy`` and ``resilience`` each build a ``TaskSpec``, run it
+through ``FarmExecutor.run`` and print the result.  A stdlib AST scan
+keeps a second, in-process copy of any of them from coming back: their
+bodies may import ``repro.farm``, the cluster renderer and the model
+name table, but nothing from the simulation packages, and they name
+none of the calls that compute the reports.  A source scan keeps the
+farm's per-task primitive inside ``repro.farm``, so every list of
+specs runs through the one executor.
 """
 
 import ast
 import inspect
 import textwrap
+from pathlib import Path
 
+import repro
 import repro.cli as cli
 
 FARM_BACKED = ("_cmd_cluster", "_cmd_forecast", "_cmd_pue",
@@ -104,3 +108,12 @@ def test_model_choices_come_from_the_seer_table():
         model = next(action for action in sub.choices[command]._actions
                      if action.dest == "model")
         assert model.choices == sorted(MODEL_NAMES)
+
+
+def test_only_the_farm_names_execute_spec():
+    package = Path(repro.__file__).resolve().parent
+    naming = sorted(
+        str(path.relative_to(package)) for path in package.rglob("*.py")
+        if path.relative_to(package).parts[0] != "farm"
+        and "execute_spec" in path.read_text(encoding="utf-8"))
+    assert naming == []

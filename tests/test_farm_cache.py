@@ -100,3 +100,39 @@ class TestExecutorIntegration:
         report = FarmExecutor(workers=1, cache=cache).run([spec])
         assert report.results[0].status == "error"
         assert ResultCache(root=cache.root).get(spec) is None
+
+
+class TestNothingCachedUnlessNamed:
+    """Only a named cache is written: the CLI task route, a validation
+    campaign and a bare executor leave ``$REPRO_FARM_CACHE`` untouched,
+    while ``repro farm`` names the default cache, with or without
+    ``--no-cache``."""
+
+    def test_default_cache_is_written_only_by_repro_farm(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import _run_task, main
+        from repro.validation import run_campaign
+        root = tmp_path / "default-cache"
+        monkeypatch.setenv("REPRO_FARM_CACHE", str(root))
+
+        def untouched():
+            return not root.exists() or not any(root.iterdir())
+
+        specs = [TaskSpec("farm-selftest", {"mode": "ok", "value": v})
+                 for v in range(3)]
+        assert _run_task("farm-selftest", {"mode": "ok", "value": 3},
+                         workers=2) == {"value": 3, "squared": 9}
+        assert untouched()
+        assert len(run_campaign(0, 2, fast=True, workers=2).cases) == 2
+        assert untouched()
+        assert FarmExecutor(workers=2).run(specs).ok
+        assert untouched()
+
+        specfile = tmp_path / "specs.json"
+        specfile.write_text(json.dumps(
+            {"tasks": [spec.to_dict() for spec in specs]}))
+        assert main(["farm", str(specfile), "--no-cache"]) == 0
+        assert len(ResultCache()) == 3
+        assert ResultCache().clear() == 3
+        assert main(["farm", str(specfile)]) == 0
+        assert len(ResultCache()) == 3

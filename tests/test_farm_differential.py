@@ -123,7 +123,8 @@ class TestValidateCampaignEquality:
                                 use_cache=True)
         serial_dict = serial.to_dict()
         parallel_dict = parallel.to_dict()
-        parallel_dict.pop("farm")        # execution metadata only
+        for report in (serial_dict, parallel_dict):
+            report.pop("farm")           # execution metadata only
         assert parallel_dict == serial_dict
 
     def test_cached_rerun_matches_too(self, tmp_path):

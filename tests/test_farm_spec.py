@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.farm import (TaskSpec, UnknownTaskKind, canonical_json,
-                        dedupe_specs, execute_spec,
-                        specs_from_document, task_kind, task_kinds)
+                        execute_spec, specs_from_document, task_kind,
+                        task_kinds)
 
 
 class TestCanonicalJson:
@@ -152,11 +152,6 @@ class TestSpecDocument:
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
             specs_from_document({})
-
-    def test_dedupe_preserves_first_seen_order(self):
-        a = TaskSpec("farm-selftest", {"mode": "ok", "value": 1})
-        b = TaskSpec("farm-selftest", {"mode": "ok", "value": 2})
-        assert dedupe_specs([a, b, a, b, a]) == [a, b]
 
 
 class TestPerSpecTimeout:

@@ -1,10 +1,8 @@
-"""Sweep fan-out: grid expansion, seed matrices, typed aggregation."""
+"""Sweep fan-out: grid expansion and seed matrices through the farm."""
 
 import pytest
 
-from repro.farm import (ResultCache, grid_specs, run_sweep, seed_specs)
-from repro.monitoring.campaign import FaultCampaign
-from repro.resilience import run_campaign_matrix
+from repro.farm import FarmExecutor, ResultCache, grid_specs
 
 
 class TestGridExpansion:
@@ -31,7 +29,7 @@ class TestGridExpansion:
         assert len(specs) == 1
 
     def test_seed_matrix_shorthand(self):
-        specs = seed_specs("monitoring-campaign",
+        specs = grid_specs("monitoring-campaign",
                            base={"n_faults": 3}, seeds=[5, 6])
         assert [s.params["seed"] for s in specs] == [5, 6]
 
@@ -46,69 +44,67 @@ class TestGridExpansion:
 
 
 class TestSweepAggregation:
-    def test_column_and_table_extraction(self, tmp_path):
-        specs = grid_specs("farm-selftest",
-                           base={"mode": "ok"},
-                           grid={"value": [2, 3, 4]})
-        sweep = run_sweep(specs, workers=1,
-                          cache=ResultCache(root=tmp_path / "c"))
-        assert sweep.ok
-        assert sweep.column("squared") == [4, 9, 16]
-        assert sweep.table(["value"], "squared") \
-            == [((2,), 4), ((3,), 9), ((4,), 16)]
+    """A report's results are the grid's cells, in grid order."""
 
-    def test_failed_cells_stay_aligned_as_none(self, tmp_path):
+    def test_failed_cells_stay_aligned_as_none(self):
         specs = [
             *grid_specs("farm-selftest", base={"mode": "ok"},
                         grid={"value": [1]}),
             *grid_specs("farm-selftest", base={"mode": "fail"},
                         grid={"value": [2]}),
         ]
-        sweep = run_sweep(specs, workers=1,
-                          cache=ResultCache(root=tmp_path / "c"))
-        assert not sweep.ok
-        assert sweep.column("squared") == [1, None]
+        report = FarmExecutor().run(specs)
+        assert not report.ok
+        assert [result.spec for result in report.results] == specs
+        assert [result.result for result in report.results] \
+            == [{"value": 1, "squared": 1}, None]
 
-    def test_rows_carry_params(self, tmp_path):
+    def test_rows_carry_params(self):
         specs = grid_specs("farm-selftest", base={"mode": "ok"},
                            grid={"value": [5]})
-        sweep = run_sweep(specs, workers=1,
-                          cache=ResultCache(root=tmp_path / "c"))
-        (params, result), = sweep.rows()
-        assert params["value"] == 5 and result.ok
+        result, = FarmExecutor().run(specs).results
+        assert result.spec.params["value"] == 5 and result.ok
 
 
 class TestSubsystemFanOut:
     def test_resilience_campaign_matrix(self, tmp_path):
-        reports = run_campaign_matrix(
-            [0, 1], scale="tiny", workers=2,
-            cache_dir=str(tmp_path / "cache"), use_cache=True,
-            jobs=1, hosts_per_job=2, iterations=4, compute_s=1.0,
-            collective_bits=1e9, fault_at_s=2.0,
-            checkpoint_interval_s=8.0)
-        assert len(reports) == 2
-        assert all(r["seed"] in (0, 1) for r in reports)
+        specs = grid_specs(
+            "resilience-campaign",
+            base={"scale": "tiny", "jobs": 1, "hosts_per_job": 2,
+                  "iterations": 4, "compute_s": 1.0,
+                  "collective_bits": 1e9, "fault_at_s": 2.0,
+                  "checkpoint_interval_s": 8.0},
+            seeds=[0, 1])
+        report = FarmExecutor(
+            workers=2, cache=ResultCache(root=tmp_path / "cache")
+        ).run(specs)
+        assert report.ok
+        reports = [result.result for result in report.results]
+        assert [r["seed"] for r in reports] == [0, 1]
         assert all("goodput_fraction" in r for r in reports)
 
-    def test_monitoring_campaign_farm_sweep(self, tmp_path):
-        summaries = FaultCampaign.farm_sweep(
-            [0, 1], n_faults=2, job_hosts=4, iterations=3, workers=2)
-        assert len(summaries) == 2
-        for summary in summaries:
+    def test_monitoring_campaign_farm_sweep(self):
+        specs = grid_specs(
+            "monitoring-campaign",
+            base={"n_faults": 2, "job_hosts": 4, "iterations": 3},
+            seeds=[0, 1])
+        report = FarmExecutor(workers=2).run(specs)
+        assert report.ok
+        for result in report.results:
+            summary = result.result
             assert summary["n_faults"] == 2
             assert 0.0 <= summary["localization_accuracy"] <= 1.0
             assert len(summary["records"]) == 2
 
-    def test_cluster_contention_sweep_point(self, tmp_path):
+    def test_cluster_contention_sweep_point(self):
         """The contention flag folds the MultiJobRun replay in."""
         specs = grid_specs("cluster-sweep",
                            base={"scale": "tiny", "jobs": 6,
                                  "contention": True},
                            seeds=[0])
-        sweep = run_sweep(specs, workers=1,
-                          cache=ResultCache(root=tmp_path / "c"))
-        assert sweep.ok
-        contention = sweep.results[0].result["contention"]
+        result, = FarmExecutor().run(specs).results
+        assert result.ok
+        contention = result.result["contention"]
         assert contention  # peak tenant set is non-empty
         for outcome in contention.values():
             assert 0.0 < outcome["efficiency"] <= 1.0 + 1e-9

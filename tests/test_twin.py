@@ -309,7 +309,7 @@ class TestTelemetryJsonl:
 
 class TestReplayTask:
     """``POST .../replay`` runs the ``twin-replay`` task in-process
-    through ``execute_spec``: no pool, and no cache entry written."""
+    through a one-worker farm: no pool, and no cache entry written."""
 
     def test_replay_matches_live_and_caches_nothing(self, tmp_path,
                                                     monkeypatch):
