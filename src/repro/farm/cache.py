@@ -25,7 +25,8 @@ reads nor writes here.  ``repro farm`` names one (``--cache-dir``, else
 
 Invalidation is explicit: ``--no-cache`` bypasses reads (but still
 writes, warming the cache for the next run), ``ResultCache.clear()``
-removes the current generation, and stale generations are simply
+deletes the current generation's directory tree
+(``<root>/<fingerprint[:16]>/``), and stale generations are simply
 unreferenced directories a janitor may delete at leisure.
 """
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,12 +172,8 @@ class ResultCache:
         return sum(1 for _ in self.entries())
 
     def clear(self) -> int:
-        """Delete the current generation; returns entries removed."""
-        removed = 0
-        for path in list(self.entries()):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
+        """Delete the current generation's directory tree; returns the
+        number of entries it held."""
+        removed = len(self)
+        shutil.rmtree(self._generation_dir(), ignore_errors=True)
         return removed

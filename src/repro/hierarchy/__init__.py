@@ -13,16 +13,21 @@ exact flat simulation (``refine``) reproduces flat results at a tiny
 fraction of the cost — bit-for-bit when the line-rate certificate
 holds, tolerance-bounded otherwise.
 
+Every engine sub-simulation — a folded block or pod, each refinement
+level, the blast-radius probe — runs on a ``fold.Window``: the one
+place a sub-topology is sized, its hosts and fault targets renamed
+into it, and its compute power-capped.
+
 Entry point: :class:`HierarchicalRun`, result-compatible with
 :class:`~repro.monitoring.multijob.MultiJobRun`.
 """
 
 from .compose import analytic_outcomes, compute_draws, pod_egress_gbps
+from .fold import build_flat_fabric
 from .presets import SCALE_PRESETS, preset_params, uniform_jobs
 from .refine import (REFINE_MODES, FaultEvidence, RefinePlan,
                      plan_refined_group)
-from .run import (HierarchicalReport, HierarchicalRun,
-                  build_flat_fabric, flat_job_configs)
+from .run import HierarchicalReport, HierarchicalRun, flat_job_configs
 from .symmetry import (PodClass, RefinedGroup, SymmetryMap,
                        detect_symmetry, job_shape,
                        line_rate_certificate, pod_signature)

@@ -13,10 +13,14 @@ Two granularities, chosen per pod class:
   invariant under block compaction, which is what the line-rate
   certificate's boundary-leg analysis relies on.
 
-Both build their sub-topology with :func:`pod_local_params`, which
-keeps full width only in the tiers a pod-local flow can route over:
-the Core tier shrinks to one switch per group always, and the Agg
-tier too for a single block.
+Every sub-simulation of the hierarchy — both folds here, and every
+refinement level and the blast-radius probe in ``refine`` — runs on a
+:class:`Window`, the one place a sub-topology is sized, its hosts and
+fault targets renamed, and its compute power-capped.  A window of one
+pod and some blocks builds its sub-topology with
+:func:`pod_local_params`, which keeps full width only in the tiers a
+pod-local flow can route over: the Core tier shrinks to one switch per
+group always, and the Agg tier too for a single block.
 
 Replication is pure bookkeeping: member jobs are matched to rep jobs
 k-th to k-th under the canonical (shape, positions, name) sort that
@@ -42,11 +46,20 @@ from ..monitoring.jobsim import JobConfig
 from ..monitoring.multijob import JobOutcome, MultiJobRun
 from ..network.fabric import Fabric
 from ..network.flows import reset_flow_ids
-from ..topology.astral import AstralParams, build_astral
+from ..topology.astral import AstralParams, build_astral, rename_device
+from .compose import scaled_compute_s
 from .symmetry import PodClass, block_signature, job_shape
 from .virtual import PlacedJob
 
-__all__ = ["EngineRunner", "fold_pod_class", "pod_local_params"]
+__all__ = ["EngineRunner", "Window", "build_flat_fabric",
+           "fold_pod_class", "pod_local_params"]
+
+
+def build_flat_fabric(params: AstralParams) -> Fabric:
+    """The fabric of *params*, as every sub-simulation and the flat
+    reference build it (host line rate = NIC port rate)."""
+    return Fabric(build_astral(params),
+                  host_line_rate_gbps=params.nic_port_gbps)
 
 
 def pod_local_params(params: AstralParams, n_blocks: int) -> AstralParams:
@@ -104,10 +117,7 @@ class EngineRunner:
         # ports feed the ECMP hash, so every group must start from the
         # same counter regardless of how many groups ran before it.
         reset_flow_ids()
-        topology = build_astral(params)
-        fabric = Fabric(topology,
-                        host_line_rate_gbps=params.nic_port_gbps)
-        outcomes = MultiJobRun(fabric, list(configs),
+        outcomes = MultiJobRun(build_flat_fabric(params), list(configs),
                                faults=faults or None).run()
         self.n_sims += 1
         self.engine_hosts += sum(len(c.hosts) for c in configs)
@@ -139,10 +149,76 @@ def _block_sort_key(placed: PlacedJob):
             tuple(h for _, _, h in placed.coords), placed.name)
 
 
+class Window:
+    """A coordinate window: the one place a sub-simulation's topology
+    is sized, its devices named and its compute power-capped.
+
+    *pods* are renamed 0, 1, … in the order given.  With a single pod
+    the window may also hold *blocks*, compacted the same way onto
+    :func:`pod_local_params`; without blocks every block of each pod
+    is kept and only the pod count shrinks.
+
+    A window without blocks keeps the Agg and Core widths, unlike
+    :func:`pod_local_params`: an escalated switch fail-stop can leave
+    two hosts with no live ToR group in common, and then their path
+    climbs to the Core tier.  Keeping the full block range also keeps
+    every block-level device an escalated fault's blast radius may
+    reach.  Core switch names are pod-free and pass through renaming
+    untouched.  When the window holds every pod the pod map is the
+    identity and the sub-topology equals the flat one; jobs keep their
+    placement order, hence their flow ids, so the run is bit-identical
+    to a flat :class:`MultiJobRun`: a full unfold degenerates to flat
+    by construction, not by approximation.
+    """
+
+    def __init__(self, pods: Sequence[int],
+                 blocks: Optional[Sequence[int]] = None) -> None:
+        self.pods = tuple(pods)
+        self.blocks = None if blocks is None else tuple(blocks)
+        self._pod_map = {pod: index
+                         for index, pod in enumerate(self.pods)}
+        self._block_map = None if self.blocks is None else {
+            block: index for index, block in enumerate(self.blocks)}
+
+    def params(self, params: AstralParams) -> AstralParams:
+        """The window's sub-topology."""
+        if self.blocks is None:
+            return replace(params, pods=len(self.pods))
+        return pod_local_params(params, len(self.blocks))
+
+    def rename(self, name: str) -> str:
+        """A device name moved into the window's coordinates."""
+        return rename_device(name, self._pod_map, self._block_map)
+
+    def run(self, params: AstralParams, jobs: Sequence[PlacedJob],
+            power_caps: Dict[int, float], runner: EngineRunner,
+            faults: Optional[Dict[str, FaultSpec]] = None
+            ) -> Dict[str, JobOutcome]:
+        """Engine-simulate *jobs*, in order, exactly on the window.
+
+        A cap factor ``f`` stretches a job's compute by ``1/f``
+        (:func:`~repro.hierarchy.compose.scaled_compute_s`, the
+        arithmetic the flat bridge uses); ``x / 1.0 == x`` keeps the
+        uncapped path bit-identical to an unscaled config.
+        """
+        configs = [
+            _config_for(
+                placed,
+                placed.host_names(self._pod_map, self._block_map),
+                scaled_compute_s(placed.job, placed.pods, power_caps))
+            for placed in jobs
+        ]
+        renamed = {name: replace(fault, target=self.rename(fault.target))
+                   for name, fault in (faults or {}).items()}
+        return runner.run(self.params(params), configs,
+                          faults=renamed or None)
+
+
 def _fold_rep_blocks(params: AstralParams, rep_jobs: List[PlacedJob],
-                     rep_pod: int, compute_scale: float,
+                     rep_pod: int, power_caps: Dict[int, float],
                      runner: EngineRunner) -> Dict[str, JobOutcome]:
-    """Solve the representative pod by folding its identical blocks."""
+    """Solve single-block jobs of one pod by folding identical blocks:
+    one window of one block per block class."""
     by_block: Dict[int, List[PlacedJob]] = {}
     for placed in rep_jobs:
         by_block.setdefault(placed.blocks[0], []).append(placed)
@@ -152,44 +228,18 @@ def _fold_rep_blocks(params: AstralParams, rep_jobs: List[PlacedJob],
         block_classes.setdefault(
             block_signature(by_block[block]), []).append(block)
 
-    sub = pod_local_params(params, 1)
     outcomes: Dict[str, JobOutcome] = {}
     for blocks in block_classes.values():
         rep_block = blocks[0]
         rep_sorted = sorted(by_block[rep_block], key=_block_sort_key)
-        configs = [
-            _config_for(
-                placed,
-                placed.host_names({rep_pod: 0}, {rep_block: 0}),
-                placed.job.compute_time_s / compute_scale)
-            for placed in rep_sorted
-        ]
-        solved = runner.run(sub, configs)
+        solved = Window((rep_pod,), (rep_block,)).run(
+            params, rep_sorted, power_caps, runner)
         for block in blocks:
             members = sorted(by_block[block], key=_block_sort_key)
             for member, rep in zip(members, rep_sorted):
                 outcomes[member.name] = _copy_outcome(
                     member.name, solved[rep.name])
     return outcomes
-
-
-def _solve_rep_pod(params: AstralParams, rep_jobs: List[PlacedJob],
-                   rep_pod: int, compute_scale: float,
-                   runner: EngineRunner) -> Dict[str, JobOutcome]:
-    """Engine-simulate the whole representative pod (multi-block jobs)."""
-    used_blocks = sorted({b for placed in rep_jobs
-                          for b in placed.blocks})
-    block_map = {block: index
-                 for index, block in enumerate(used_blocks)}
-    sub = pod_local_params(params, len(used_blocks))
-    configs = [
-        _config_for(
-            placed,
-            placed.host_names({rep_pod: 0}, block_map),
-            placed.job.compute_time_s / compute_scale)
-        for placed in rep_jobs
-    ]
-    return runner.run(sub, configs)
 
 
 def fold_pod_class(params: AstralParams, cls: PodClass,
@@ -199,16 +249,15 @@ def fold_pod_class(params: AstralParams, cls: PodClass,
     rep_jobs = cls.jobs_by_pod[cls.rep]
     if not rep_jobs:
         return {}
-    # A cap factor f stretches compute by 1/f; members share the rep's
-    # factor by signature, and x/1.0 == x keeps the uncapped path
-    # bit-identical to an unscaled config.
-    compute_scale = power_caps.get(cls.rep, 1.0)
+    # Members share the rep's power cap by signature.
     if cls.foldable_by_block:
         rep_outcomes = _fold_rep_blocks(params, rep_jobs, cls.rep,
-                                        compute_scale, runner)
+                                        power_caps, runner)
     else:
-        rep_outcomes = _solve_rep_pod(params, rep_jobs, cls.rep,
-                                      compute_scale, runner)
+        # The whole pod, compacted onto the blocks its jobs occupy.
+        blocks = sorted({b for placed in rep_jobs for b in placed.blocks})
+        rep_outcomes = Window((cls.rep,), blocks).run(
+            params, rep_jobs, power_caps, runner)
     outcomes = dict(rep_outcomes)
     for member in cls.members:
         if member == cls.rep:

@@ -46,14 +46,17 @@ and escalate to **pod** — as does the flaky-NIC crawl (NIC_ERRCQE
 fail-slow), which keeps transmitting below line rate where co-resident
 solve epochs reschedule its flows.
 
-Within a bounded pod, blocks are grouped into connected components
-(jobs union the blocks they span; each fault unions its target block
-with its job's blocks).  Components containing a fault run exactly on
-the pod-local sub-topology of their blocks
-(:func:`~repro.hierarchy.fold.pod_local_params`: one Core per group,
-and full Agg width only when the component spans blocks); healthy
-single-block components fold by block signature; healthy multi-block
-components run as compacted pod slices.
+Every level runs on a :class:`~repro.hierarchy.fold.Window`, the one
+place a sub-topology is sized, its hosts and fault targets renamed and
+its compute power-capped; the probe takes its params and renamed
+target from the same window.  Pod and flat levels run a window of the
+group's pods with all their blocks.  Within a bounded pod, blocks are
+grouped into connected components (jobs union the blocks they span;
+each fault unions its target block with its job's blocks).  Components
+containing a fault run exactly on a window of their blocks (one Core
+per group, and full Agg width only when the component spans blocks);
+healthy single-block components fold by block signature; healthy
+multi-block components run as compacted pod slices.
 Per-component simulation is exact for the same reason the fold is:
 certified traffic never contends across components, so separate clocks
 observe identical allocations.
@@ -72,12 +75,9 @@ from typing import Dict, List, Tuple
 
 from ..monitoring.faults import Effect, FaultSpec, Manifestation
 from ..monitoring.multijob import JobOutcome
-from ..topology.astral import (AstralParams, build_astral, parse_device,
-                               rename_device)
+from ..topology.astral import AstralParams, build_astral, parse_device
 from ..topology.blast_radius import device_blast_radius, impacted_hosts
-from .compose import scaled_compute_s
-from .fold import (EngineRunner, _config_for, _fold_rep_blocks,
-                   _solve_rep_pod, pod_local_params)
+from .fold import EngineRunner, Window, _fold_rep_blocks
 from .symmetry import (RefinedGroup, SymmetryMap, line_rate_certificate,
                        uf_find, uf_union)
 from .virtual import PlacedJob
@@ -147,9 +147,10 @@ class RefinePlan:
 def _probe_evidence(probe_params: AstralParams,
                     target: str) -> Tuple[int, int]:
     """(stranded_gpus, n_impacted_hosts) of *target* failing on the
-    minimal probe block ``pod_local_params(params, 1)``: one pod, one
-    block, one Agg per ToR group and one Core per core group, while
-    rails, NIC ports and hosts per block keep their full width.
+    minimal probe block, the window of the target's pod and block
+    (``pod_local_params(params, 1)``): one pod, one block, one Agg per
+    ToR group and one Core per core group, while rails, NIC ports and
+    hosts per block keep their full width.
 
     The probe is the same blast-radius measurement the topology layer
     publishes, run in block-relative coordinates: it proves the
@@ -236,9 +237,9 @@ def _fault_evidence(params: AstralParams, name: str, fault: FaultSpec,
             blocks=job.blocks,
             note=f"target pod {pod} is outside job {job.name!r}'s "
                  "placement")
-    renamed = rename_device(fault.target, {pod: 0}, {block: 0})
-    stranded, impacted = _probe_evidence(pod_local_params(params, 1),
-                                          renamed)
+    probe = Window((pod,), (block,))
+    stranded, impacted = _probe_evidence(probe.params(params),
+                                          probe.rename(fault.target))
     if stranded:
         return FaultEvidence(
             name=name, target=fault.target, scope="pod",
@@ -288,42 +289,6 @@ def plan_refined_group(params: AstralParams, group: RefinedGroup,
                       evidence=evidence, n_full_hosts=n_full)
 
 
-def _run_group_pod(params: AstralParams, group: RefinedGroup,
-                   power_caps: Dict[int, float],
-                   runner: EngineRunner) -> Dict[str, JobOutcome]:
-    """Whole-pod (or whole-group) exact refinement.
-
-    The group runs on a ``pods=len(group)`` sub-topology with the full
-    block range preserved (an escalated fault's blast radius may reach
-    any block-level device) and only pod indices rebased; fault targets
-    are renamed with the same map.  Agg and Core widths stay too, unlike
-    :func:`~repro.hierarchy.fold.pod_local_params`: escalated switch
-    fail-stops can leave two hosts with no live ToR group in common,
-    and then their path climbs to the Core tier.  Core switch names are
-    pod-free and pass through untouched.  When *every* pod is refined
-    the pod map is the identity, the sub-topology equals the flat one,
-    and — because group jobs keep their original placement order, hence
-    their original flow ids — the result is bit-identical to a flat
-    :class:`MultiJobRun`: full unfold degenerates to flat, by
-    construction rather than by approximation.
-    """
-    pod_map = {pod: index for index, pod in enumerate(group.pods)}
-    sub = dc_replace(params, pods=len(group.pods))
-    configs = [
-        _config_for(
-            placed,
-            placed.host_names(pod_map),
-            scaled_compute_s(placed.job, placed.pods, power_caps))
-        for placed in group.jobs
-    ]
-    faults = {
-        name: dc_replace(fault,
-                         target=rename_device(fault.target, pod_map))
-        for name, fault in group.faults.items()
-    }
-    return runner.run(sub, configs, faults=faults or None)
-
-
 def _run_group_bounded(params: AstralParams, group: RefinedGroup,
                        plan: RefinePlan, power_caps: Dict[int, float],
                        runner: EngineRunner) -> Dict[str, JobOutcome]:
@@ -355,46 +320,26 @@ def _run_group_bounded(params: AstralParams, group: RefinedGroup,
     for block in parent:
         comp_blocks.setdefault(uf_find(parent, block), []).append(block)
 
-    compute_scale = power_caps.get(pod, 1.0)
     outcomes: Dict[str, JobOutcome] = {}
     healthy_single: List[PlacedJob] = []
     for root in sorted(comp_jobs):
         jobs = comp_jobs[root]
-        if root not in faulted_roots:
-            if len(comp_blocks[root]) == 1:
-                # Healthy lone blocks fold by signature, sharing the
-                # runner memo with the healthy pod classes.
-                healthy_single.extend(jobs)
-            else:
-                outcomes.update(_solve_rep_pod(
-                    params, jobs, pod, compute_scale, runner))
-            continue
         blocks = sorted(comp_blocks[root])
-        block_map = {block: index
-                     for index, block in enumerate(blocks)}
-        # Touched blocks only: block count compacts (ToR->Agg wiring
-        # and capacities are invariant under it), the Core tier shrinks
-        # to one switch per group, and the Agg tier keeps its full
-        # width only across blocks.
-        sub = pod_local_params(params, len(blocks))
+        if root not in faulted_roots and len(blocks) == 1:
+            # Healthy lone blocks fold by signature, sharing the
+            # runner memo with the healthy pod classes.
+            healthy_single.extend(jobs)
+            continue
+        # A faulted component, or a healthy multi-block slice: its
+        # blocks only (a healthy component's are its jobs' blocks).
         names = {placed.name for placed in jobs}
-        configs = [
-            _config_for(
-                placed,
-                placed.host_names({pod: 0}, block_map),
-                scaled_compute_s(placed.job, placed.pods, power_caps))
-            for placed in jobs
-        ]
-        faults = {
-            name: dc_replace(
-                fault,
-                target=rename_device(fault.target, {pod: 0}, block_map))
-            for name, fault in group.faults.items() if name in names
-        }
-        outcomes.update(runner.run(sub, configs, faults=faults or None))
+        faults = {name: fault for name, fault in group.faults.items()
+                  if name in names}
+        outcomes.update(Window((pod,), blocks).run(
+            params, jobs, power_caps, runner, faults=faults))
     if healthy_single:
         outcomes.update(_fold_rep_blocks(
-            params, healthy_single, pod, compute_scale, runner))
+            params, healthy_single, pod, power_caps, runner))
     return outcomes
 
 
@@ -410,7 +355,9 @@ def run_refined_group(params: AstralParams, group: RefinedGroup,
         outcomes = _run_group_bounded(params, group, plan, power_caps,
                                       runner)
     else:
-        outcomes = _run_group_pod(params, group, power_caps, runner)
+        # Pod and flat level: the group's pods, all their blocks.
+        outcomes = Window(group.pods).run(
+            params, group.jobs, power_caps, runner, faults=group.faults)
     plan = dc_replace(plan,
                       n_engine_hosts=runner.engine_hosts - hosts_before)
     return outcomes, plan

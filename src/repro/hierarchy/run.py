@@ -21,16 +21,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..monitoring.faults import FaultSpec
 from ..monitoring.jobsim import JobConfig
 from ..monitoring.multijob import JobOutcome
-from ..network.fabric import Fabric
-from ..topology.astral import AstralParams, build_astral
+from ..topology.astral import AstralParams
 from .compose import analytic_outcomes, scaled_compute_s
 from .fold import EngineRunner, _config_for, fold_pod_class
 from .refine import REFINE_MODES, RefinePlan, run_refined_groups
 from .symmetry import SymmetryMap, detect_symmetry
 from .virtual import HierJob, place_jobs
 
-__all__ = ["HierarchicalReport", "HierarchicalRun", "build_flat_fabric",
-           "flat_job_configs"]
+__all__ = ["HierarchicalReport", "HierarchicalRun", "flat_job_configs"]
 
 
 def _level_histogram(plans: Sequence[RefinePlan]) -> Dict[str, int]:
@@ -38,13 +36,6 @@ def _level_histogram(plans: Sequence[RefinePlan]) -> Dict[str, int]:
     for plan in plans:
         levels[plan.level] = levels.get(plan.level, 0) + 1
     return levels
-
-
-def build_flat_fabric(params: AstralParams) -> Fabric:
-    """The flat reference fabric, built exactly as the fold's sub-sims
-    build theirs (host line rate = NIC port rate)."""
-    return Fabric(build_astral(params),
-                  host_line_rate_gbps=params.nic_port_gbps)
 
 
 def flat_job_configs(params: AstralParams, jobs: Sequence[HierJob],

@@ -27,7 +27,7 @@ from .pools import (
     slice_params,
 )
 from .report import ServingReport, weighted_percentile
-from .run import SERVING_MODELS, ServingRun, ServingScenario
+from .run import ServingRun, ServingScenario
 from .trace import (
     DEFAULT_REGIONS,
     RegionProfile,
@@ -47,7 +47,6 @@ __all__ = [
     "PoolPlan",
     "RegionProfile",
     "RequestTrace",
-    "SERVING_MODELS",
     "ServingReport",
     "ServingRun",
     "ServingScenario",

@@ -43,17 +43,13 @@ from ..cluster.workload import WorkloadGenerator
 from ..hierarchy.presets import preset_params
 from ..network.flows import reset_flow_ids
 from ..seer import (
-    DEEPSEEK_MOE,
-    GPT3_175B,
-    HUNYUAN_MOE,
-    LLAMA2_70B,
-    LLAMA3_70B,
     NetworkSuite,
     ParallelismConfig,
     Seer,
     ServingConfig,
     ServingSimulator,
 )
+from ..seer.names import model_config
 from ..topology.astral import AstralParams, build_astral
 from .autoscale import AutoscaleConfig, AutoscalePlan, TidalAutoscaler
 from .cosim import CosimConfig, KvCosim
@@ -66,16 +62,7 @@ from .trace import (
     TraceConfig,
 )
 
-__all__ = ["ServingScenario", "ServingRun", "SERVING_MODELS"]
-
-#: Models a scenario may name (kept to ones with inference graphs).
-SERVING_MODELS = {
-    "HUNYUAN_MOE": HUNYUAN_MOE,
-    "DEEPSEEK_MOE": DEEPSEEK_MOE,
-    "LLAMA3_70B": LLAMA3_70B,
-    "LLAMA2_70B": LLAMA2_70B,
-    "GPT3_175B": GPT3_175B,
-}
+__all__ = ["ServingScenario", "ServingRun"]
 
 #: Per-(gpu, model, tp, ep, context) step-cost memo shared by every run
 #: in this process — Seer forecasts are pure, so sharing is free and
@@ -89,6 +76,9 @@ class ServingScenario:
 
     ``dims`` (an ``AstralParams`` kwargs dict) overrides ``preset``;
     all seeds accept ints or strings and feed string-keyed streams.
+    ``model`` names a :mod:`repro.seer.models` attribute (a
+    :data:`repro.seer.names.MODEL_NAMES` value); any other name is a
+    ``ValueError`` here, not a ``KeyError`` deep inside the run.
     """
 
     preset: Optional[str] = "64k"
@@ -128,6 +118,9 @@ class ServingScenario:
     slice_decode_hosts: int = 4
     slice_train_hosts: int = 8
 
+    def __post_init__(self) -> None:
+        model_config(self.model)
+
     def params(self) -> AstralParams:
         if self.dims is not None:
             return AstralParams(**self.dims)
@@ -166,7 +159,7 @@ class ServingRun:
         s = self.scenario
         reset_flow_ids()
         params = s.params()
-        model = SERVING_MODELS[s.model]
+        model = model_config(s.model)
         parallel = ParallelismConfig(tp=s.tp, pp=1, dp=1, ep=s.ep)
         seer = Seer(gpu=s.gpu, network=NetworkSuite())
         cost_cache = _COST_MEMO.setdefault(

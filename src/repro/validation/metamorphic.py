@@ -126,7 +126,8 @@ def check_serving_rate_doubling(spec: ScenarioSpec) -> List[Violation]:
     """
     from ..seer import (NetworkSuite, ParallelismConfig, Seer,
                         ServingConfig, ServingSimulator, draw_requests)
-    from ..serving import SERVING_MODELS, weighted_percentile
+    from ..seer.names import model_config
+    from ..serving import weighted_percentile
     conf = spec.serving or {}
     scen = conf.get("scenario", {})
     cfg = ServingConfig(
@@ -137,7 +138,7 @@ def check_serving_rate_doubling(spec: ScenarioSpec) -> List[Violation]:
         duration_s=float(scen.get("pool_window_s", 30.0)),
         seed=f"{scen.get('seed', spec.seed)}:probe")
     seer = Seer(gpu=scen.get("gpu", "H800"), network=NetworkSuite())
-    model = SERVING_MODELS[scen.get("model", "HUNYUAN_MOE")]
+    model = model_config(scen.get("model", "HUNYUAN_MOE"))
     parallel = ParallelismConfig(tp=int(scen.get("tp", 8)), pp=1,
                                  dp=1, ep=int(scen.get("ep", 16)))
     base = draw_requests(cfg)

@@ -75,6 +75,21 @@ class TestCacheDurability:
         assert cache.clear() == 1
         assert len(cache) == 0
 
+    def test_clear_leaves_no_directory_behind(self, tmp_path):
+        root = tmp_path / "cache"
+        current = ResultCache(root=root, fingerprint="a" * 64)
+        stale = ResultCache(root=root, fingerprint="b" * 64)
+        current.put(OK_SPEC, {"value": 7})
+        current.put(TaskSpec("farm-selftest", {"mode": "ok", "value": 8}),
+                    {"value": 8})
+        stale.put(OK_SPEC, {"value": 7})
+        assert current.clear() == 2
+        # The generation directory goes with its entries; other
+        # generations stay.
+        assert sorted(p.name for p in root.iterdir()) == ["b" * 16]
+        assert len(stale) == 1
+        assert current.clear() == 0
+
 
 class TestExecutorIntegration:
     def test_warm_rerun_executes_zero_tasks(self, cache):

@@ -14,7 +14,6 @@ sub-simulations, which drop the tiers no same-rail leg inside a pod
 can reach, are held ``==`` to the full-width sub-topology.
 """
 
-import sys
 from dataclasses import replace
 
 import pytest
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.hierarchy import (HierJob, HierarchicalRun, build_flat_fabric,
                              flat_job_configs, plan_refined_group)
-from repro.hierarchy.fold import EngineRunner, pod_local_params
+from repro.hierarchy.fold import EngineRunner, Window, pod_local_params
 from repro.hierarchy.refine import _probe_evidence
 from repro.monitoring import FaultSpec, Manifestation, RootCause
 from repro.monitoring.jobsim import JobConfig
@@ -574,8 +573,9 @@ class TestPodLocalDifferential:
             assert not any(d.endswith(".agg") for d in visited)
 
     def test_every_pod_local_caller_shrinks(self):
-        """Each sub-simulation from the block fold, the pod fold and
-        bounded refinement runs on the pod-local topology."""
+        """Each single-pod window with blocks — the block fold, the pod
+        slice and bounded refinement's faulted component — runs on the
+        pod-local topology."""
         params = AstralParams(pods=2, blocks_per_pod=4, hosts_per_block=4,
                               gpus_per_host=2, aggs_per_group=3,
                               cores_per_group=3)
@@ -588,28 +588,35 @@ class TestPodLocalDifferential:
                 for i in range(6)]
         faults = {"j1": fault(RootCause.GPU_HARDWARE,
                               Manifestation.FAIL_STOP, "p0.b2.h1")}
-        calls = []
-        original = EngineRunner.run
+        windows = []     # [window, faulted, sub-params it ran on]
+        window_run, engine_run = Window.run, EngineRunner.run
 
-        def recording_run(runner, sub, *args, **kwargs):
-            calls.append((sys._getframe(1).f_code.co_name, sub))
-            return original(runner, sub, *args, **kwargs)
+        def recording_window(window, *args, **kwargs):
+            windows.append([window, bool(kwargs.get("faults")), None])
+            return window_run(window, *args, **kwargs)
+
+        def recording_engine(runner, sub, *args, **kwargs):
+            windows[-1][2] = sub
+            return engine_run(runner, sub, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(EngineRunner, "run", recording_run)
+            patch.setattr(Window, "run", recording_window)
+            patch.setattr(EngineRunner, "run", recording_engine)
             run = HierarchicalRun(params, jobs, faults=faults)
             outcomes = run.run()
         assert run.report.refine_levels == {"block": 1}
-        pod_local = {"_fold_rep_blocks", "_solve_rep_pod",
-                     "_run_group_bounded"}
-        assert {caller for caller, _ in calls} >= pod_local
-        for caller, sub in calls:
-            if caller not in pod_local:
-                continue
-            assert sub == pod_local_params(params, sub.blocks_per_pod), \
-                caller
-            assert sub.cores_per_group == 1, caller
-            if sub.blocks_per_pod == 1:
-                assert sub.aggs_per_group == 1, caller
+        kinds = set()
+        for window, faulted, sub in windows:
+            assert window.blocks is not None, window.pods
+            kinds.add("faulted" if faulted
+                      else "block" if len(window.blocks) == 1
+                      else "slice")
+            where = (window.pods, window.blocks)
+            assert sub == pod_local_params(params, len(window.blocks)), \
+                where
+            assert sub.cores_per_group == 1, where
+            if len(window.blocks) == 1:
+                assert sub.aggs_per_group == 1, where
+        assert kinds == {"block", "slice", "faulted"}
         assert_bit_identical(outcomes,
                              run_flat(params, jobs, faults=faults))

@@ -206,6 +206,27 @@ class TestServingRunDeterminism:
         assert json.loads(json.dumps(payload)) == payload
 
 
+class TestModelNames:
+    """A scenario names its model through ``repro.seer.names``, the
+    one model table: a name outside it is refused where it comes in
+    (the twin's front door answers it with a 400, see
+    ``tests/test_twin.py``)."""
+
+    def test_unknown_model_is_a_value_error_listing_the_choices(self):
+        with pytest.raises(ValueError, match="unknown model 'Seer'.*"
+                                             "HUNYUAN_MOE"):
+            _tiny(model="Seer")
+        with pytest.raises(ValueError, match="unknown model"):
+            ServingScenario.from_params(dict(_tiny().to_params(),
+                                             model="hunyuan-moe"))
+
+    def test_every_model_name_builds_a_scenario(self):
+        from repro.seer.names import MODEL_NAMES, model_config
+        for attr in MODEL_NAMES.values():
+            assert _tiny(model=attr).model == attr
+            assert model_config(attr).name
+
+
 class TestServingMetamorphic:
     def test_zero_arrival_is_fabric_noop(self):
         report = ServingRun(_tiny(users_m_scale=0.0)).run()

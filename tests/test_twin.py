@@ -598,10 +598,12 @@ class TestFrontDoor:
         {"config": dict(twin_wire.CONFIG, jobs=1.5)},
         {"config": dict(twin_wire.CONFIG, dampening_s="x")},
         {"config": {"kind": "serving", "serving": {"a": 1}}},
+        {"config": {"kind": "serving", "scale": "tiny",
+                    "serving": {"model": "Seer"}}},
         {"config": twin_wire.CONFIG, "id": ["x"]},
     ], ids=["solver", "pace-zero", "pace-text", "pace-number",
             "jobs-text", "jobs-fraction", "dampening-text",
-            "serving-key", "id-list"])
+            "serving-key", "serving-model", "id-list"])
     def test_rejected_create_leaves_no_session(self, front_door, body):
         server, caught = front_door
         client = server.client()
