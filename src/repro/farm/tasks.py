@@ -366,7 +366,7 @@ def run_hierarchy(params: Dict[str, Any]) -> Dict[str, Any]:
     topo, jobs, placed = hierarchy_inputs(params)
     faults = {}
     for p in placed[:int(params.get("faults", 0))]:
-        pod, block, _ = p.coords[0]
+        pod, block = p.spans[0][:2]
         faults[p.name] = FaultSpec(
             cause=RootCause.SWITCH_BUG,
             manifestation=Manifestation.FAIL_SLOW,

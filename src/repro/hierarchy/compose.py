@@ -89,20 +89,22 @@ def pod_egress_gbps(params: AstralParams) -> float:
 def _egress_bits_by_pod(placed: PlacedJob) -> Dict[int, float]:
     """Bits one iteration of *placed* pushes out of each pod it spans."""
     job = placed.job
-    n = len(placed.coords)
+    n = placed.n_hosts
     out: Dict[int, float] = {}
     if n < 2:
         return out
+    spans = placed.spans
     if job.collective == "all_to_all":
         per_pod = {}
-        for pod, _, _ in placed.coords:
-            per_pod[pod] = per_pod.get(pod, 0) + 1
+        for pod, _, _, count in spans:
+            per_pod[pod] = per_pod.get(pod, 0) + count
         for pod, members in per_pod.items():
             out[pod] = members * (n - members) * job.comm_size_bits / n
         return out
+    # Only a span boundary (or the wrap-around leg) can cross pods.
     per_neighbor = 2.0 * (n - 1) / n * job.comm_size_bits
-    for index, src in enumerate(placed.coords):
-        dst = placed.coords[(index + 1) % n]
+    for index, src in enumerate(spans):
+        dst = spans[(index + 1) % len(spans)]
         if src[0] != dst[0]:
             out[src[0]] = out.get(src[0], 0.0) + per_neighbor
     return out
@@ -111,7 +113,7 @@ def _egress_bits_by_pod(placed: PlacedJob) -> Dict[int, float]:
 def _host_bottleneck_bits(placed: PlacedJob) -> float:
     """Bits the busiest endpoint must push per iteration."""
     job = placed.job
-    n = len(placed.coords)
+    n = placed.n_hosts
     if n < 2:
         return 0.0
     if job.collective == "all_to_all":
@@ -154,7 +156,7 @@ def analytic_outcomes(params: AstralParams,
                    + [bits / egress_bps for bits in own.values()])
         compute = scaled_compute_s(job, placed.pods, power_caps)
         draws = compute_draws(compute, job.compute_noise_frac,
-                              job.seed, len(placed.coords),
+                              job.seed, placed.n_hosts,
                               job.iterations)
         outcomes[placed.name] = JobOutcome(
             job=placed.name,

@@ -30,10 +30,12 @@ re-salts ECMP hashes, so replicated results are bit-exact exactly when
 the class is certified hash-independent; otherwise they are
 tolerance-bounded — ``SymmetryMap.exact`` tracks which claim holds.
 
-An :class:`EngineRunner` memoises sub-simulations on their full input
-(sub-params + configs): identical block classes recurring across pod
-classes (e.g. pods that differ only in cross-pod footprint) are solved
-once per process.
+An :class:`EngineRunner` memoises unfaulted sub-simulations on their
+full input (sub-params + configs).  A :class:`JobConfig` carries its
+job's name, so the key recurs only when the same jobs run again on the
+same window, which one run never does: identical block classes of
+different pod classes are each solved, and every ``repro scale`` preset
+reports ``n_memo_hits`` 0.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def _config_for(placed: PlacedJob, hosts: Tuple[str, ...],
 
 def _block_sort_key(placed: PlacedJob):
     return (job_shape(placed.job),
-            tuple(h for _, _, h in placed.coords), placed.name)
+            tuple(span[2:] for span in placed.spans), placed.name)
 
 
 class Window:

@@ -10,8 +10,8 @@ must be simulated exactly, walking an escalation ladder:
   only the touched blocks (plus, across blocks, the shared ToR->Agg
   uplink tier at full width) run on the engine;
   the pod's healthy blocks keep folding through the same
-  representative-block path the pod classes use, so their sub-sims
-  memo-hit against the healthy classes.
+  representative-block path the pod classes use, one sub-simulation
+  per block class of the broken pod.
 * **pod** — the whole broken pod (or transitively-merged pod group)
   runs exactly, faults armed, as one sub-simulation.  This is the
   pre-bounded behaviour and the fallback whenever the block-level
@@ -261,7 +261,7 @@ def plan_refined_group(params: AstralParams, group: RefinedGroup,
         raise ValueError(
             f"unknown refine mode {mode!r}; expected one of "
             f"{REFINE_MODES}")
-    n_full = sum(len(p.coords) for p in group.jobs)
+    n_full = sum(p.n_hosts for p in group.jobs)
     if flat:
         return RefinePlan(
             pods=group.pods, level="flat",
@@ -326,8 +326,8 @@ def _run_group_bounded(params: AstralParams, group: RefinedGroup,
         jobs = comp_jobs[root]
         blocks = sorted(comp_blocks[root])
         if root not in faulted_roots and len(blocks) == 1:
-            # Healthy lone blocks fold by signature, sharing the
-            # runner memo with the healthy pod classes.
+            # Healthy lone blocks fold by signature, the path the
+            # healthy pod classes take.
             healthy_single.extend(jobs)
             continue
         # A faulted component, or a healthy multi-block slice: its

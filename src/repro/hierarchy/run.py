@@ -199,7 +199,7 @@ class HierarchicalRun:
             total_gpus=self.params.total_gpus,
             n_pods=self.params.pods,
             n_jobs=len(self.placed),
-            n_job_hosts=sum(len(p.coords) for p in self.placed),
+            n_job_hosts=sum(p.n_hosts for p in self.placed),
             n_pod_classes=len(symmetry.classes),
             n_refined_groups=len(symmetry.refined),
             n_refined_pods=sum(len(g.pods) for g in symmetry.refined),

@@ -9,13 +9,17 @@ folded runner solves one representative and replicates (``fold.py``).
 A pod signature captures everything its local simulation can depend
 on:
 
-* the sorted multiset of (job shape, pod-relative host slots) of its
-  pod-local jobs — shape includes the RNG ``seed``, because compute
+* the sorted multiset of (job shape, pod-relative block slices) of
+  its pod-local jobs — shape includes the RNG ``seed``, because compute
   noise must replicate bit-for-bit;
 * the pod's power-cap factor (tidal capping rescales compute);
 * the pod-relative footprint of any cross-pod job passing through
   (analytic today, but pods with different cross footprints must not
   share a class).
+
+Slices are the placement's maximal runs ``(block, first, count)``,
+never per-host slots: runs are canonical, so two signatures are equal
+exactly when the per-host slots are, and a pod costs its jobs' spans.
 
 Symmetry *breaks* per pod: a fault pins every pod its job touches (and
 the pod named by the fault target) into exact refinement
@@ -70,20 +74,23 @@ def job_shape(job) -> Tuple:
 def pod_signature(pod: int, local: Sequence[PlacedJob],
                   cross: Sequence[PlacedJob],
                   power_cap: float = 1.0) -> Tuple:
+    """The pod's signature, built from block slices: each job's shape
+    and pod-relative spans ``(block, first, count)``, which equal
+    exactly when its per-host slots do (see :class:`PlacedJob`)."""
     local_part = tuple(sorted(
         (job_shape(p.job), p.positions_in_pod()) for p in local))
     cross_part = tuple(sorted(
-        (job_shape(p.job),
-         tuple((b, h) for q, b, h in p.coords if q == pod),
-         len(p.coords), p.pods.index(pod))
+        (job_shape(p.job), p.positions_in_pod(pod), p.n_hosts,
+         p.pods.index(pod))
         for p in cross))
     return (local_part, cross_part, power_cap)
 
 
 def block_signature(block_jobs: Sequence[PlacedJob]) -> Tuple:
-    """Signature of one block's (single-block) jobs, block-relative."""
+    """Signature of one block's (single-block) jobs, block-relative:
+    each job's shape and host runs ``(first, count)``."""
     return tuple(sorted(
-        (job_shape(p.job), tuple(h for _, _, h in p.coords))
+        (job_shape(p.job), tuple(span[2:] for span in p.spans))
         for p in block_jobs))
 
 
@@ -107,13 +114,15 @@ def line_rate_certificate(params: AstralParams,
     for placed in jobs:
         if placed.job.collective != "allreduce":
             return False
-        coords = placed.coords
-        n = len(coords)
-        if n < 2:
+        if placed.n_hosts < 2:
             continue
         rail = placed.job.rail
-        for index, src in enumerate(coords):
-            dst = coords[(index + 1) % n]
+        # Legs inside a span stay in one block; only the leg from each
+        # span's last host to the next span's first (wrapping round)
+        # can leave it.
+        spans = placed.spans
+        for index, src in enumerate(spans):
+            dst = spans[(index + 1) % len(spans)]
             if src[0] != dst[0]:
                 return False          # pod-crossing leg: core tier
             if src[1] == dst[1]:

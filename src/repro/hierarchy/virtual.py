@@ -9,17 +9,22 @@ formulas the builder uses, and placement is integer arithmetic over
 :class:`~repro.topology.astral.AstralParams`.  Nothing here allocates
 per-device state, so a 512K-GPU cluster costs a dataclass.
 
-A placement keeps coordinates only; :meth:`PlacedJob.host_names`
-renders them through :mod:`repro.topology.astral`'s codec, the same
-functions the builder uses, so folded sub-simulations and flat
-reference runs agree on every identifier.  A name is parsed only where
-it comes in from outside: a job's pinned ``hosts``.
+A placement is its block slices: a :class:`PlacedJob` holds maximal
+runs ``(pod, block, first, count)`` of hosts, one per slice of a block
+it occupies, so placing, signing and folding a tenant costs its slices,
+not its hosts.  Per-host coordinates are expanded on demand
+(:attr:`PlacedJob.coords`, never cached) only where hosts are named:
+:meth:`PlacedJob.host_names` renders them through
+:mod:`repro.topology.astral`'s codec, the same functions the builder
+uses, so folded sub-simulations and flat reference runs agree on every
+identifier.  A name is parsed only where it comes in from outside: a
+job's pinned ``hosts``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..topology.astral import AstralParams, host_name, parse_device
 from ..topology.elements import DeviceKind
@@ -28,6 +33,7 @@ __all__ = [
     "Coord",
     "HierJob",
     "PlacedJob",
+    "Span",
     "parse_host",
     "pod_of_device",
     "place_jobs",
@@ -35,6 +41,10 @@ __all__ = [
 
 #: (pod, block, host) — one host's coordinates in the fabric.
 Coord = Tuple[int, int, int]
+
+#: (pod, block, first, count) — hosts ``first .. first + count - 1`` of
+#: one block, a slice of a placement.
+Span = Tuple[int, int, int, int]
 
 
 def parse_host(name: str) -> Coord:
@@ -50,6 +60,23 @@ def pod_of_device(name: str) -> Optional[int]:
     ``link:`` ids and other opaque targets)."""
     parsed = parse_device(name)
     return None if parsed is None else parsed[1]
+
+
+def _runs(spans: Iterable[Span]) -> Tuple[Span, ...]:
+    """*spans* with each one that continues the one before it (same pod
+    and block, next host) merged into it: the maximal runs of the same
+    host sequence.  Maximal runs are canonical — two host sequences are
+    equal exactly when their runs are."""
+    merged: List[List[int]] = []
+    for pod, block, first, count in spans:
+        if merged:
+            last = merged[-1]
+            if (last[0] == pod and last[1] == block
+                    and last[2] + last[3] == first):
+                last[3] += count
+                continue
+        merged.append([pod, block, first, count])
+    return tuple(tuple(span) for span in merged)
 
 
 @dataclass(frozen=True)
@@ -85,14 +112,34 @@ class HierJob:
 
 @dataclass(frozen=True)
 class PlacedJob:
-    """A job bound to concrete host coordinates."""
+    """A job bound to block slices of the fabric.
+
+    ``spans`` are the maximal runs :func:`_runs` makes of its hosts, in
+    placement (ring) order.  Because runs are canonical, two jobs of
+    one pod hold the same pod-relative host slots exactly when their
+    spans minus the pod are equal, which is what a signature compares;
+    and two jobs never share a host, so jobs of one pod (or block)
+    differ in their first slot and sort the same by spans as by hosts.
+    """
 
     job: HierJob
-    coords: Tuple[Coord, ...]
+    spans: Tuple[Span, ...]
 
     @property
     def name(self) -> str:
         return self.job.name
+
+    @property
+    def n_hosts(self) -> int:
+        return sum(span[3] for span in self.spans)
+
+    @property
+    def coords(self) -> Tuple[Coord, ...]:
+        """Per-host coordinates, in placement order: expanded from the
+        spans on every call, for code that names hosts."""
+        return tuple((pod, block, host)
+                     for pod, block, first, count in self.spans
+                     for host in range(first, first + count))
 
     def host_names(self, pod_map: Optional[Dict[int, int]] = None,
                    block_map: Optional[Dict[int, int]] = None
@@ -109,7 +156,7 @@ class PlacedJob:
 
     @property
     def pods(self) -> Tuple[int, ...]:
-        return tuple(sorted({coord[0] for coord in self.coords}))
+        return tuple(sorted({span[0] for span in self.spans}))
 
     @property
     def pod_local(self) -> bool:
@@ -125,11 +172,16 @@ class PlacedJob:
 
     @property
     def blocks(self) -> Tuple[int, ...]:
-        return tuple(sorted({coord[1] for coord in self.coords}))
+        return tuple(sorted({span[1] for span in self.spans}))
 
-    def positions_in_pod(self) -> Tuple[Tuple[int, int], ...]:
-        """Pod-relative host slots, in ring (placement) order."""
-        return tuple((block, host) for _, block, host in self.coords)
+    def positions_in_pod(self, pod: Optional[int] = None
+                         ) -> Tuple[Tuple[int, int, int], ...]:
+        """Pod-relative slices ``(block, first, count)``, in ring
+        (placement) order: of the hosts in *pod* when given (merged
+        into maximal runs again), of every host otherwise."""
+        spans = self.spans if pod is None else _runs(
+            span for span in self.spans if span[0] == pod)
+        return tuple(span[1:] for span in spans)
 
 
 def place_jobs(params: AstralParams,
@@ -144,8 +196,9 @@ def place_jobs(params: AstralParams,
     cursor only if the caller wants them to: explicitly-placed hosts
     are reserved before the cursor starts).
 
-    The cursor takes whole slices of a block at a time; only a block
-    holding a reserved host is walked host by host, to skip it.
+    The cursor takes a whole slice of a block per step, up to the
+    block's end, the job's size or the next reserved host, so a job
+    costs its spans, not its hosts.
     """
     per_block = params.hosts_per_block
     n_blocks = params.pods * params.blocks_per_pod
@@ -166,30 +219,29 @@ def place_jobs(params: AstralParams,
     block_cursor = offset = 0      # next block (pod-major), host in it
     for job in jobs:
         if job.hosts:
-            coords = tuple(parse_host(host) for host in job.hosts)
-            placed.append(PlacedJob(job=job, coords=coords))
+            placed.append(PlacedJob(job, _runs(
+                (*parse_host(host), 1) for host in job.hosts)))
             continue
-        coords_list: List[Coord] = []
-        while len(coords_list) < job.n_hosts:
+        spans: List[Span] = []
+        need = job.n_hosts
+        while need:
             if block_cursor >= n_blocks:
                 raise ValueError(
                     f"cluster exhausted placing job {job.name!r}: "
                     f"{total} hosts, need {job.n_hosts} more")
             pod, block = divmod(block_cursor, params.blocks_per_pod)
             taken = reserved.get((pod, block), ())
-            want = job.n_hosts - len(coords_list)
-            if taken:
-                picked = []
-                while offset < per_block and len(picked) < want:
-                    if offset not in taken:
-                        picked.append(offset)
+            while need and offset < per_block:
+                if offset in taken:
                     offset += 1
-            else:
-                picked = range(offset, min(per_block, offset + want))
-                offset = picked.stop
-            coords_list += [(pod, block, index) for index in picked]
+                    continue
+                stop = min([per_block, offset + need]
+                           + [index for index in taken if index > offset])
+                spans.append((pod, block, offset, stop - offset))
+                need -= stop - offset
+                offset = stop
             if offset >= per_block:
                 block_cursor += 1
                 offset = 0
-        placed.append(PlacedJob(job=job, coords=tuple(coords_list)))
+        placed.append(PlacedJob(job, tuple(spans)))
     return placed

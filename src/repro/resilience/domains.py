@@ -235,9 +235,10 @@ def expand_domains(params: AstralParams, placed: Sequence,
     owner: Dict[str, str] = {}
     by_block: Dict[tuple, List] = {}
     for placed_job in placed:
-        for pod, block, host in placed_job.coords:
+        for pod, block, first, count in placed_job.spans:
             if (pod, block) in hit:
-                owner[host_name(pod, block, host)] = placed_job.name
+                for host in range(first, first + count):
+                    owner[host_name(pod, block, host)] = placed_job.name
                 by_block.setdefault((pod, block), []).append(placed_job)
     faults: Dict[str, FaultSpec] = {}
     for domain in domains:

@@ -237,7 +237,7 @@ def _apply_fault_document(stack, document: Dict[str, Any]
                           ) -> Dict[str, Any]:
     # The live tenants, by name: domains arm on the injector directly,
     # so no tenant needs coordinates.
-    placed = [SimpleNamespace(name=name, coords=())
+    placed = [SimpleNamespace(name=name, spans=())
               for name in stack.scheduler.running_jobs()
               if stack.allocator.allocation(name) is not None]
     # Validate the whole document first (every error names its entry),
