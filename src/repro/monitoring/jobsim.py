@@ -278,7 +278,7 @@ class MonitoredTrainingJob:
         routable = []
         for flow in self._flows:
             try:
-                self.fabric.router.path(flow)
+                self.fabric.path(flow)
             except RoutingError:
                 continue
             routable.append(flow)
@@ -329,7 +329,7 @@ class MonitoredTrainingJob:
                 # link die with retry-exceeded errors.
                 for flow in self._flows:
                     try:
-                        path = self.fabric.router.path(flow)
+                        path = self.fabric.path(flow)
                     except RoutingError:
                         continue
                     if link_id in path.link_ids:
@@ -354,7 +354,7 @@ class MonitoredTrainingJob:
                 # first host whose traffic traverses the switch hangs.
                 for flow in self._flows:
                     try:
-                        path = self.fabric.router.path(flow)
+                        path = self.fabric.path(flow)
                     except RoutingError:
                         continue
                     if fault.target in path.devices:
@@ -525,7 +525,7 @@ class MonitoredTrainingJob:
                 failed.append(flow)
                 continue
             try:
-                self.fabric.router.path(flow)
+                self.fabric.path(flow)
             except RoutingError:
                 failed.append(flow)
                 continue

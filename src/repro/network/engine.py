@@ -380,7 +380,7 @@ class FabricEngine:
         if state is None:
             return False
         new_path = path if path is not None \
-            else self.fabric.router.path(flow)
+            else self.fabric.path(flow)
         if not self._move_flow(state, new_path):
             return False
         self._request_solve()
@@ -544,7 +544,7 @@ class FabricEngine:
             return
         if path is None:
             try:
-                path = self.fabric.router.path(flow)
+                path = self.fabric.path(flow)
             except RoutingError as exc:
                 # A fault cut the route before the flow arrived.  It
                 # never entered _states, so nothing can cancel it: once
@@ -597,7 +597,7 @@ class FabricEngine:
             if all(links[hop[0]].healthy for hop in state.hops):
                 continue
             try:
-                new_path = self.fabric.router.path(state.flow)
+                new_path = self.fabric.path(state.flow)
             except RoutingError as exc:
                 self._strand(state, exc)
                 continue

@@ -10,8 +10,9 @@ architecture studies (Figure 2, 17, 19): hash collisions and
 oversubscription determine which links bottleneck, and max-min sharing
 determines by how much.
 
-A :class:`Fabric` resolves paths and directed hops (memoized per
-flow), accounts offered link loads, solves one max-min allocation
+A :class:`Fabric` resolves paths and directed hops, both memoized per
+flow id (:meth:`Fabric.path`, :meth:`Fabric.directed_hops`), accounts
+offered link loads, solves one max-min allocation
 (:meth:`Fabric.max_min_rates`) and completes a flow set through the
 engine (:meth:`Fabric.complete`).  It holds no integrator of its own:
 the epoch-global batch loop the engine is checked against lives in
@@ -78,7 +79,9 @@ class FabricRun:
 
 
 class Fabric:
-    """Flow-level simulator over a :class:`Topology`."""
+    """Flow-level simulator over a :class:`Topology`, one per
+    simulation: its engines and jobs ask :meth:`path` for every path,
+    so each flow is walked once per topology version."""
 
     def __init__(self, topology: Topology,
                  router: Optional[EcmpRouter] = None,
@@ -87,6 +90,11 @@ class Fabric:
         self.router = router or EcmpRouter(topology)
         #: per-port NIC line rate; flows never exceed this at the source.
         self.host_line_rate_gbps = host_line_rate_gbps
+        #: path memo per flow id: ((topology version, src host, dst
+        #: host, rail, dst rail, five-tuple), path).  Invalidated when
+        #: the topology changes or the flow's routing inputs do (a
+        #: re-hashed source port, a reused flow id).
+        self._path_cache: Dict[int, Tuple[tuple, FlowPath]] = {}
         #: directed-hop memo per flow id: (topology version, link ids,
         #: hops).  Invalidated when the topology is rewired or the flow
         #: is re-hashed onto a different path.
@@ -96,8 +104,29 @@ class Fabric:
         self.hops_cache_misses = 0
 
     # -- path resolution -----------------------------------------------------
+    def path(self, flow: Flow) -> FlowPath:
+        """The flow's path on the topology as it is now, memoized per
+        flow id.
+
+        A QP's five-tuple, and so its ECMP walk, stays fixed until the
+        fabric changes, so the walk is redone only when the topology
+        version or one of the flow's routing inputs (hosts, rails,
+        five-tuple) differs from the memoized one.  A
+        :class:`~repro.network.routing.RoutingError` is never memoized.
+        The memo lives on the fabric, not on the router, which may
+        outlive many fabrics.
+        """
+        key = (self.topology.version, flow.src_host, flow.dst_host,
+               flow.rail, flow.dst_rail, flow.five_tuple)
+        cached = self._path_cache.get(flow.flow_id)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        path = self.router.path(flow)
+        self._path_cache[flow.flow_id] = (key, path)
+        return path
+
     def resolve_paths(self, flows: Iterable[Flow]) -> Dict[int, FlowPath]:
-        return {flow.flow_id: self.router.path(flow) for flow in flows}
+        return {flow.flow_id: self.path(flow) for flow in flows}
 
     def directed_hops(self, path: FlowPath) -> List[LinkDir]:
         """Directed traversal of *path*, memoized per flow id.

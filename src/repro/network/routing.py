@@ -17,13 +17,14 @@ Implementation notes:
   within each device.  It reads the links' endpoints, not the
   topology's adjacency lists, so a link rewired in place (a miswire) is
   followed.  It also keeps each device's hash salt bytes
-  (:meth:`EcmpHasher.salt_bytes`).
+  (:meth:`EcmpHasher.salt_bytes`), and each device's neighbours as a
+  plain list for the BFS (empty for a host: hosts never transit).
 * Next-hop sets come from a BFS over the compiled adjacency, seeded at
-  the destination.  The BFS is level-synchronous numpy: each level
-  gathers the frontier's neighbour slices and keeps the unvisited ones.
-  Hosts never transit traffic, so it never expands them.  It yields an
-  int32 distance per device, -1 where unreached.  BFS distances do not
-  depend on visit order, so they equal a FIFO BFS's.
+  the destination.  The BFS is level by level in plain Python over the
+  neighbour lists: the sub-topologies a folded run builds have a few
+  hundred devices, where numpy's fixed cost per level would dominate.
+  It yields an int32 distance per device, -1 where unreached.  BFS
+  distances do not depend on visit order, so they equal a FIFO BFS's.
 * Rail binding: on rail-aware fabrics the first hop must use the flow's
   source rail and the last hop the destination rail.  The BFS is seeded
   only through destination links whose ToR matches the destination rail,
@@ -201,6 +202,11 @@ class EcmpRouter:
         self._indptr = np.zeros(len(self._names) + 1, np.int32)
         np.cumsum(np.bincount(ends, minlength=len(self._names)),
                   out=self._indptr[1:])
+        # The BFS's neighbour lists; a host's is empty (no transit).
+        nbr, bounds = self._nbr.tolist(), self._indptr.tolist()
+        self._transit = [
+            [] if host else nbr[lo:hi] for host, lo, hi in zip(
+                self._is_host.tolist(), bounds, bounds[1:])]
         self._cache_version = topo.version
 
     def _seeds(self, device: int, rail: Optional[int]) -> Tuple[int, ...]:
@@ -217,25 +223,24 @@ class EcmpRouter:
 
         *origin*, when given, is marked 0 and never expanded."""
         self.bfs_runs += 1
-        indptr, nbr, is_host = self._indptr, self._nbr, self._is_host
-        dist = np.full(len(is_host), -1, np.int32)
+        transit = self._transit
+        dist = [-1] * len(transit)
         if origin is not None:
             dist[origin] = 0
-        frontier = np.array(seeds, np.int32)
-        frontier = frontier[dist[frontier] < 0]
+        frontier = [seed for seed in seeds if dist[seed] < 0]
+        for seed in frontier:
+            dist[seed] = 1
         hops = 1
-        while frontier.size:
-            dist[frontier] = hops
-            frontier = frontier[~is_host[frontier]]  # hosts never transit
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            # Every entry of every frontier device's slice.
-            entries = (np.repeat(starts - np.cumsum(counts) + counts, counts)
-                       + np.arange(counts.sum()))
-            reached = nbr[entries]
-            frontier = np.unique(reached[dist[reached] < 0])
+        while frontier:
             hops += 1
-        return dist
+            reached = []
+            for device in frontier:
+                for j in transit[device]:
+                    if dist[j] < 0:
+                        dist[j] = hops
+                        reached.append(j)
+            frontier = reached
+        return np.array(dist, np.int32)
 
     def _routes(self, dst_host: str, dst_rail: Optional[int]
                 ) -> Tuple[_Routes, int]:

@@ -17,6 +17,7 @@ batch slot frees up.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -197,6 +198,15 @@ class ServingSimulator:
         ``requests`` defaults to :func:`draw_requests` on the config;
         passing an explicit (arrival-sorted) population lets callers
         replay the same requests under perturbed load.
+
+        Each loop turn admits arrivals, then either prefills one
+        waiting request or decodes a run of steps at the current
+        batch.  A run ends at the next finish or, when a slot is free,
+        at the first step at or after which the next arrival is due:
+        between those events the batch, and so the step cost, cannot
+        change.  Timestamps, finish order and the order in which step
+        costs are first forecast are those of a loop that decodes one
+        step per turn.
         """
         cfg = self.config
         if requests is None:
@@ -244,8 +254,19 @@ class ServingSimulator:
                 admitted += 1
                 continue
 
-            now += self.decode_step_s(len(running))
+            # Decode up to the next finish or, with a slot free, the
+            # next arrival; adding the step once per step keeps every
+            # timestamp's bits.
+            step = self.decode_step_s(len(running))
+            finish = running[0][0]
+            due = requests[next_arrival].arrival_s \
+                if len(running) < cfg.batch_max \
+                and next_arrival < len(requests) else math.inf
+            now += step
             decodes += 1
+            while decodes < finish and now < due:
+                now += step
+                decodes += 1
             while running and running[0][0] <= decodes:
                 _, _, record, tokens = heapq.heappop(running)
                 record.output_tokens = tokens

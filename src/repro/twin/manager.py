@@ -42,7 +42,8 @@ class _SessionHandle:
         self.lock = asyncio.Lock()
         self.snapshots: List[Dict[str, Any]] = []
         self.subscribers: List[asyncio.Queue] = []
-        self.pacer: Optional[asyncio.Task] = None
+        #: the pacing task and the event that asks it to stop
+        self.pacer: Optional[Tuple[asyncio.Task, asyncio.Event]] = None
         self.closed = False
 
 
@@ -197,22 +198,30 @@ class SessionManager:
         handle = self._handle(session_id)
         dt_s, interval_s = _pace_args(pace)
         await self.stop_pace(session_id)
+        stop = asyncio.Event()
 
         async def _pace() -> None:
-            with contextlib.suppress(asyncio.CancelledError, HttpError):
-                while True:
+            # The pacer stops only between steps: a step sent to the
+            # session always runs to its end there, so it is archived
+            # too, or the clock would pass the last archived boundary.
+            with contextlib.suppress(HttpError):
+                while not stop.is_set():
                     await self.advance(session_id, dt_s)
-                    await asyncio.sleep(interval_s)
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(stop.wait(), interval_s)
 
-        handle.pacer = asyncio.get_running_loop().create_task(_pace())
+        handle.pacer = (asyncio.get_running_loop().create_task(_pace()),
+                        stop)
         return {"paced": True, "dt_s": dt_s, "interval_s": interval_s}
 
     async def stop_pace(self, session_id: str) -> Dict[str, Any]:
+        """Stop pacing; returns once the step in flight, if any, is
+        archived."""
         handle = self._handle(session_id)
         if handle.pacer is not None:
-            handle.pacer.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await handle.pacer
+            pacer, stop = handle.pacer
+            stop.set()
+            await pacer
             handle.pacer = None
         return {"paced": False}
 

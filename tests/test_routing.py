@@ -1,11 +1,17 @@
 """Tests for ECMP routing over the fabric graphs."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.farm import TaskSpec, execute_spec
+from repro.hierarchy import preset_params
+from repro.hierarchy.fold import pod_local_params
 from repro.network import (
+    EcmpController,
     EcmpHasher,
     EcmpRouter,
     Fabric,
@@ -646,3 +652,148 @@ class TestDestinationRule:
         assert router.distances_to("d", 0)["t0"] == 1
         assert router.path(flow).devices == ["s", "d"]
         _check_against_oracle(topo, router, ports=range(49152, 49152 + 16))
+
+
+class TestPodLocalBfs:
+    """The BFS on the sub-topology a 512K pod-local run builds (161
+    devices), with a tenth of its links failed: distances for every
+    destination and rail, and sampled paths and partition cuts, `==`
+    the dict router's."""
+
+    def test_matches_oracle_with_failed_links(self):
+        topo = build_astral(pod_local_params(preset_params("512k"), 1))
+        assert len(topo.devices) == 161
+        router = EcmpRouter(topo)
+        rng = random.Random("pod-local-bfs")
+        links = sorted(topo.links)
+        for link_id in rng.sample(links, len(links) // 10):
+            topo.fail_link(link_id)
+        rails = sorted({d.rail for d in topo.devices.values()
+                        if d.rail is not None})
+        for name in topo.devices:
+            for rail in [None] + rails:
+                assert router.distances_to(name, rail) \
+                    == _oracle_distances(topo, name, rail), (name, rail)
+        oracle = _OracleRouter(topo, router.hasher)
+        hosts = sorted(host.name for host in topo.hosts())
+        for _ in range(200):
+            src, dst = rng.sample(hosts, 2)
+            rail = rng.choice(rails)
+            assert router.partition_cut(src, dst, rail) \
+                == oracle.partition_cut(src, dst, rail)
+            flow = make_flow(src, dst, rail=rail, size_bits=8e9,
+                             dst_rail=rng.choice(rails))
+            assert _route(router, flow) == _route(oracle, flow), flow
+
+
+class TestFabricPathCache:
+    """``Fabric.path`` memoises each flow's walk per topology version
+    and routing inputs.  Under random link failures, restores,
+    miswires, re-hashed source ports (by hand and by the controller)
+    and reused flow ids, it must return what a fresh router walks, the
+    same error type included, and walk again exactly when the version
+    or an input changed since its last successful walk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(TOPOLOGIES)),
+           seed=st.integers(0, 2 ** 16),
+           ops=st.lists(st.sampled_from(
+               ["fail", "restore", "miswire", "rehash", "balance",
+                "reuse", "none"]), min_size=1, max_size=8))
+    def test_matches_fresh_router(self, name, seed, ops):
+        topo = TOPOLOGIES[name]()
+        rng = random.Random(seed)
+        hosts = sorted(host.name for host in topo.hosts())
+        rails = sorted({d.rail for d in topo.devices.values()
+                        if d.rail is not None}) or [0]
+
+        def new_flow():
+            src, dst = rng.sample(hosts, 2)
+            return make_flow(src, dst, rail=rng.choice(rails),
+                             size_bits=8e9, dst_rail=rng.choice(rails))
+
+        flows = [new_flow() for _ in range(6)]
+        fabric = Fabric(topo)
+        walks = []
+        walk = fabric.router.path
+
+        def spy(flow, *args, **kwargs):
+            walks.append(flow.flow_id)
+            return walk(flow, *args, **kwargs)
+
+        fabric.router.path = spy
+        walked = {}     # flow id -> inputs of its last successful walk
+
+        def query(op):
+            fresh = EcmpRouter(topo)
+            for flow in flows:
+                inputs = (topo.version, flow.src_host, flow.dst_host,
+                          flow.rail, flow.dst_rail, flow.five_tuple)
+                before = len(walks)
+                got = _route(fabric, flow)
+                assert got == _route(fresh, flow), (op, flow)
+                assert (len(walks) > before) \
+                    == (walked.get(flow.flow_id) != inputs), (op, flow)
+                if isinstance(got, FlowPath):
+                    walked[flow.flow_id] = inputs
+                else:
+                    walked.pop(flow.flow_id, None)
+
+        query("start")
+        for op in ops:
+            if op == "fail":
+                topo.fail_link(rng.choice(sorted(topo.links)))
+            elif op == "restore":
+                failed = sorted(link_id for link_id, link in
+                                topo.links.items() if not link.healthy)
+                if failed:
+                    topo.restore_link(rng.choice(failed))
+            elif op == "miswire":
+                TestSharedDistanceOracle._miswire(topo, rng)
+            elif op == "rehash":
+                flow = rng.choice(flows)
+                flow.five_tuple = flow.five_tuple.with_src_port(
+                    49152 + rng.randrange(16384))
+            elif op == "balance":
+                try:
+                    EcmpController(fabric).balance_source_ports(flows)
+                except RoutingError:
+                    pass
+            elif op == "reuse":
+                index = rng.randrange(len(flows))
+                reused = new_flow()
+                reused.flow_id = flows[index].flow_id
+                flows[index] = reused
+            query(op)
+
+
+class TestWalkCountGuard:
+    """QPs are set up once per job, so a flow's path is walked once per
+    topology version: a 4k hierarchy run (allreduce, one optics-batch
+    fault document) walks no flow id twice on one router under one
+    version."""
+
+    def test_each_flow_walked_once_per_version(self, monkeypatch):
+        walks = Counter()
+        routers = []        # kept alive, so no id() is reused
+        walk = EcmpRouter.path
+
+        def spy(router, flow, *args, **kwargs):
+            routers.append(router)
+            walks[id(router), router.topology.version, flow.flow_id] += 1
+            return walk(router, flow, *args, **kwargs)
+
+        monkeypatch.setattr(EcmpRouter, "path", spy)
+        params = preset_params("4k")
+        domain = {"kind": "optics-batch", "pod": 0, "block": 1,
+                  "size": 1, "mode": "hard", "seed": 0}
+        report = execute_spec(TaskSpec("hierarchy-run", {
+            "scale": "4k", "hosts_per_job": params.hosts_per_block,
+            "iterations": 4, "compute_s": 0.5, "comm_bits": 8e9,
+            "collective": "allreduce", "seed": 0, "tail_shapes": 1,
+            "refine": "bounded", "faults": 0,
+            "fault_document": {"domains": [domain]}}))
+        assert report["fold"]["n_engine_sims"] > 1
+        assert walks
+        twice = {key: n for key, n in walks.items() if n > 1}
+        assert not twice, f"{len(twice)} flows walked again"

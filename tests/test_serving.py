@@ -1,5 +1,6 @@
 """Tests for the continuous-batching serving simulator."""
 
+import heapq
 from collections import deque
 
 import pytest
@@ -231,6 +232,133 @@ class TestDecodeLoopDifferential:
                       for r in report.completed) \
             == [(i, max(2, 1 + i % 3)) for i in range(12)]
         assert report == _per_token_run(sim, requests)
+
+
+def _per_step_run(sim, requests):
+    """The loop ``ServingSimulator.run`` had before it decoded in runs,
+    kept as its oracle: one decode step per loop turn, its cost looked
+    up at every step, finishes popped from a heap of finish steps."""
+    cfg = sim.config
+    report = ServingReport(arrived=len(requests),
+                           duration_s=cfg.duration_s)
+    waiting = deque()
+    running = []
+    next_arrival = admitted = decodes = 0
+    now = 0.0
+    while now < cfg.duration_s or running or waiting:
+        while next_arrival < len(requests) \
+                and requests[next_arrival].arrival_s <= now:
+            waiting.append(RequestRecord(
+                request_id=next_arrival,
+                arrival_s=requests[next_arrival].arrival_s))
+            next_arrival += 1
+        if not running and not waiting:
+            if next_arrival >= len(requests):
+                break
+            now = requests[next_arrival].arrival_s
+            continue
+        if waiting and len(running) < cfg.batch_max:
+            record = waiting.popleft()
+            record.prefill_start_s = max(now, record.arrival_s)
+            now = record.prefill_start_s + sim.prefill_step_s()
+            record.first_token_s = now
+            record.output_tokens = 1
+            target = requests[record.request_id].output_tokens
+            heapq.heappush(running, (decodes + max(1, target - 1),
+                                     admitted, record, max(2, target)))
+            admitted += 1
+            continue
+        now += sim.decode_step_s(len(running))
+        decodes += 1
+        while running and running[0][0] <= decodes:
+            _, _, record, tokens = heapq.heappop(running)
+            record.output_tokens = tokens
+            record.finish_s = now
+            report.completed.append(record)
+    report.duration_s = max(cfg.duration_s, now)
+    return report
+
+
+class _MemoSeer:
+    """A Seer whose inference forecasts are memoised, so every
+    simulator can start from an empty cost cache cheaply."""
+
+    def __init__(self, seer):
+        self._seer = seer
+        self._forecasts = {}
+
+    def forecast_inference(self, model, parallel, batch, context_len):
+        key = (batch, context_len)
+        if key not in self._forecasts:
+            self._forecasts[key] = self._seer.forecast_inference(
+                model, parallel, batch=batch, context_len=context_len)
+        return self._forecasts[key]
+
+
+#: gaps between arrivals: bursts (0), a busy stream, idle stretches.
+_GAPS = st.one_of(st.just(0.0), st.floats(0.0, 0.05),
+                  st.floats(0.5, 30.0))
+
+
+class TestDecodeRunDifferential:
+    """``run`` decodes a run of steps per loop turn; the one-step loop
+    it replaced must give the same records bit for bit, and must first
+    forecast the step costs of the same batch sizes in the same
+    order."""
+
+    @staticmethod
+    def _check(seer, config, requests):
+        memo = _MemoSeer(seer)
+        caches = {}, {}
+        run = ServingSimulator(memo, HUNYUAN_MOE, PARALLEL, config,
+                               cost_cache=caches[0]).run(requests)
+        oracle = _per_step_run(
+            ServingSimulator(memo, HUNYUAN_MOE, PARALLEL, config,
+                             cost_cache=caches[1]), requests)
+        assert [(r.request_id, r.first_token_s, r.finish_s,
+                 r.output_tokens) for r in run.completed] \
+            == [(r.request_id, r.first_token_s, r.finish_s,
+                 r.output_tokens) for r in oracle.completed]
+        assert run == oracle
+        assert list(caches[0]["decode_s"]) == list(caches[1]["decode_s"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 8),
+           draws=st.lists(st.tuples(_GAPS, st.integers(1, 64)),
+                          max_size=40),
+           duration=st.sampled_from([0.5, 5.0, 60.0]))
+    def test_bursts_and_idle_gaps(self, seer, batch, draws, duration):
+        requests, t = [], 0.0
+        for gap, tokens in draws:
+            t += gap
+            requests.append(RequestDraw(arrival_s=t, output_tokens=tokens))
+        self._check(seer, ServingConfig(batch_max=batch,
+                                        duration_s=duration), requests)
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_arrival_on_a_step_boundary(self, seer, steps):
+        """A request due exactly when a decode step ends is prefilled
+        right after that step, not one step later."""
+        config = ServingConfig(batch_max=4, duration_s=5.0)
+        sim = ServingSimulator(seer, HUNYUAN_MOE, PARALLEL, config)
+        boundary = 0.0 + sim.prefill_step_s()
+        for _ in range(steps):
+            boundary += sim.decode_step_s(1)
+        requests = [RequestDraw(arrival_s=0.0, output_tokens=8),
+                    RequestDraw(arrival_s=boundary, output_tokens=3)]
+        self._check(seer, config, requests)
+        late, = [r for r in sim.run(requests).completed
+                 if r.request_id == 1]
+        assert late.prefill_start_s == boundary
+
+    @settings(max_examples=20, deadline=None)
+    @given(batch=st.integers(1, 16), rate=st.floats(0.0, 200.0),
+           output_len=st.integers(1, 128), seed=st.integers(0, 2))
+    def test_poisson_load(self, seer, batch, rate, output_len, seed):
+        config = ServingConfig(batch_max=batch, arrival_rate_per_s=rate,
+                               output_len_mean=output_len,
+                               duration_s=5.0, seed=seed)
+        self._check(seer, config, draw_requests(config))
 
 
 _SUBPROCESS_DIGEST = """

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import signal
+import threading
 import time
 
 import pytest
@@ -646,6 +647,53 @@ class TestSessionTables:
                     await manager.shutdown()
 
         assert asyncio.run(drive()) == [0, 1]
+
+
+class TestPaceStop:
+    def test_stop_during_a_held_step_archives_it(self, monkeypatch):
+        """Stopping the pacer while its step is on the session's
+        executor: the step still moves the clock, so stop must wait for
+        it and archive its snapshot.  The test holds the second paced
+        step open until stop has been asked for."""
+        from repro.twin import manager as manager_module
+        entered, release = threading.Event(), threading.Event()
+        advances = []
+
+        def held_call(payload, table):
+            if payload["op"] == "advance":
+                advances.append(payload["dt_s"])
+                if len(advances) == 2:
+                    entered.set()
+                    assert release.wait(60.0)
+            return shard_call(payload, table)
+
+        shard_call = manager_module.shard_call
+        monkeypatch.setattr(manager_module, "shard_call", held_call)
+
+        async def drive():
+            manager = SessionManager(workers=0)
+            try:
+                await manager.create(_tiny().to_params(), session_id="p")
+                await manager.start_pace("p", {"dt_s": 30.0,
+                                               "interval_s": 0.0})
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, entered.wait, 60.0)
+                stopping = asyncio.ensure_future(manager.stop_pace("p"))
+                await asyncio.sleep(0)      # stop has begun
+                release.set()
+                assert await stopping == {"paced": False}
+                archived = [s["t_s"] for s in
+                            [x async for x in manager.stream("p")]]
+                return archived, await manager.info("p")
+            finally:
+                release.set()
+                await manager.shutdown()
+
+        archived, info = asyncio.run(drive())
+        assert advances == [30.0, 30.0]
+        assert archived == [30.0, 60.0]
+        assert info["t_s"] == archived[-1]
+        assert info["steps"] == len(archived)
 
 
 class TestServeForever:
