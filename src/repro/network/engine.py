@@ -17,6 +17,22 @@ evolves over simulated time:
   five-second polling rounds, fault injectors, tenant job loops — can
   retarget or throttle flows *while they are in flight*.
 
+The engine works per instant, not per flow.  :meth:`FabricEngine.submit`
+and :meth:`FabricEngine.submit_many` group flows by the instant they
+arrive at and queue one simulator event per instant, where the first
+flow's own timeout would have stood; its handler advances once and
+arrives the instant's flows in submission order, entering the routed
+ones into the fluid rows, the incidence index and the components
+together.  Every flow that finishes at an instant is retired in one
+pass and resolves in row order, with the solve requested right after
+the first; the flows of one ``submit_many`` count down to its
+``all_of`` event instead of firing one ``done`` event each.  Every
+event a caller can see keeps the queue position it had when flows
+arrived and finished one at a time.  A solve re-reads a dirtied link's
+capacity only when it may have changed since the link's last read: a
+new link, or a capacity factor, PFC factor or topology-version change.
+A completion changes member sets, not capacities.
+
 Rate allocation is **incremental max-min**: directed-hop lists are
 cached per flow, link member sets are maintained across events, and
 each event re-fills only the components of the flow/link sharing graph
@@ -123,15 +139,54 @@ DONE_BITS = 1e-6
 MAX_STALLS = 8
 
 
-@dataclass
+class _Group:
+    """The completion of the flows one :meth:`FabricEngine.submit_many`
+    call queued, counted down instead of one ``done`` event per flow.
+
+    Only the ``all_of`` event reaches the caller, so each flow's value
+    lands in its slot.  When the last one resolves, a relay event is
+    triggered where that flow's own ``done`` would have been, and
+    ``event`` is triggered when the relay fires, exactly as an
+    ``all_of`` over per-flow events is: every other event keeps its
+    place.
+    """
+
+    __slots__ = ("sim", "event", "values", "waiting")
+
+    def __init__(self, sim: Simulator, n: int):
+        self.sim = sim
+        self.event = sim.event(name="all_of")
+        self.values: List[Any] = [None] * n
+        self.waiting = n
+
+    def resolve(self, index: int, value: Any) -> None:
+        self.values[index] = value
+        self.waiting -= 1
+        if not self.waiting:
+            relay = self.sim.event(name="all_of-last")
+            relay.add_callback(
+                lambda _event: self.event.succeed(self.values))
+            relay.succeed()
+
+
+@dataclass(slots=True)
 class _FlowState:
     """Book-keeping for one in-flight flow; its fluid quantities live
-    in the engine's :class:`_FluidArrays` at index ``row``."""
+    in the engine's :class:`_FluidArrays` at index ``row``.  Its
+    completion is ``done``, or slot ``index`` of ``group``."""
 
     flow: Flow
-    done: Event
+    done: Optional[Event]
+    group: Optional[_Group] = None
+    index: int = 0
     hops: List[LinkDir] = field(default_factory=list)
     row: int = -1
+
+    def resolve(self, value: Any) -> None:
+        if self.group is None:
+            self.done.succeed(value)
+        else:
+            self.group.resolve(self.index, value)
 
 
 class _FluidArrays:
@@ -139,8 +194,9 @@ class _FluidArrays:
 
     One row per arrived flow, assigned in arrival order, so row order
     is arrival order everywhere it is observable (completion
-    detection, finish-dict insertion).  Rows are retired in place and
-    compacted away once dead rows dominate.
+    detection, finish-dict insertion).  Rows are appended an instant's
+    arrivals at a time, retired in place and compacted away once dead
+    rows dominate.
     """
 
     __slots__ = ("rem", "rate", "deadline", "alive", "synced", "fids",
@@ -158,8 +214,10 @@ class _FluidArrays:
         self.n = 0
         self.n_alive = 0
 
-    def _grow(self) -> None:
-        cap = self.rem.shape[0] * 2
+    def _grow(self, need: int) -> None:
+        cap = self.rem.shape[0]
+        while cap < need:
+            cap *= 2
         for name in ("rem", "rate", "deadline", "alive", "synced"):
             old = getattr(self, name)
             fill = np.inf if name == "deadline" else 0
@@ -167,25 +225,28 @@ class _FluidArrays:
             grown[:old.shape[0]] = old
             setattr(self, name, grown)
 
-    def add(self, fid: int, size_bits: float) -> int:
-        if self.n == self.rem.shape[0]:
-            self._grow()
-        row = self.n
-        self.n += 1
-        self.rem[row] = size_bits
-        self.rate[row] = 0.0
-        self.deadline[row] = np.inf
-        self.alive[row] = True
-        self.synced[row] = False
-        self.fids.append(fid)
-        self.n_alive += 1
-        return row
+    def add_many(self, fids: List[int], sizes: List[float]) -> int:
+        """Append one row per flow, in order; returns the first row."""
+        lo = self.n
+        hi = lo + len(fids)
+        if hi > self.rem.shape[0]:
+            self._grow(hi)
+        self.rem[lo:hi] = sizes
+        self.rate[lo:hi] = 0.0
+        self.deadline[lo:hi] = np.inf
+        self.alive[lo:hi] = True
+        self.synced[lo:hi] = False
+        self.fids.extend(fids)
+        self.n = hi
+        self.n_alive += hi - lo
+        return lo
 
-    def retire(self, row: int) -> None:
-        self.alive[row] = False
-        self.rate[row] = 0.0
-        self.deadline[row] = np.inf
-        self.n_alive -= 1
+    def retire(self, rows) -> None:
+        """Retire live *rows* (an index array)."""
+        self.alive[rows] = False
+        self.rate[rows] = 0.0
+        self.deadline[rows] = np.inf
+        self.n_alive -= int(rows.shape[0])
 
 
 @dataclass
@@ -287,8 +348,18 @@ class FabricEngine:
         self._static_factors: Dict[LinkDir, float] = dict(
             capacity_factors or {})
         self._pfc_factors: Dict[LinkDir, float] = {}
+        #: links whose member set changed since the last solve.
         self._dirty: Set[LinkDir] = set()
+        #: links whose capacity may have changed since it was last read:
+        #: new, or hit by a capacity factor, PFC factor or topology
+        #: version change.  A solve re-reads those that are also dirty,
+        #: so every column holds what re-reading each dirty link gives.
+        self._stale: Set[LinkDir] = set()
         self._solve_pending = False
+        #: (instant, event, ``sim.scheduled`` after it, flows) of the
+        #: last arrival event queued, which later submissions for its
+        #: instant may join (see _enqueue).
+        self._last_instant: Optional[tuple] = None
         self._topo_version = fabric.topology.version
         #: per-flow mid-flight reroute counts (failover bookkeeping) —
         #: the flap-dampening contract is "at most one reroute per flow
@@ -337,32 +408,71 @@ class FabricEngine:
         to ``flow.start_time_s``); its path is resolved at arrival time
         unless one is given.  Flow ids may be resubmitted after their
         previous transfer completed (stable QPs re-used per iteration).
+        It takes :meth:`submit_many`'s arrival path.
         """
-        if flow.flow_id in self._states:
-            raise SimulationError(
-                f"flow {flow.flow_id} is already in flight")
-        start = flow.start_time_s if start_time_s is None else start_time_s
-        start = max(start, self.sim.now)
-        done = self.sim.event(name=f"flow-{flow.flow_id}-done")
-        state = _FlowState(flow=flow, done=done)
-        timeout = self.sim.timeout(start - self.sim.now)
-        timeout.add_callback(
-            lambda _event, state=state, path=path,
-            size_bits=float(flow.size_bits):
-            self._on_arrival(state, path, size_bits))
-        return done
+        paths = None if path is None else {flow.flow_id: path}
+        return self._enqueue([flow], paths, start_time_s, None)[0].done
 
     def submit_many(self, flows: Iterable[Flow],
                     paths: Optional[Dict[int, FlowPath]] = None,
                     start_time_s: Optional[float] = None) -> Event:
         """Submit several flows; returns an all-of completion event."""
-        events = [
-            self.submit(flow,
-                        path=paths.get(flow.flow_id) if paths else None,
-                        start_time_s=start_time_s)
-            for flow in flows
-        ]
-        return self.sim.all_of(events)
+        flows = list(flows)
+        if not flows:
+            return self.sim.all_of([])
+        group = _Group(self.sim, len(flows))
+        self._enqueue(flows, paths, start_time_s, group)
+        return group.event
+
+    def _enqueue(self, flows: Iterable[Flow],
+                 paths: Optional[Dict[int, FlowPath]],
+                 start_time_s: Optional[float],
+                 group: Optional[_Group]) -> List[_FlowState]:
+        """Queue *flows* for arrival, one simulator event per arrival
+        instant; returns their states.  Each flow completes into slot
+        *k* of *group*, or without one into a ``done`` event of its
+        own.
+
+        An instant's event takes the queue position its first flow's
+        own timeout would have had, and its flows arrive in submission
+        order.  A flow joins an instant's event only while every event
+        queued since that event is at another instant, so each flow
+        keeps its order among all events of its instant: within one
+        call, and across calls while this engine's last instant event
+        is still the last event queued and has not fired.
+        """
+        sim = self.sim
+        now = sim.now
+        states = self._states
+        instants: Dict[float, List] = {}
+        last = self._last_instant
+        if last is not None and sim.scheduled == last[2] \
+                and not last[1].processed:
+            instants[last[0]] = last[3]
+        queued = []
+        for k, flow in enumerate(flows):
+            fid = flow.flow_id
+            if fid in states:
+                raise SimulationError(f"flow {fid} is already in flight")
+            start = flow.start_time_s if start_time_s is None \
+                else start_time_s
+            delay = max(start, now) - now
+            # Key by the instant the delay lands on, as a timeout would.
+            key = now + delay
+            batch = instants.get(key)
+            if batch is None:
+                batch = instants[key] = []
+                event = sim.timeout(delay)
+                event.add_callback(
+                    lambda _event, batch=batch: self._on_arrivals(batch))
+                self._last_instant = (key, event, sim.scheduled, batch)
+            state = _FlowState(
+                flow=flow, group=group, index=k,
+                done=None if group else sim.event(name=f"flow-{fid}-done"))
+            queued.append(state)
+            batch.append((state, paths.get(fid) if paths else None,
+                          float(flow.size_bits)))
+        return queued
 
     def reassign_path(self, flow: Flow,
                       path: Optional[FlowPath] = None) -> bool:
@@ -394,16 +504,14 @@ class FabricEngine:
         if new_hops == state.hops:
             return False
         for hop in state.hops:
-            members = self._members.get(hop)
-            if members is not None:
-                members.discard(fid)
-            self._dirty.add(hop)
+            self._members[hop].discard(fid)
+        self._dirty.update(state.hops)
         self.stats.link_visits += len(new_hops)
         state.hops = new_hops
-        self._index.register_flow(fid, new_hops)
+        self._index.register_flows([fid], [new_hops])
         # The flow stays in its component (which may now fall apart;
         # a later split finds out) and joins the new hops' components.
-        self._join(fid, new_hops)
+        self._join([fid], [new_hops])
         return True
 
     def on_stranded(self, handler: Callable[[Flow, RoutingError], None]
@@ -433,14 +541,10 @@ class FabricEngine:
         state = self._states.pop(flow_id, None)
         if state is None:
             return False
-        self._retire_row(flow_id, state)
-        for hop in state.hops:
-            members = self._members.get(hop)
-            if members is not None:
-                members.discard(flow_id)
-            self._dirty.add(hop)
+        self._retire([flow_id], [state],
+                     np.array([state.row], dtype=np.int64))
         self.stranded.pop(flow_id, None)
-        state.done.succeed(value)
+        state.resolve(value)
         self._request_solve()
         return True
 
@@ -474,6 +578,7 @@ class FabricEngine:
                     self._static_factors.pop(hop, None)
                 else:
                     self._static_factors[hop] = factor
+                self._stale.add(hop)
                 if self._members.get(hop):
                     self._dirty.add(hop)
             self._request_solve()
@@ -524,44 +629,89 @@ class FabricEngine:
         )
 
     # -- event handlers ----------------------------------------------------
-    def _on_arrival(self, state: _FlowState, path: Optional[FlowPath],
-                    size_bits: float) -> None:
-        self.stats.events += 1
-        self._advance_to(self.sim.now)
-        flow = state.flow
-        fid = flow.flow_id
-        if fid in self._states:
-            raise SimulationError(f"flow {fid} arrived twice")
-        if size_bits <= DONE_BITS:
-            # Zero-size transfers finish the instant they start.
-            self._flows_seen[fid] = flow
-            self._paths.setdefault(
-                fid, path or FlowPath(flow_id=fid,
-                                      devices=[flow.src_host]))
-            self._finish[fid] = self._clock
-            self._last_finish = max(self._last_finish, self._clock)
-            state.done.succeed(self._clock)
+    def _on_arrivals(self, batch: List) -> None:
+        """Arrive every flow of one instant, in submission order.
+
+        Zero-size flows finish here and flows whose route is cut are
+        stranded, each in its place in the order.  The routed flows are
+        entered into the fluid rows, the incidence index and the
+        components together (:meth:`_register`), before any stranded
+        handler runs and at the end, so what a handler sees and every
+        registration are as if the flows had arrived one by one.  If an
+        arrival raises, the flows after it go back to the head of the
+        queue and arrive when the run resumes.
+        """
+        fresh: List[_FlowState] = []
+        sizes: List[float] = []
+        stats = self.stats
+        states = self._states
+        i = 0
+        try:
+            self._advance_to(self.sim.now)
+            clock = self._clock
+            for i, (state, path, size_bits) in enumerate(batch):
+                stats.events += 1
+                flow = state.flow
+                fid = flow.flow_id
+                if fid in states:
+                    raise SimulationError(f"flow {fid} arrived twice")
+                if size_bits <= DONE_BITS:
+                    # Zero-size transfers finish the instant they start.
+                    self._flows_seen[fid] = flow
+                    self._paths.setdefault(
+                        fid, path or FlowPath(flow_id=fid,
+                                              devices=[flow.src_host]))
+                    self._finish[fid] = clock
+                    self._last_finish = max(self._last_finish, clock)
+                    state.resolve(clock)
+                    continue
+                if path is None:
+                    try:
+                        path = self.fabric.path(flow)
+                    except RoutingError as exc:
+                        # A fault cut the route before the flow arrived.
+                        # It never entered _states, so nothing can
+                        # cancel it: once the handlers ran, resolve it
+                        # exactly as cancel would.
+                        self._register(fresh, sizes)
+                        self._strand(state, exc)
+                        self.stranded.pop(fid, None)
+                        state.resolve(None)
+                        continue
+                self._flows_seen[fid] = flow
+                self._paths[fid] = path
+                state.hops = self.fabric.directed_hops(path)
+                stats.link_visits += len(state.hops)
+                states[fid] = state
+                fresh.append(state)
+                sizes.append(size_bits)
+                self._request_solve()
+        except BaseException:
+            self._register(fresh, sizes)
+            rest = batch[i + 1:]
+            if rest:
+                self.sim.call_first(
+                    lambda _event: self._on_arrivals(rest))
+            raise
+        self._register(fresh, sizes)
+
+    def _register(self, fresh: List[_FlowState], sizes: List[float]
+                  ) -> None:
+        """Enter arrived flows *fresh* (sizes *sizes*) into the fluid
+        rows, the incidence index and the components, in order, and
+        empty both lists."""
+        if not fresh:
             return
-        if path is None:
-            try:
-                path = self.fabric.path(flow)
-            except RoutingError as exc:
-                # A fault cut the route before the flow arrived.  It
-                # never entered _states, so nothing can cancel it: once
-                # the handlers ran, resolve it exactly as cancel would.
-                self._strand(state, exc)
-                self.stranded.pop(fid, None)
-                state.done.succeed(None)
-                return
-        self._flows_seen[fid] = flow
-        self._paths[fid] = path
-        state.hops = self.fabric.directed_hops(path)
-        self.stats.link_visits += len(state.hops)
-        self._states[fid] = state
-        state.row = self._fluid.add(fid, size_bits)
-        self._index.register_flow(fid, state.hops)
-        self._join(fid, state.hops)
-        self._request_solve()
+        fids = [state.flow.flow_id for state in fresh]
+        hop_lists = [state.hops for state in fresh]
+        row = self._fluid.add_many(fids, sizes)
+        for state in fresh:
+            state.row = row
+            row += 1
+        self._index.register_flows(fids, hop_lists)
+        self._join(fids, hop_lists)
+        fresh.clear()
+        sizes.clear()
 
     def _request_solve(self) -> None:
         if self._solve_pending:
@@ -638,38 +788,67 @@ class FabricEngine:
             if rows.size:
                 # Row order is arrival order, so simultaneous
                 # completions are recorded in arrival order.
-                fids = [fluid.fids[row] for row in rows.tolist()]
-                for fid in fids:
-                    self._complete(fid)
+                self._complete_many(rows)
 
-    def _complete(self, fid: int) -> None:
-        state = self._states.pop(fid)
-        self._retire_row(fid, state)
-        for hop in state.hops:
-            members = self._members.get(hop)
-            if members is not None:
-                members.discard(fid)
-            self._dirty.add(hop)
-        self._finish[fid] = self._clock
-        self._last_finish = max(self._last_finish, self._clock)
-        state.done.succeed(self._clock)
-        self._request_solve()
+    def _complete_many(self, rows) -> None:
+        """Finish the flows of fluid *rows* (ascending) at the clock.
 
-    def _retire_row(self, fid: int, state: _FlowState) -> None:
-        """Patch the fluid structures for a finished/cancelled flow."""
+        They resolve in row order, and the solve is requested right
+        after the first: the queue then holds done, solve, done, ... as
+        if each flow had completed on its own.
+        """
         fluid = self._fluid
-        fluid.retire(state.row)
-        cid = self._comp_of.pop(fid)
-        group = self._comp_fids[cid]
-        del group[fid]
-        if not group:
-            del self._comp_fids[cid]
-            self._uncache(cid)
-        else:
-            entry = self._comp_cache.get(cid)
+        fids = [fluid.fids[row] for row in rows.tolist()]
+        states = [self._states.pop(fid) for fid in fids]
+        self._retire(fids, states, rows)
+        clock = self._clock
+        finish = self._finish
+        for fid in fids:
+            finish[fid] = clock
+        self._last_finish = max(self._last_finish, clock)
+        states[0].resolve(clock)
+        self._request_solve()
+        for state in states[1:]:
+            state.resolve(clock)
+
+    def _retire(self, fids: List[int], states: List[_FlowState],
+                rows) -> None:
+        """Take finished or cancelled flows *fids* (with their states
+        and fluid *rows*) out of the fluid rows, their components, the
+        incidence index and their links' member sets.
+
+        Each cached incidence retires the flows that left one of its
+        components with one :meth:`CompiledIncidence.retire`; a
+        component left empty is dropped instead.
+        """
+        fluid = self._fluid
+        fluid.retire(rows)
+        comp_of = self._comp_of
+        comp_fids = self._comp_fids
+        leaving: Dict[int, List[int]] = {}
+        for fid in fids:
+            cid = comp_of.pop(fid)
+            group = comp_fids[cid]
+            del group[fid]
+            if group:
+                leaving.setdefault(cid, []).append(fid)
+            else:
+                del comp_fids[cid]
+                self._uncache(cid)
+        cache = self._comp_cache
+        for cid, gone in leaving.items():
+            # A component emptied later in the batch is uncached.
+            entry = cache.get(cid)
             if entry is not None:
-                entry.inc.retire(fid)
-        self._index.drop_flow(fid)
+                entry.inc.retire(gone)
+        members_of = self._members
+        dirty = self._dirty
+        drop = self._index.drop_flow
+        for fid, state in zip(fids, states):
+            for hop in state.hops:
+                members_of[hop].discard(fid)
+            dirty.update(state.hops)
+            drop(fid)
         if fluid.n > 256 and fluid.n - fluid.n_alive > 2 * fluid.n_alive:
             self._compact_rows()
 
@@ -705,39 +884,54 @@ class FabricEngine:
             entry.rows = new_row[entry.rows]
 
     # -- component tracking ------------------------------------------------
-    def _join(self, fid: int, hops: List[LinkDir]) -> None:
-        """Register *fid* on *hops* and merge every component it now
-        touches, its own included, into the largest of them."""
+    def _join(self, fids: List[int], hop_lists: List[List[LinkDir]]
+              ) -> None:
+        """Register each flow of *fids* on its hops, in order, and merge
+        every component it then touches, its own included, into the
+        largest of them."""
         comp_of = self._comp_of
         comp_fids = self._comp_fids
-        touched: Dict[int, None] = {}
-        own = comp_of.get(fid)
-        if own is not None:
-            touched[own] = None
-        for hop in hops:
-            members = self._members.setdefault(hop, set())
-            if members:
-                touched[comp_of[next(iter(members))]] = None
-        for hop in hops:
-            self._members[hop].add(fid)
-            self._dirty.add(hop)
-        if not touched:
-            cid = next(self._comp_ids)
-            comp_fids[cid] = {}
-        else:
-            cid = max(touched, key=lambda c: len(comp_fids[c]))
-            group = comp_fids[cid]
-            for other in touched:
-                if other != cid:
-                    absorbed = comp_fids.pop(other)
-                    for member in absorbed:
-                        comp_of[member] = cid
-                    group.update(absorbed)
-                    self._uncache(other)
-            # The component grew: its compiled incidence is stale.
-            self._uncache(cid)
-        comp_fids[cid][fid] = None
-        comp_of[fid] = cid
+        members_of = self._members
+        cache = self._comp_cache
+        dirty = self._dirty
+        stale = self._stale
+        for fid, hops in zip(fids, hop_lists):
+            touched: Dict[int, None] = {}
+            own = comp_of.get(fid)
+            if own is not None:
+                touched[own] = None
+            for hop in hops:
+                members = members_of.get(hop)
+                if members:
+                    touched[comp_of[next(iter(members))]] = None
+            for hop in hops:
+                members = members_of.get(hop)
+                if members is None:
+                    # A link's first flow: its capacity was never read.
+                    members_of[hop] = {fid}
+                    stale.add(hop)
+                else:
+                    members.add(fid)
+            dirty.update(hops)
+            if not touched:
+                cid = next(self._comp_ids)
+                group = comp_fids[cid] = {}
+            else:
+                cid = max(touched, key=lambda c: len(comp_fids[c])) \
+                    if len(touched) > 1 else next(iter(touched))
+                group = comp_fids[cid]
+                for other in touched:
+                    if other != cid:
+                        absorbed = comp_fids.pop(other)
+                        for member in absorbed:
+                            comp_of[member] = cid
+                        group.update(absorbed)
+                        self._uncache(other)
+                # The component grew: its compiled incidence is stale.
+                if cid in cache:
+                    self._uncache(cid)
+            group[fid] = None
+            comp_of[fid] = cid
 
     def _split(self, cid: int, entry: _CompEntry) -> None:
         """Re-key component *cid* into the connected pieces of its live
@@ -818,9 +1012,10 @@ class FabricEngine:
         else:
             factors = {}
         for hop in set(factors) | set(self._pfc_factors):
-            if factors.get(hop, 1.0) != self._pfc_factors.get(hop, 1.0) \
-                    and self._members.get(hop):
-                self._dirty.add(hop)
+            if factors.get(hop, 1.0) != self._pfc_factors.get(hop, 1.0):
+                self._stale.add(hop)
+                if self._members.get(hop):
+                    self._dirty.add(hop)
         self._pfc_factors = factors
 
     def _effective_capacity(self, hop: LinkDir) -> float:
@@ -844,23 +1039,24 @@ class FabricEngine:
             # occupied link as touched (capacities must be re-read),
             # and reroute any flow whose path crosses a dead link.
             self._topo_version = topo.version
-            for hop, members in self._members.items():
-                if members:
-                    self._dirty.add(hop)
+            self._stale.update(self._members)
+            self._dirty.update(hop for hop, members in self._members.items()
+                               if members)
             self._failover()
         if self.pfc_spreading:
             self._refresh_pfc_factors()
         index = self._index
-        # One member flow per occupied dirty link names its component.
-        reps: List[int] = []
-        for hop in self._dirty:
-            # Refresh exactly the dirtied columns, so the persistent
-            # capacity array is always current by the time a component
-            # gathers from it.
+        # Re-read exactly the dirtied links whose capacity may have
+        # changed since their last read, so the persistent capacity
+        # array is current wherever a component gathers from it.
+        reread = self._dirty & self._stale
+        for hop in reread:
             index.set_capacity(hop, self._effective_capacity(hop))
-            members = self._members.get(hop)
-            if members:
-                reps.append(next(iter(members)))
+        self._stale -= reread
+        # One member flow per occupied dirty link names its component.
+        members_of = self._members
+        reps = [next(iter(members_of[hop])) for hop in self._dirty
+                if members_of[hop]]
         self._dirty.clear()
         cids = self._dirtied_components(reps) if reps else []
         # Every block member that leaves in this solve has left by now,
@@ -1054,7 +1250,10 @@ class FabricEngine:
                     f"fabric engine made no progress: {self._stalls} "
                     f"deadline events at t={now!r} completed no flow; "
                     f"flows with a deadline at or before it: {stuck}")
-        self._arm_deadline()
+        if not self._solve_pending:
+            # A pending solve (requested by the completions) runs at
+            # this instant, before any later deadline, and re-arms.
+            self._arm_deadline()
 
     def _reaim_expired(self, now: float) -> None:
         """Settle the flows whose deadline is ``now`` but which are
@@ -1073,7 +1272,6 @@ class FabricEngine:
             return
         target = now + fluid.rem[rows] / (fluid.rate[rows] * 1e9)
         done = target == now
-        done_fids = [fluid.fids[row] for row in rows[done].tolist()]
         fluid.deadline[rows[~done]] = target[~done]
-        for fid in done_fids:
-            self._complete(fid)
+        if done.any():
+            self._complete_many(rows[done])

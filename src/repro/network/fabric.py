@@ -232,26 +232,25 @@ class Fabric:
         flows = list({flow.flow_id: flow for flow in flows}.values())
         if paths is None:
             paths = self.resolve_paths(flows)
-        sized = [flow for flow in flows if flow.size_bits > 0]
-        # Record peak loads for the congestion monitor (first epoch is
-        # the most loaded: every flow still active).
-        link_loads = self._loads_for(sized, paths)
         capacity_factors = None
         if pfc_spreading:
             from .congestion import CongestionModel
             capacity_factors = CongestionModel().pfc_capacity_factors(
-                link_loads, self.topology)
+                self._loads_for([flow for flow in flows
+                                 if flow.size_bits > 0], paths),
+                self.topology)
 
         engine = FabricEngine(self, capacity_factors=capacity_factors)
-        for flow in flows:
-            engine.submit(flow, path=paths.get(flow.flow_id),
-                          start_time_s=0.0)
+        engine.submit_many(flows, paths=paths, start_time_s=0.0)
         run = engine.run()
+        # The engine's offered loads are those of every sized flow on
+        # its given path: the peak, first-epoch loads the congestion
+        # monitor reads (every flow is still active then).
         return FabricRun(
             total_time_s=run.total_time_s,
             finish_times_s=run.finish_times_s,
             paths=paths,
-            link_loads=link_loads,
+            link_loads=run.link_loads,
         )
 
     # -- load accounting ---------------------------------------------------------

@@ -111,6 +111,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -324,18 +325,21 @@ class CompiledIncidence:
         return self.l_rows[
             _concat_ranges(indptr[cols], self.l_lens[cols])]
 
-    def retire(self, fid: int) -> bool:
-        """Mark *fid*'s row dead and drop its memberships from the
-        active counts.  Returns False when the flow is not a live row
-        of this problem."""
-        row = self.row_of.get(fid)
-        if row is None or not self.alive[row]:
-            return False
-        self.alive[row] = False
-        self.n_alive -= 1
-        cols = self.mem_cols[self.indptr[row]:self.indptr[row + 1]]
-        _np.subtract.at(self.base_count, cols, 1)
-        return True
+    def retire(self, fids: Iterable[int]) -> int:
+        """Mark the live rows of *fids* dead and drop their memberships
+        from the active counts, with one scatter.  Ids that are not a
+        live row of this problem are skipped; returns how many rows
+        were retired."""
+        row_of = self.row_of
+        alive = self.alive
+        rows = [row for row in {row_of.get(fid) for fid in fids}
+                if row is not None and alive[row]]
+        if rows:
+            rows = _np.array(rows, dtype=_np.int64)
+            alive[rows] = False
+            self.n_alive -= rows.shape[0]
+            _np.subtract.at(self.base_count, self.rows_cols(rows), 1)
+        return len(rows)
 
     def live_pieces(self) -> List[Any]:
         """The live rows, split into the connected pieces they form.
@@ -345,45 +349,43 @@ class CompiledIncidence:
         ascending row array per piece, ordered by first row (none when
         no row is live).
 
-        Min-label propagation: every column takes the least label of
-        its live rows, every row the least label of its columns, then
-        pointer jumping (a label is a row index no larger than its
-        row's, so ``label[label]`` never rises) collapses chains.  At
-        the fixed point each piece carries its first row as its label.
+        Hook and compress over the graph whose vertices are the rows
+        and the columns (column *c* is vertex ``n_rows + c``) and whose
+        edges are the live rows' memberships.  Each round hooks, for
+        every edge whose ends still have different roots, the larger
+        root onto the smaller (``np.minimum.at``), then pointer-jumps
+        until every vertex points at its root.  A vertex only ever
+        points at a smaller one, so a piece's root is its least vertex,
+        its first row, and the rounds end when no edge joins two roots.
         """
         np_ = _np
         n = self.n_rows
         live = np_.flatnonzero(self.alive)
-        nnz = self.nnz
-        if live.shape[0] <= 1 or nnz == 0:
+        if live.shape[0] <= 1 or self.nnz == 0:
             return [live[i:i + 1] for i in range(live.shape[0])]
-        # label[n] is the sentinel dead rows point at: it is larger
-        # than every live label, so it never lowers a column.
-        label = np_.full(n + 1, n, dtype=np_.int64)
-        label[live] = live
-        dead = np_.flatnonzero(~self.alive)
-        # reduceat runs over non-empty segments only: rows without
-        # memberships keep their own label, columns without members
-        # are never read.
-        cols = np_.flatnonzero(self.l_lens)
-        col_starts = self.l_indptr[cols]
-        rows = np_.flatnonzero(self.row_lens)
-        row_starts = self.indptr[rows]
-        col = np_.full(self.n_links, n, dtype=np_.int64)
+        owner = np_.repeat(np_.arange(n, dtype=np_.int64), self.row_lens)
+        kept = self.alive[owner]
+        ends_a = owner[kept]
+        ends_b = self.mem_cols[kept] + n
+        parent = np_.arange(n + self.n_links, dtype=np_.int64)
         while True:
-            col[cols] = np_.minimum.reduceat(label[self.l_rows], col_starts)
-            new = label.copy()
-            new[rows] = np_.minimum.reduceat(col[self.mem_cols], row_starts)
-            new[dead] = n
-            while True:
-                jumped = new[new]
-                if np_.array_equal(jumped, new):
-                    break
-                new = jumped
-            if np_.array_equal(new, label):
+            root_a = parent[ends_a]
+            root_b = parent[ends_b]
+            apart = np_.flatnonzero(root_a != root_b)
+            if not apart.shape[0]:
                 break
-            label = new
-        labels = label[live]
+            ends_a = ends_a[apart]
+            ends_b = ends_b[apart]
+            root_a = root_a[apart]
+            root_b = root_b[apart]
+            np_.minimum.at(parent, np_.maximum(root_a, root_b),
+                           np_.minimum(root_a, root_b))
+            while True:
+                jumped = parent[parent]
+                if np_.array_equal(jumped, parent):
+                    break
+                parent = jumped
+        labels = parent[live]
         order = np_.argsort(labels, kind="stable")
         cuts = np_.flatnonzero(np_.diff(labels[order])) + 1
         return np_.split(live[order], cuts)
@@ -703,9 +705,10 @@ class IncidenceIndex:
 
     Directed links get stable integer columns on first occupancy; the
     per-column effective capacity is patched in place as links fail,
-    degrade, or change PFC factors (the engine patches exactly its
-    dirty links).  Per-flow column arrays are registered once per
-    arrival/reroute, so compiling a component is a pure array
+    degrade, or change PFC factors (the engine patches exactly the
+    links whose capacity may have changed).  Per-flow column arrays are
+    registered once per arrival instant or reroute
+    (:meth:`register_flows`), so compiling a component is a pure array
     concatenation plus one ``np.unique`` — no per-membership python.
     """
 
@@ -730,10 +733,23 @@ class IncidenceIndex:
     def set_capacity(self, hop: Hop, value: float) -> None:
         self._capacity[self.ensure_col(hop)] = value
 
-    def register_flow(self, fid: int, hops: Sequence[Hop]) -> None:
-        self._flow_cols[fid] = _np.fromiter(
-            (self.ensure_col(hop) for hop in hops),
-            dtype=_np.int64, count=len(hops))
+    def register_flows(self, fids: Sequence[int],
+                       hop_lists: Sequence[Sequence[Hop]]) -> None:
+        """Give each flow of *fids* the columns of its hops, in one
+        pass: a hop seen for the first time gets the next column, in
+        the order the flows and their hops come."""
+        col_of = self._col_of
+        cols: List[int] = []
+        for hops in hop_lists:
+            for hop in hops:
+                col = col_of.get(hop)
+                cols.append(self.ensure_col(hop) if col is None else col)
+        flat = _np.array(cols, dtype=_np.int64)
+        flow_cols = self._flow_cols
+        end = 0
+        for fid, hops in zip(fids, hop_lists):
+            start, end = end, end + len(hops)
+            flow_cols[fid] = flat[start:end]
 
     def drop_flow(self, fid: int) -> None:
         self._flow_cols.pop(fid, None)

@@ -192,7 +192,13 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
-        self._counter = itertools.count()
+        #: events scheduled so far; each one's count is its tiebreak
+        #: key, so a caller that sees it unchanged knows nothing was
+        #: queued behind its own last event since (:meth:`call_first`
+        #: events go ahead of everything and are not counted).
+        self.scheduled = 0
+        #: keys of :meth:`call_first` events, below every scheduled key.
+        self._first = itertools.count(-1, -1)
 
     @property
     def now(self) -> float:
@@ -204,7 +210,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {at} before now={self._now}"
             )
-        heapq.heappush(self._queue, (at, next(self._counter), event))
+        self.scheduled += 1
+        heapq.heappush(self._queue, (at, self.scheduled, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -225,6 +232,21 @@ class Simulator:
         event = Event(self, name=f"timeout_at({at})", value=value)
         event._triggered = True
         self._schedule(at, event)
+        return event
+
+    def call_first(self, fn: Callable[[Event], None]) -> Event:
+        """Run *fn* as the next event, ahead of everything queued.
+
+        The event fires at the current time, before any event already
+        in the queue (a later ``call_first`` goes before an earlier
+        one).  An event handler that raises part-way through its work
+        can put the rest back where its own event stood: every event
+        queued for this instant ahead of it has already fired.
+        """
+        event = Event(self, name="call_first")
+        event._triggered = True
+        event.add_callback(fn)
+        heapq.heappush(self._queue, (self._now, next(self._first), event))
         return event
 
     def event(self, name: str = "") -> Event:

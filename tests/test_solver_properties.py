@@ -186,9 +186,10 @@ class TestVectorBackend:
         hops_of, capacity = problem
         inc = compile_problem(hops_of, capacity)
         fids = list(hops_of)
-        for fid in data.draw(st.lists(st.sampled_from(fids),
-                                      max_size=len(fids))):
-            inc.retire(fid)
+        # One batched retire, repeats included: each row retires once.
+        gone = data.draw(st.lists(st.sampled_from(fids),
+                                  max_size=len(fids)))
+        assert inc.retire(gone) == len(set(gone))
         remaining = np.fromiter(capacity.values(), dtype=np.float64)
         py_stats = SolverStats()
         vec_stats = SolverStats()
@@ -226,7 +227,7 @@ class TestLivePieces:
         fids = list(hops_of)
         for fid in data.draw(st.lists(st.sampled_from(fids),
                                       max_size=len(fids))):
-            inc.retire(fid)
+            inc.retire([fid])
         live = [fid for fid in fids if inc.alive[inc.row_of[fid]]]
         pieces = [[inc.fids[row] for row in rows.tolist()]
                   for rows in inc.live_pieces()]
@@ -248,7 +249,7 @@ class TestLivePieces:
         inc = compile_problem(hops_of, capacity)
         assert [rows.tolist() for rows in inc.live_pieces()] \
             == [list(range(40))]
-        inc.retire(17)
+        inc.retire([17])
         assert [rows.tolist() for rows in inc.live_pieces()] \
             == [list(range(17)), list(range(18, 40))]
 
@@ -296,8 +297,7 @@ class TestWarmStart:
             fill(kernel, inc, cap.copy(), record)
             visits[kernel] = []
             for batch in batches:
-                for fid in batch:
-                    inc.retire(fid)
+                inc.retire(batch)
                 stats = SolverStats()
                 warm = fill(kernel, inc, cap.copy(), record, stats)
                 cold, cold_record = cold_fill(kernel, inc, cap)
@@ -327,8 +327,7 @@ class TestWarmStart:
             inc = compile_problem(hops_of, capacity)
             record = FillRecord(inc)
             fill(kernel, inc, cap.copy(), record)
-            for fid in retired:
-                inc.retire(fid)
+            inc.retire(retired)
             remaining = record.resume(inc, changed.copy())
             assert record.shares == []
             assert (record.round_of == -1).all()
@@ -362,7 +361,7 @@ class TestWarmStart:
             record = FillRecord(inc)
             fill(kernel, inc, cap.copy(), record)
             assert record.shares == [-1.5, -1.0]
-            inc.retire(2)
+            inc.retire([2])
             warm = fill(kernel, inc, cap.copy(), record)
             assert record.shares == [-2.0, -1.5]
             assert bits(warm) == bits(cold_fill(kernel, inc, cap)[0])
@@ -383,7 +382,7 @@ def index_problems(problems, shared):
         group = []
         for hops in hops_of.values():
             fid = sum(map(len, groups)) + len(group)
-            index.register_flow(fid, [name(hop) for hop in hops])
+            index.register_flows([fid], [[name(hop) for hop in hops]])
             group.append(fid)
         groups.append(group)
     return index, groups
@@ -450,7 +449,7 @@ class TestBlockFill:
             # the problem out of the block.
             for fid in data.draw(st.lists(st.sampled_from(group),
                                           unique=True)):
-                assert block.inc.retire(fid) and own.inc.retire(fid)
+                assert block.inc.retire([fid]) and own.inc.retire([fid])
             inc, l2g, part_record = block.component(k, record)
             assert_same_problem(inc, own.inc)
             assert l2g.tolist() == own.l2g.tolist()
