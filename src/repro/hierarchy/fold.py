@@ -95,7 +95,11 @@ def pod_local_params(params: AstralParams, n_blocks: int) -> AstralParams:
 
 
 class EngineRunner:
-    """Runs (and memoises) exact sub-simulations; tracks fold stats."""
+    """Runs (and memoises) exact sub-simulations; tracks fold stats.
+
+    A sub-simulation keeps only its per-job outcomes, so its
+    :class:`MultiJobRun` names no telemetry store and collects none.
+    """
 
     def __init__(self) -> None:
         self._memo: Dict[Tuple, Dict[str, JobOutcome]] = {}

@@ -1,11 +1,12 @@
 """Simulated monitored training job: the telemetry generator.
 
 Runs a training job on the flow-level fabric with optional fault
-injection, and drives the full-stack collectors.  This plays the role
-the *actual production cluster* plays for the real Astral monitoring
-system: it is where root-cause perturbations (a dead optical link, a
-misconfigured switch, a broken PCIe) turn into the layered symptoms the
-analyzer has to untangle.
+injection, and drives the full-stack collectors into a named
+:class:`TelemetryStore`.  This plays the role the *actual production
+cluster* plays for the real Astral monitoring system: it is where
+root-cause perturbations (a dead optical link, a misconfigured switch,
+a broken PCIe) turn into the layered symptoms the analyzer has to
+untangle.
 
 The job runs as a *process* on the shared simcore clock: each iteration
 is a compute timeout followed by a collective submitted to the
@@ -16,6 +17,13 @@ tenants genuinely overlap in time and faults can strike at timestamps
 The simulator keeps ground truth (the injected fault) strictly apart
 from what it writes into the :class:`TelemetryStore`; the analyzer sees
 only the store, so localization accuracy can be scored honestly.
+
+Telemetry is collected only where a store is named.  A job given no
+store still computes everything its iteration times, errCQEs and
+abort/hang decisions read, but builds no offered-load map, evaluates
+no congestion and feeds no collector: a sub-simulation that keeps only
+iteration times (:class:`~repro.monitoring.multijob.MultiJobRun` with
+no store) pays for none of the monitoring stack.
 """
 
 from __future__ import annotations
@@ -30,10 +38,10 @@ from ..network.collectives import (
     all_to_all_flows,
     ring_allreduce_flows,
 )
-from ..network.congestion import CongestionModel
+from ..network.congestion import CongestionModel, LinkCongestion
 from ..network.engine import FabricEngine
-from ..network.fabric import Fabric
-from ..network.flows import Flow
+from ..network.fabric import Fabric, LinkDir
+from ..network.flows import Flow, FlowPath
 from ..network.routing import RoutingError
 from ..simcore import Simulator
 from .collectors.base import HostState, IterationSnapshot
@@ -86,7 +94,13 @@ class JobResult:
 
 
 class MonitoredTrainingJob:
-    """Run a (possibly faulty) training job and collect full telemetry."""
+    """Run a (possibly faulty) training job and collect full telemetry.
+
+    *store* is where the job's telemetry goes; ``None`` collects none
+    when the job runs as a :meth:`process` of someone else's clock.
+    :meth:`run` names a fresh store when given none, because the
+    :class:`JobResult` it returns *is* the telemetry.
+    """
 
     def __init__(self, fabric: Fabric, config: JobConfig,
                  fault: Optional[FaultSpec] = None,
@@ -101,7 +115,7 @@ class MonitoredTrainingJob:
         self.fabric = fabric
         self.config = config
         self.fault = fault
-        self.store = store or TelemetryStore()
+        self.store = store
         self.congestion = congestion or CongestionModel()
         self._rng = random.Random(config.seed)
         self._fault_applied = False
@@ -124,6 +138,8 @@ class MonitoredTrainingJob:
     # -- public API -----------------------------------------------------------
     def run(self) -> JobResult:
         """Run the job to completion on a private simulator clock."""
+        if self.store is None:
+            self.store = TelemetryStore()
         expected_compute, expected_comm = self._expected_times()
         metadata = self._register_metadata()
         collector = FullStackCollector(self.fabric.topology)
@@ -152,7 +168,8 @@ class MonitoredTrainingJob:
         )
 
     def process(self, sim: Simulator, engine: FabricEngine,
-                collector: FullStackCollector, metadata: JobMetadata,
+                collector: Optional[FullStackCollector],
+                metadata: JobMetadata,
                 snapshots: List[IterationSnapshot],
                 start_time_s: Optional[float] = None):
         """The job as a simcore process generator.
@@ -160,8 +177,10 @@ class MonitoredTrainingJob:
         Per iteration: compute phase (a timeout for the slowest host's
         compute), then the collective submitted to the shared
         :class:`FabricEngine` — so co-scheduled tenants' flows contend
-        for bandwidth exactly while both are communicating.  Collected
-        snapshots are appended to *snapshots* as they happen.
+        for bandwidth exactly while both are communicating.  Snapshots
+        are appended to *snapshots* as they happen; *collector* feeds
+        each one into the job's store, and is ``None`` exactly when the
+        job has no store.
         """
         start = self.config.start_time_s if start_time_s is None \
             else start_time_s
@@ -194,7 +213,8 @@ class MonitoredTrainingJob:
             self._apply_flow_faults(flows, failed, snap, now=sim.now)
 
             self._finish_iteration(snap)
-            collector.collect(snap, self.store)
+            if self.store is not None:
+                collector.collect(snap, self.store)
             snapshots.append(snap)
             if snap.aborted or not snap.completed:
                 break
@@ -202,25 +222,20 @@ class MonitoredTrainingJob:
     def _record_comm(self, engine: FabricEngine,
                      snap: IterationSnapshot, routable: List[Flow],
                      comm_start: float) -> None:
-        """Fold the engine's finish times back into the snapshot."""
+        """Fold the engine's finish times back into the snapshot.
+
+        Paths always land in the snapshot (switch drops turn into
+        errCQEs through them); congestion states only when a store will
+        collect them.
+        """
         paths = {}
         for flow in routable:
             path = engine.path_of(flow.flow_id)
             if path is not None:
                 paths[flow.flow_id] = path
-        # Congestion is what the switches observe *now*: this job's
-        # collective plus whatever other tenants still have in flight.
-        others = [flow for flow in engine.active_flows()
-                  if flow.flow_id not in paths]
-        all_paths = dict(paths)
-        for flow in others:
-            path = engine.path_of(flow.flow_id)
-            if path is not None:
-                all_paths[flow.flow_id] = path
-        loads = self.fabric._loads_for(
-            routable + [flow for flow in others
-                        if flow.flow_id in all_paths], all_paths)
-        snap.congestion = self.congestion.evaluate_all(loads)
+        if self.store is not None:
+            snap.congestion = self._congestion_now(engine, routable,
+                                                   paths)
         snap.flows.extend(routable)
         snap.paths.update(paths)
         for flow in routable:
@@ -232,6 +247,23 @@ class MonitoredTrainingJob:
                 if host in snap.hosts:
                     snap.hosts[host].comm_time_s = max(
                         snap.hosts[host].comm_time_s, comm)
+
+    def _congestion_now(self, engine: FabricEngine, routable: List[Flow],
+                        paths: Dict[int, FlowPath]
+                        ) -> Dict[LinkDir, LinkCongestion]:
+        """What the switches observe *now*: this job's collective plus
+        whatever other tenants still have in flight."""
+        others = [flow for flow in engine.active_flows()
+                  if flow.flow_id not in paths]
+        all_paths = dict(paths)
+        for flow in others:
+            path = engine.path_of(flow.flow_id)
+            if path is not None:
+                all_paths[flow.flow_id] = path
+        loads = self.fabric._loads_for(
+            routable + [flow for flow in others
+                        if flow.flow_id in all_paths], all_paths)
+        return self.congestion.evaluate_all(loads)
 
     def _arm_timed_fault(self, sim: Simulator, engine: FabricEngine,
                          metadata: JobMetadata) -> None:
@@ -299,7 +331,8 @@ class MonitoredTrainingJob:
         metadata = JobMetadata(job=self.config.name,
                                hosts=list(self.config.hosts),
                                comm_groups=[group])
-        self.store.register_job(metadata)
+        if self.store is not None:
+            self.store.register_job(metadata)
         return metadata
 
     # -- fault machinery ---------------------------------------------------------

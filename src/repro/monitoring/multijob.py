@@ -11,6 +11,11 @@ and whenever two tenants are communicating *at the same simulated
 time* their flows contend for bandwidth — so a fault injected into one
 tenant's job measurably degrades the innocent tenants, for exactly as
 long as the storm lasts.
+
+Telemetry is collected only where a store is named: a run given a
+:class:`TelemetryStore` feeds every tenant's four-layer stack into it,
+and a run given none (every hierarchy sub-simulation and flat
+reference) computes only its per-job :class:`JobOutcome`.
 """
 
 from __future__ import annotations
@@ -55,7 +60,12 @@ class JobOutcome:
 
 
 class MultiJobRun:
-    """Co-schedule several monitored jobs on one shared fabric."""
+    """Co-schedule several monitored jobs on one shared fabric.
+
+    *store*, when named, receives every tenant's telemetry as it is
+    collected; with ``None`` (the default) the run collects none, and
+    its outcomes are the same bit for bit.
+    """
 
     @classmethod
     def from_cluster(cls, fabric: Fabric, records,
@@ -112,7 +122,7 @@ class MultiJobRun:
         if len(set(names)) != len(names):
             raise ValueError("job names must be unique")
         self.fabric = fabric
-        self.store = store or TelemetryStore()
+        self.store = store
         self.congestion = CongestionModel()
         faults = faults or {}
         self._jobs = [
@@ -131,7 +141,8 @@ class MultiJobRun:
         other tenants traverse exactly while the storm's traffic is on
         them (§5 incident).
         """
-        collector = FullStackCollector(self.fabric.topology)
+        collector = None if self.store is None \
+            else FullStackCollector(self.fabric.topology)
         sim = Simulator()
         engine = FabricEngine(self.fabric, sim=sim, pfc_spreading=True,
                               congestion=self.congestion)

@@ -570,6 +570,20 @@ def fill_rates_python(inc: CompiledIncidence, remaining,
     return _np.array(rates, dtype=_np.float64)
 
 
+def _sorted_unique(values):
+    """``np.unique(values)`` of a 1-d integer array the caller owns,
+    which it sorts in place.  ``np.unique``'s wrapper chain costs more
+    than a whole small array, and its masked-array test imports
+    ``numpy.ma`` on first use."""
+    values.sort(kind="stable")
+    if values.shape[0] < 2:
+        return values
+    keep = _np.empty(values.shape[0], dtype=bool)
+    keep[0] = True
+    _np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def progressive_fill_vector(inc: CompiledIncidence, remaining,
                             line_rate: float,
                             stats: Optional[SolverStats] = None,
@@ -635,16 +649,8 @@ def progressive_fill_vector(inc: CompiledIncidence, remaining,
         cand = cand[unfrozen[cand]]
         # A flow crossing several tied links must freeze (and
         # subtract) exactly once — same dedupe as the reference's
-        # frozen_now set union (inlined sorted-unique: ``np.unique``'s
-        # wrapper chain costs more than the whole small array).
-        cand.sort(kind="stable")
-        if cand.shape[0] > 1:
-            keep = np_.empty(cand.shape[0], dtype=bool)
-            keep[0] = True
-            np_.not_equal(cand[1:], cand[:-1], out=keep[1:])
-            rows = cand[keep]
-        else:
-            rows = cand
+        # frozen_now set union.
+        rows = _sorted_unique(cand)
         if not rows.size:
             raise SimulationError(
                 f"fill round {len(shares)} froze no row: tied columns "
@@ -813,7 +819,7 @@ class CompiledBlock:
         n_rounds = len(record.shares)
         ks = np_.arange(self.row_starts.shape[0] - 1, dtype=np_.int64)
         row_key = np_.repeat(ks, np_.diff(self.row_starts)) * n_rounds
-        keys = np_.unique(row_key + round_of)
+        keys = _sorted_unique(row_key + round_of)
         col_key = np_.repeat(ks, np_.diff(self.col_starts)) * n_rounds
         own = np_.searchsorted(keys, col_key + last) \
             - np_.searchsorted(keys, col_key)
@@ -855,7 +861,7 @@ class CompiledBlock:
         own = FillRecord(part)
         own.capacity = record.capacity[col_lo:col_hi].copy()
         frozen = record.round_of[lo:hi]
-        rounds = np_.unique(frozen)
+        rounds = _sorted_unique(frozen.copy())
         own.round_of[:] = np_.searchsorted(rounds, frozen)
         shares = record.shares
         own.shares = [shares[r] for r in rounds.tolist()]

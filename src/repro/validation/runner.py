@@ -49,6 +49,11 @@ must equal the first (**solver-backends**).  Both kernels run inside
 the same engine state machine, so on the engine profiles the
 fingerprint includes the event trace and the solver work counters
 too.
+
+The flat references of the two hierarchical profiles compare only
+per-job outcomes, so, like the hierarchy's own sub-simulations, their
+:class:`~repro.monitoring.multijob.MultiJobRun` names no telemetry
+store and collects none.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from repro.network.engine import DONE_BITS, _Block
 from repro.network.routing import PartitionError
 from repro.network.solver import (
     CompiledIncidence,
+    _sorted_unique,
     compile_component,
     solve_incidence,
 )
@@ -46,6 +47,8 @@ from repro.simcore import SimulationError, Simulator
 from repro.topology import AstralParams, build_astral
 from repro.validation import ScenarioGenerator, complete_batch
 from repro.validation.runner import _engine_fingerprint, run_case
+
+from .hashseed import outputs_under_hash_seeds
 
 
 @pytest.fixture(autouse=True)
@@ -771,6 +774,41 @@ class TestBlockFill:
             engine.submit_many(flows)
             engine.run()
         assert max(blocks) > 1
+
+
+class TestNoMaskedArrays:
+    """A plain ``np.unique`` imports ``numpy.ma`` on its first call
+    (numpy 2.4 tests its input for a mask), and a process that runs one
+    pass pays that import inside the pass.  The solver's sorted-unique
+    is ``np.unique`` without it."""
+
+    def test_sorted_unique_is_np_unique(self):
+        rng = np.random.default_rng(0)
+        for size in (0, 1, 2, 7, 64):
+            values = rng.integers(0, 9, size=size, dtype=np.int64)
+            expect = np.unique(values)
+            got = _sorted_unique(values.copy())
+            assert got.dtype == expect.dtype
+            assert got.tolist() == expect.tolist()
+
+    def test_hierarchy_run_leaves_numpy_ma_unimported(self):
+        script = (
+            "import sys\n"
+            "from repro.farm import TaskSpec, execute_spec\n"
+            "from repro.hierarchy import preset_params\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "params = preset_params('4k')\n"
+            "execute_spec(TaskSpec('hierarchy-run', {\n"
+            "    'scale': '4k', 'hosts_per_job': params.hosts_per_block,\n"
+            "    'iterations': 4, 'compute_s': 0.5, 'comm_bits': 8e9,\n"
+            "    'collective': 'allreduce', 'seed': 0, 'tail_shapes': 1,\n"
+            "    'refine': 'bounded', 'faults': 0}))\n"
+            "print('numpy.ma' in sys.modules)\n")
+        (out,) = outputs_under_hash_seeds(script, ["0"])
+        eager, after_run = out.split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy")
+        assert after_run == "False"
 
 
 class TestMidFlightController:

@@ -9,6 +9,7 @@ from repro.monitoring import (
     MonitoredTrainingJob,
     MultiJobRun,
     RootCause,
+    TelemetryStore,
     build_health_report,
 )
 from repro.network import Fabric, reset_flow_ids
@@ -84,7 +85,7 @@ class TestMultiJobReport:
                       hosts=tuple(f"p0.b1.h{i}" for i in range(4)),
                       iterations=3),
         ]
-        run = MultiJobRun(fabric, jobs)
+        run = MultiJobRun(fabric, jobs, store=TelemetryStore())
         run.run()
         report = build_health_report(run.store)
         assert {job.job for job in report.jobs} == {"a", "b"}

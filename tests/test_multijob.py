@@ -3,7 +3,8 @@ the parallelism sweep planner."""
 
 import pytest
 
-from repro.monitoring import FaultSpec, JobConfig, MultiJobRun
+from repro.monitoring import (FaultSpec, JobConfig, MultiJobRun,
+                              TelemetryStore)
 from repro.network import (
     CongestionModel,
     Fabric,
@@ -76,7 +77,8 @@ class TestMultiJobRun:
 
     def test_shared_store_carries_both_jobs(self):
         fabric = Fabric(build_astral(AstralParams.small()))
-        run = MultiJobRun(fabric, _jobs(iterations=2))
+        run = MultiJobRun(fabric, _jobs(iterations=2),
+                          store=TelemetryStore())
         run.run()
         jobs_seen = {r.job for r in run.store.nccl_timeline}
         assert jobs_seen == {"tenantA", "tenantB"}
