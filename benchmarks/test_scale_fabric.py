@@ -11,7 +11,8 @@ grow.
 import pytest
 
 from repro.core import GpuAllocator, PlacementPolicy
-from repro.network import Fabric, reset_flow_ids, run_collective
+from repro.network import (Fabric, all_to_all_flows, reset_flow_ids,
+                           run_collective)
 from repro.topology import AstralParams, DeviceKind, build_astral
 
 #: 1 pod x 16 blocks x 32 hosts x 8 GPUs = 4096 GPUs.
@@ -48,12 +49,13 @@ def test_scale_collective(benchmark, topo, series_printer):
     def run():
         reset_flow_ids()
         fabric = Fabric(topo)
-        allocation = GpuAllocator(topo).allocate(
-            "big", 64, PlacementPolicy.FRAGMENTED)
-        return run_collective(fabric, allocation.endpoints(rail=0),
-                              64e9, "all_to_all")
+        endpoints = GpuAllocator(topo).allocate(
+            "big", 64, PlacementPolicy.FRAGMENTED).endpoints(rail=0)
+        return fabric, endpoints, run_collective(fabric, endpoints, 64e9,
+                                                 "all_to_all")
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    fabric, endpoints, result = benchmark.pedantic(run, rounds=1,
+                                                   iterations=1)
     series_printer(
         "Scale: 64-host all-to-all on the 4096-GPU pod",
         [("flows", 64 * 63),
@@ -61,4 +63,9 @@ def test_scale_collective(benchmark, topo, series_printer):
          ("algo bandwidth (Gbps)", result.algo_bandwidth_gbps)],
         ["metric", "value"])
     assert result.network_time_s > 0
-    assert result.run.max_link_utilization() > 0
+    # The same flows again (same ids), loaded onto the paths they took.
+    reset_flow_ids()
+    flows = all_to_all_flows(endpoints, 64e9)
+    assert set(result.run.paths) == {flow.flow_id for flow in flows}
+    loads = fabric.offered_loads(flows, result.run.paths)
+    assert max(load.utilization for load in loads.values()) > 0

@@ -104,8 +104,7 @@ class MonitoredTrainingJob:
 
     def __init__(self, fabric: Fabric, config: JobConfig,
                  fault: Optional[FaultSpec] = None,
-                 store: Optional[TelemetryStore] = None,
-                 congestion: Optional[CongestionModel] = None):
+                 store: Optional[TelemetryStore] = None):
         if not config.hosts:
             raise ValueError("job needs at least one host")
         if fault is not None:
@@ -116,7 +115,7 @@ class MonitoredTrainingJob:
         self.config = config
         self.fault = fault
         self.store = store
-        self.congestion = congestion or CongestionModel()
+        self.congestion = CongestionModel()
         self._rng = random.Random(config.seed)
         self._fault_applied = False
         self._crashed_hosts: set = set()
@@ -260,7 +259,7 @@ class MonitoredTrainingJob:
             path = engine.path_of(flow.flow_id)
             if path is not None:
                 all_paths[flow.flow_id] = path
-        loads = self.fabric._loads_for(
+        loads = self.fabric.offered_loads(
             routable + [flow for flow in others
                         if flow.flow_id in all_paths], all_paths)
         return self.congestion.evaluate_all(loads)

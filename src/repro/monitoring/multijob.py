@@ -10,7 +10,9 @@ collectives land on one :class:`~repro.network.engine.FabricEngine`,
 and whenever two tenants are communicating *at the same simulated
 time* their flows contend for bandwidth — so a fault injected into one
 tenant's job measurably degrades the innocent tenants, for exactly as
-long as the storm lasts.
+long as the storm lasts.  The engine runs with ``pfc_spreading=True``,
+the one PFC model: it re-derives the backpressure factors from the
+flows in flight at every solve.
 
 Telemetry is collected only where a store is named: a run given a
 :class:`TelemetryStore` feeds every tenant's four-layer stack into it,
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..network.congestion import CongestionModel
 from ..network.engine import FabricEngine
 from ..network.fabric import Fabric
 from ..simcore import Simulator
@@ -123,7 +124,6 @@ class MultiJobRun:
             raise ValueError("job names must be unique")
         self.fabric = fabric
         self.store = store
-        self.congestion = CongestionModel()
         faults = faults or {}
         self._jobs = [
             MonitoredTrainingJob(fabric, config,
@@ -144,8 +144,7 @@ class MultiJobRun:
         collector = None if self.store is None \
             else FullStackCollector(self.fabric.topology)
         sim = Simulator()
-        engine = FabricEngine(self.fabric, sim=sim, pfc_spreading=True,
-                              congestion=self.congestion)
+        engine = FabricEngine(self.fabric, sim=sim, pfc_spreading=True)
         outcomes: Dict[str, JobOutcome] = {}
         snapshots: Dict[str, List[IterationSnapshot]] = {}
         metadata = {}

@@ -69,10 +69,9 @@ class PingmeshReport:
 class Pingmesh:
     """Active prober over a fabric."""
 
-    def __init__(self, fabric: Fabric,
-                 congestion: Optional[CongestionModel] = None):
+    def __init__(self, fabric: Fabric):
         self.fabric = fabric
-        self.congestion = congestion or CongestionModel()
+        self.congestion = CongestionModel()
 
     def probe(self, src: str, dst: str, rail: int = 0,
               background: Optional[List[Flow]] = None) -> ProbeResult:

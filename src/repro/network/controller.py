@@ -19,7 +19,7 @@ Reproduces the two-step scheme of §2.1 footnote 1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .congestion import CongestionModel
 from .fabric import Fabric, LinkDir
@@ -50,13 +50,11 @@ class ReassignmentReport:
 class EcmpController:
     """Centralized load-balancing controller over a :class:`Fabric`."""
 
-    def __init__(self, fabric: Fabric,
-                 congestion: Optional[CongestionModel] = None,
-                 port_candidates: int = 64):
+    def __init__(self, fabric: Fabric, port_candidates: int = 64):
         self.fabric = fabric
         self.router = fabric.router
         self.hasher = fabric.router.hasher
-        self.congestion = congestion or CongestionModel()
+        self.congestion = CongestionModel()
         #: how many candidate source ports the hash simulator tries per
         #: congested flow before giving up on improving it.
         self.port_candidates = port_candidates

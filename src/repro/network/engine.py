@@ -111,6 +111,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
 import numpy as np
 
 from ..simcore import Event, SimulationError, Simulator
+from .congestion import CongestionModel
 from .fabric import Fabric, FabricRun, LinkDir
 from .flows import Flow, FlowPath
 from .routing import RoutingError
@@ -300,11 +301,13 @@ class FabricEngine:
     number of other processes (tenant job loops, controllers, fault
     injectors); all of them then observe one fabric on one clock.
 
-    ``capacity_factors`` statically scales directed links (as in
-    :meth:`Fabric.max_min_rates`); with ``pfc_spreading`` the PFC
-    backpressure multipliers are instead re-derived from the *current*
-    active-flow loads at every solve, so a tenant's storm throttles
-    exactly the links it is storming while it is storming them.
+    PFC has one model, and it is dynamic: with ``pfc_spreading`` the
+    backpressure multipliers are re-derived from the *current*
+    active-flow loads (:meth:`Fabric.offered_loads`) at every solve, so
+    a tenant's storm throttles exactly the links it is storming while
+    it is storming them.  Without it the engine never builds a load
+    map.  :meth:`set_capacity_factor` scales a link on top of that
+    (a degraded optic, a dead link).
 
     The max-min fill kernel is the one of the
     :func:`~repro.network.solver.use_backend` scope the engine is built
@@ -313,13 +316,10 @@ class FabricEngine:
     """
 
     def __init__(self, fabric: Fabric, sim: Optional[Simulator] = None,
-                 capacity_factors: Optional[Dict[LinkDir, float]] = None,
-                 pfc_spreading: bool = False,
-                 congestion=None,
-                 stats: Optional[SolverStats] = None):
+                 pfc_spreading: bool = False):
         self.fabric = fabric
         self.sim = sim or Simulator()
-        self.stats = stats or SolverStats()
+        self.stats = SolverStats()
         self.pfc_spreading = pfc_spreading
         self.backend = resolve_backend()
         self._fluid = _FluidArrays()
@@ -332,21 +332,15 @@ class FabricEngine:
         #: that completed no flow.
         self._stall_at = -1.0
         self._stalls = 0
-        if pfc_spreading:
-            from .congestion import CongestionModel
-            self._congestion = congestion or CongestionModel()
-        else:
-            self._congestion = congestion
+        self._congestion = CongestionModel()
 
         self._clock = self.sim.now
         self._states: Dict[int, _FlowState] = {}
         self._paths: Dict[int, FlowPath] = {}
-        self._flows_seen: Dict[int, Flow] = {}
         self._finish: Dict[int, float] = {}
         self._last_finish = 0.0
         self._members: Dict[LinkDir, Set[int]] = {}
-        self._static_factors: Dict[LinkDir, float] = dict(
-            capacity_factors or {})
+        self._static_factors: Dict[LinkDir, float] = {}
         self._pfc_factors: Dict[LinkDir, float] = {}
         #: links whose member set changed since the last solve.
         self._dirty: Set[LinkDir] = set()
@@ -618,14 +612,10 @@ class FabricEngine:
                 "fabric engine idle with unfinished flows; starved "
                 f"flows (rate 0): {starved or sorted(self._states)}"
                 + detail)
-        flows = [self._flows_seen[fid] for fid in self._flows_seen
-                 if self._flows_seen[fid].size_bits > 0]
-        loads = self.fabric._loads_for(flows, self._paths) if flows else {}
         return FabricRun(
             total_time_s=self._last_finish,
             finish_times_s=dict(self._finish),
             paths=dict(self._paths),
-            link_loads=loads,
         )
 
     # -- event handlers ----------------------------------------------------
@@ -657,7 +647,6 @@ class FabricEngine:
                     raise SimulationError(f"flow {fid} arrived twice")
                 if size_bits <= DONE_BITS:
                     # Zero-size transfers finish the instant they start.
-                    self._flows_seen[fid] = flow
                     self._paths.setdefault(
                         fid, path or FlowPath(flow_id=fid,
                                               devices=[flow.src_host]))
@@ -678,7 +667,6 @@ class FabricEngine:
                         self.stranded.pop(fid, None)
                         state.resolve(None)
                         continue
-                self._flows_seen[fid] = flow
                 self._paths[fid] = path
                 state.hops = self.fabric.directed_hops(path)
                 stats.link_visits += len(state.hops)
@@ -1006,7 +994,7 @@ class FabricEngine:
     def _refresh_pfc_factors(self) -> None:
         flows = [state.flow for state in self._states.values()]
         if flows:
-            loads = self.fabric._loads_for(flows, self._paths)
+            loads = self.fabric.offered_loads(flows, self._paths)
             factors = self._congestion.pfc_capacity_factors(
                 loads, self.fabric.topology)
         else:

@@ -12,11 +12,18 @@ determines by how much.
 
 A :class:`Fabric` resolves paths and directed hops, both memoized per
 flow id (:meth:`Fabric.path`, :meth:`Fabric.directed_hops`), accounts
-offered link loads, solves one max-min allocation
-(:meth:`Fabric.max_min_rates`) and completes a flow set through the
-engine (:meth:`Fabric.complete`).  It holds no integrator of its own:
-the epoch-global batch loop the engine is checked against lives in
-:mod:`repro.validation.differential`.
+offered link loads (:meth:`Fabric.offered_loads`), solves one max-min
+allocation (:meth:`Fabric.max_min_rates`) and completes a flow set
+through the engine (:meth:`Fabric.complete`).  It holds no integrator
+of its own: the epoch-global batch loop the engine is checked against
+lives in :mod:`repro.validation.differential`.
+
+A :class:`FabricRun` holds what a completion computed and nothing
+else: each flow's finish time, the last of them, and each flow's path.
+A caller that wants the offered-load map asks
+:meth:`Fabric.offered_loads` for it over the run's paths.  PFC
+congestion spreading has one model, the engine's dynamic one
+(``FabricEngine(fabric, pfc_spreading=True)``).
 
 A fabric holds no solver setting: :meth:`Fabric.max_min_rates` runs the
 fill kernel of the :func:`~repro.network.solver.use_backend` scope it is
@@ -59,23 +66,18 @@ class LinkLoad:
 
 @dataclass
 class FabricRun:
-    """Result of completing a set of flows on the fabric."""
+    """Result of completing a set of flows on the fabric: when each
+    flow finished, when the last did, and the path each one took."""
 
     total_time_s: float
     finish_times_s: Dict[int, float]
     paths: Dict[int, FlowPath]
-    link_loads: Dict[LinkDir, LinkLoad]
 
     def throughput_gbps(self, total_bits: float) -> float:
         """Aggregate goodput of the whole transfer set."""
         if self.total_time_s <= 0:
             return float("inf")
         return total_bits / self.total_time_s / 1e9
-
-    def max_link_utilization(self) -> float:
-        if not self.link_loads:
-            return 0.0
-        return max(load.utilization for load in self.link_loads.values())
 
 
 class Fabric:
@@ -207,55 +209,37 @@ class Fabric:
 
     # -- completion ------------------------------------------------------------
     def complete(self, flows: List[Flow],
-                 paths: Optional[Dict[int, FlowPath]] = None,
-                 pfc_spreading: bool = False) -> FabricRun:
+                 paths: Optional[Dict[int, FlowPath]] = None) -> FabricRun:
         """Fluid completion of *flows*, all starting at t=0.
 
         Thin batch wrapper over the event-driven
-        :class:`~repro.network.engine.FabricEngine`: every flow is
-        submitted at time zero onto a private simulator and run to
-        completion.  For simultaneous starts this reproduces the
-        classic epoch-global fluid loop exactly — same epochs and
-        bit-identical finish times, a property the validation harness
-        asserts on fuzzed scenarios against its batch oracle
-        (``repro.validation.differential.complete_batch``) — while
-        sharing one code path with the timed simulator.
-
-        With ``pfc_spreading``, PFC backpressure multipliers (computed
-        from the initial offered loads) shrink effective link
-        capacities — the lossless-fabric congestion-spreading effect.
+        :class:`~repro.network.engine.FabricEngine`: every path is
+        resolved up front, every flow is submitted at time zero onto a
+        private simulator, and the engine's run is returned.  For
+        simultaneous starts this reproduces the classic epoch-global
+        fluid loop exactly — same epochs and bit-identical finish
+        times, a property the validation harness asserts on fuzzed
+        scenarios against its batch oracle
+        (``repro.validation.differential.complete_batch``).  A flow id
+        given twice raises the engine's
+        :class:`~repro.simcore.SimulationError`.
         """
         from .engine import FabricEngine
 
-        # The legacy loop keyed everything by flow id, so duplicate ids
-        # collapsed (last wins); preserve that for the batch API.
-        flows = list({flow.flow_id: flow for flow in flows}.values())
         if paths is None:
             paths = self.resolve_paths(flows)
-        capacity_factors = None
-        if pfc_spreading:
-            from .congestion import CongestionModel
-            capacity_factors = CongestionModel().pfc_capacity_factors(
-                self._loads_for([flow for flow in flows
-                                 if flow.size_bits > 0], paths),
-                self.topology)
-
-        engine = FabricEngine(self, capacity_factors=capacity_factors)
+        engine = FabricEngine(self)
         engine.submit_many(flows, paths=paths, start_time_s=0.0)
-        run = engine.run()
-        # The engine's offered loads are those of every sized flow on
-        # its given path: the peak, first-epoch loads the congestion
-        # monitor reads (every flow is still active then).
-        return FabricRun(
-            total_time_s=run.total_time_s,
-            finish_times_s=run.finish_times_s,
-            paths=paths,
-            link_loads=run.link_loads,
-        )
+        return engine.run()
 
     # -- load accounting ---------------------------------------------------------
-    def _loads_for(self, flows: List[Flow],
-                   paths: Dict[int, FlowPath]) -> Dict[LinkDir, LinkLoad]:
+    def offered_loads(self, flows: List[Flow],
+                      paths: Optional[Dict[int, FlowPath]] = None
+                      ) -> Dict[LinkDir, LinkLoad]:
+        """Offered (pre-allocation) load per link direction of *flows*
+        on *paths* (resolved when not given), in flow order."""
+        if paths is None:
+            paths = self.resolve_paths(flows)
         loads: Dict[LinkDir, LinkLoad] = {}
         for flow in flows:
             # Offered load is the *unthrottled* demand (the NIC line
@@ -276,11 +260,3 @@ class Fabric:
         for load in loads.values():
             load.carried_gbps = min(load.offered_gbps, load.capacity_gbps)
         return loads
-
-    def offered_loads(self, flows: List[Flow],
-                      paths: Optional[Dict[int, FlowPath]] = None
-                      ) -> Dict[LinkDir, LinkLoad]:
-        """Offered (pre-allocation) load per link direction."""
-        if paths is None:
-            paths = self.resolve_paths(flows)
-        return self._loads_for(flows, paths)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .astral import AstralParams, build_astral
+from .astral import AstralParams, build_astral, host_name, tor_name
 from .elements import (
     DeviceKind,
     PortRef,
@@ -34,6 +34,21 @@ __all__ = [
     "build_full_interconnect_tier2",
     "build_rail_only",
 ]
+
+
+# Names of the switches no Astral tier has, each written once: a
+# rail-oblivious CLOS ToR, a pod-wide Agg and a core of one ungrouped
+# Core layer.  Hosts and rail ToRs are named by repro.topology.astral.
+def _clos_tor(pod: int, block: int, tor: int) -> str:
+    return f"p{pod}.b{block}.t{tor}.tor"
+
+
+def _pod_agg(pod: int, agg: int) -> str:
+    return f"p{pod}.a{agg}.agg"
+
+
+def _flat_core(core: int) -> str:
+    return f"c{core}.core"
 
 
 @dataclass(frozen=True)
@@ -83,26 +98,26 @@ def build_clos(params: ClosParams | None = None) -> Topology:
         for block in range(params.blocks_per_pod):
             for index in range(params.hosts_per_block):
                 topo.add_device(make_host(
-                    f"p{pod}.b{block}.h{index}", pod, block, index,
+                    host_name(pod, block, index), pod, block, index,
                     params.gpus_per_host, params.nic_ports,
                     params.nic_port_gbps))
             for tor in range(params.tors_per_block):
                 topo.add_device(Switch(
-                    name=f"p{pod}.b{block}.t{tor}.tor",
+                    name=_clos_tor(pod, block, tor),
                     kind=DeviceKind.TOR, pod=pod, block=block, rank=tor))
         for agg in range(params.aggs_per_pod):
             topo.add_device(Switch(
-                name=f"p{pod}.a{agg}.agg", kind=DeviceKind.AGG,
+                name=_pod_agg(pod, agg), kind=DeviceKind.AGG,
                 pod=pod, rank=agg))
     for core in range(params.cores):
         topo.add_device(Switch(
-            name=f"c{core}.core", kind=DeviceKind.CORE, rank=core))
+            name=_flat_core(core), kind=DeviceKind.CORE, rank=core))
 
     # Host -> ToR: stripe NIC ports over the block's ToRs (rail-oblivious).
     for pod in range(params.pods):
         for block in range(params.blocks_per_pod):
             for index in range(params.hosts_per_block):
-                host = f"p{pod}.b{block}.h{index}"
+                host = host_name(pod, block, index)
                 port_no = 0
                 for rail in range(params.gpus_per_host):
                     for port in range(params.nic_ports):
@@ -110,7 +125,7 @@ def build_clos(params: ClosParams | None = None) -> Topology:
                             % params.tors_per_block
                         topo.add_link(
                             PortRef(host, port_no),
-                            PortRef(f"p{pod}.b{block}.t{tor}.tor",
+                            PortRef(_clos_tor(pod, block, tor),
                                     index * params.gpus_per_host + rail),
                             params.nic_port_gbps)
                         port_no += 1
@@ -119,11 +134,11 @@ def build_clos(params: ClosParams | None = None) -> Topology:
     for pod in range(params.pods):
         for block in range(params.blocks_per_pod):
             for tor in range(params.tors_per_block):
-                tor_name = f"p{pod}.b{block}.t{tor}.tor"
+                tor_ref = _clos_tor(pod, block, tor)
                 for agg in range(params.aggs_per_pod):
                     topo.add_link(
-                        PortRef(tor_name, 10_000 + agg),
-                        PortRef(f"p{pod}.a{agg}.agg",
+                        PortRef(tor_ref, 10_000 + agg),
+                        PortRef(_pod_agg(pod, agg),
                                 block * params.tors_per_block + tor),
                         params.tor_agg_gbps)
 
@@ -135,11 +150,11 @@ def build_clos(params: ClosParams | None = None) -> Topology:
     uplink = agg_down / params.cores / params.tier3_oversubscription
     for pod in range(params.pods):
         for agg in range(params.aggs_per_pod):
-            agg_name = f"p{pod}.a{agg}.agg"
+            agg_ref = _pod_agg(pod, agg)
             for core in range(params.cores):
                 topo.add_link(
-                    PortRef(agg_name, 10_000 + core),
-                    PortRef(f"c{core}.core",
+                    PortRef(agg_ref, 10_000 + core),
+                    PortRef(_flat_core(core),
                             pod * params.aggs_per_pod + agg),
                     uplink)
     return topo
@@ -158,8 +173,8 @@ def build_full_interconnect_tier2(params: AstralParams | None = None
     params.validate()
     topo = Topology(name="tier2-full-interconnect")
 
-    # Reuse the Astral builder for hosts + ToRs by building and filtering
-    # would be awkward; construct directly with the same naming scheme.
+    # Hosts, ToRs and the links between them, names included, come
+    # from the Astral builder.
     astral = build_astral(params)
     for device in astral.devices.values():
         if device.kind in (DeviceKind.HOST, DeviceKind.TOR):
@@ -182,23 +197,23 @@ def build_full_interconnect_tier2(params: AstralParams | None = None
     for pod in range(params.pods):
         for agg in range(aggs_per_pod):
             topo.add_device(Switch(
-                name=f"p{pod}.a{agg}.agg", kind=DeviceKind.AGG,
+                name=_pod_agg(pod, agg), kind=DeviceKind.AGG,
                 pod=pod, rank=agg))
     core_count = params.core_groups * params.cores_per_group
     for core in range(core_count):
         topo.add_device(Switch(
-            name=f"c{core}.core", kind=DeviceKind.CORE, rank=core))
+            name=_flat_core(core), kind=DeviceKind.CORE, rank=core))
 
     for pod in range(params.pods):
         tor_index = 0
         for block in range(params.blocks_per_pod):
             for rail in range(params.rails):
                 for group in range(params.tor_groups):
-                    tor = f"p{pod}.b{block}.r{rail}.g{group}.tor"
+                    tor = tor_name(pod, block, rail, group)
                     for agg in range(aggs_per_pod):
                         topo.add_link(
                             PortRef(tor, 10_000 + agg),
-                            PortRef(f"p{pod}.a{agg}.agg", tor_index),
+                            PortRef(_pod_agg(pod, agg), tor_index),
                             tor_uplink)
                     tor_index += 1
         uplink = (params.agg_core_gbps / params.tier3_oversubscription
@@ -206,11 +221,11 @@ def build_full_interconnect_tier2(params: AstralParams | None = None
                   * params.rails * params.tor_groups
                   / (aggs_per_pod * core_count) * params.core_groups)
         for agg in range(aggs_per_pod):
-            agg_name = f"p{pod}.a{agg}.agg"
+            agg_ref = _pod_agg(pod, agg)
             for core in range(core_count):
                 topo.add_link(
-                    PortRef(agg_name, 20_000 + core),
-                    PortRef(f"c{core}.core",
+                    PortRef(agg_ref, 20_000 + core),
+                    PortRef(_flat_core(core),
                             pod * aggs_per_pod + agg + tors_per_pod),
                     uplink)
     return topo

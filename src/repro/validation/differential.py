@@ -60,7 +60,6 @@ def _ulp_distance(a: float, b: float) -> float:
 
 def complete_batch(fabric: Fabric, flows: List[Flow],
                    paths: Optional[Dict[int, FlowPath]] = None,
-                   pfc_spreading: bool = False,
                    stats=None) -> FabricRun:
     """Epoch-global fluid loop: re-run max-min whenever a flow
     finishes.
@@ -89,13 +88,6 @@ def complete_batch(fabric: Fabric, flows: List[Flow],
         if flow.size_bits <= 0:
             finish[flow.flow_id] = 0.0
     now = 0.0
-
-    link_loads = fabric.offered_loads(list(active.values()), paths)
-    capacity_factors = None
-    if pfc_spreading:
-        capacity_factors = CongestionModel().pfc_capacity_factors(
-            link_loads, fabric.topology)
-
     deadlines: Dict[int, float] = {}
     prev_rates: Dict[int, float] = {}
     stalls = 0
@@ -103,7 +95,6 @@ def complete_batch(fabric: Fabric, flows: List[Flow],
         rates = fabric.max_min_rates(
             list(active.values()),
             {fid: paths[fid] for fid in active},
-            capacity_factors=capacity_factors,
             stats=stats)
         if not any(rates[fid] > 0 for fid in active):
             starved = sorted(active)
@@ -160,7 +151,6 @@ def complete_batch(fabric: Fabric, flows: List[Flow],
         total_time_s=now,
         finish_times_s=finish,
         paths=paths,
-        link_loads=link_loads,
     )
 
 

@@ -365,11 +365,13 @@ def _check_collective(spec: ScenarioSpec, fast: bool) -> (List[str],
     violations += check_solution(fabric, ring)
     # Differential congestion check on the busiest port of the run.
     reset_flow_ids()
-    run = fabric.complete(ring_allreduce_flows(
-        [Endpoint(host, rail) for host in hosts], size_bits))
-    if run.link_loads and not fast:
-        busiest = max(run.link_loads.values(),
-                      key=lambda load: load.utilization)
+    ring = ring_allreduce_flows(
+        [Endpoint(host, rail) for host in hosts], size_bits)
+    run = fabric.complete(ring)
+    loads = {} if fast else fabric.offered_loads(
+        [flow for flow in ring if flow.size_bits > 0], run.paths)
+    if loads:
+        busiest = max(loads.values(), key=lambda load: load.utilization)
         violations += check_fluid_vs_packet(
             busiest.capacity_gbps, busiest.offered_gbps,
             seed=spec.seed)

@@ -10,7 +10,9 @@ seeded scenario below records, under both fill kernels:
 * the order in which ``done`` (and ``all_of``) events fire, with the
   clock, the value and the solve count at each firing — a ``done``
   that fires on the other side of a solve shows up here;
-* reroutes, stranded and cancelled flow ids and :class:`SolverStats`.
+* reroutes, stranded and cancelled flow ids and :class:`SolverStats`;
+* where all flows start at t=0, the offered loads of the sized flows
+  over the run's paths (:meth:`~repro.network.fabric.Fabric.offered_loads`).
 
 ``tests/data/engine_instants.json`` holds these values as a run of the
 engine recorded them before arrivals and completions were grouped.
@@ -122,7 +124,8 @@ class _Recorder:
                 if len(self.errors) > 20:
                     raise
 
-    def observe(self, run, loads=False):
+    def observe(self, run, flows=None):
+        """What *run* did; with *flows*, also their offered loads."""
         engine = self.engine
         out = {
             "finish": [[fid, repr(t)] for fid, t in
@@ -136,15 +139,19 @@ class _Recorder:
             "stats": engine.stats.as_dict(),
             "paths": list(run.paths),
         }
-        if loads:
-            out["loads"] = _loads(run)
+        if flows is not None:
+            out["loads"] = _loads(engine.fabric, flows, run)
         return out
 
 
-def _loads(run):
+def _loads(fabric, flows, run):
+    """The offered loads of the sized flows of *flows*, taken in the
+    order *run* holds their paths."""
+    by_id = {flow.flow_id: flow for flow in flows}
+    sized = [by_id[fid] for fid in run.paths if by_id[fid].size_bits > 0]
     return [[list(hop), load.flow_ids, repr(load.offered_gbps),
              repr(load.carried_gbps)]
-            for hop, load in run.link_loads.items()]
+            for hop, load in fabric.offered_loads(sized, run.paths).items()]
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -154,7 +161,7 @@ def _simultaneous(seed, scale="small", count=40):
     rec = _Recorder(fabric)
     flows = _flows(random.Random(seed), _hosts(fabric), count)
     rec.submit_many("all", flows, start_time_s=0.0)
-    return rec.observe(rec.run(), loads=True)
+    return rec.observe(rec.run(), flows)
 
 
 def _shared_instants(seed):
@@ -460,7 +467,7 @@ def _window_all_to_all():
                        size_bits=1e9 * rng.choice((1, 2)))
              for i, src in enumerate(hosts) for step in range(1, 6)]
     rec.submit_many("a2a", flows, start_time_s=0.0)
-    return rec.observe(rec.run(), loads=True)
+    return rec.observe(rec.run(), flows)
 
 
 def _long_stream():
@@ -477,16 +484,16 @@ def _long_stream():
     return rec.observe(rec.run())
 
 
-def _batch_complete(seed, pfc):
+def _batch_complete(seed):
     fabric = _fabric("small")
     flows = _flows(random.Random(seed), _hosts(fabric), 30)
     flows[3].size_bits = 0.0
-    run = fabric.complete(flows, pfc_spreading=pfc)
+    run = fabric.complete(flows)
     return {"finish": [[fid, repr(t)] for fid, t in
                        run.finish_times_s.items()],
             "total": repr(run.total_time_s),
             "paths": list(run.paths),
-            "loads": _loads(run)}
+            "loads": _loads(fabric, flows, run)}
 
 
 def _multijob(monkeypatch):
@@ -545,8 +552,7 @@ SCENARIOS = {
     "collective-waves": lambda mp: _collective_waves(),
     "window-all-to-all": lambda mp: _window_all_to_all(),
     "long-stream": lambda mp: _long_stream(),
-    "batch-complete-11": lambda mp: _batch_complete(11, False),
-    "batch-complete-pfc-12": lambda mp: _batch_complete(12, True),
+    "batch-complete-11": lambda mp: _batch_complete(11),
     "multijob-two-tenants": _multijob,
 }
 

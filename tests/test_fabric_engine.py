@@ -127,7 +127,7 @@ class TestBatchEquivalence:
         run = fabric.complete(list(flows))
         assert run.total_time_s == batch.total_time_s
         assert run.finish_times_s == batch.finish_times_s
-        assert set(run.link_loads) == set(batch.link_loads)
+        assert run.paths == batch.paths
 
     def test_hop_cache_reused_across_epochs(self):
         topology = build_astral(AstralParams.small())
@@ -135,14 +135,55 @@ class TestBatchEquivalence:
         rng = random.Random(3)
         flows = _random_flows(rng, _hosts(topology), 24)
         fabric.complete(flows)
-        # Each flow's hops are built once; the offered-load map reads
-        # them again from the cache.
+        # Each flow's hops are built once; a second run over the same
+        # paths reads them all from the cache.
         assert fabric.hops_cache_misses == len(flows)
-        assert fabric.hops_cache_hits >= len(flows)
         hits = fabric.hops_cache_hits
         fabric.complete(flows)
         assert fabric.hops_cache_misses == len(flows)
-        assert fabric.hops_cache_hits >= hits + 2 * len(flows)
+        assert fabric.hops_cache_hits >= hits + len(flows)
+
+    def test_repeated_flow_id_raises(self):
+        """A flow id given twice is an error, not a flow dropped
+        unseen."""
+        topology = build_astral(AstralParams.small())
+        fabric = Fabric(topology)
+        flows = _random_flows(random.Random(5), _hosts(topology), 3)
+        flows[2].flow_id = flows[0].flow_id
+        with pytest.raises(SimulationError,
+                           match=f"flow {flows[0].flow_id} arrived twice"):
+            fabric.complete(flows)
+
+
+class TestNoUnreadLoadMap:
+    """An engine builds the offered-load map only to derive PFC
+    factors: a run with PFC off never asks for one."""
+
+    def _count_load_maps(self, monkeypatch, pfc_spreading):
+        calls = []
+        offered_loads = Fabric.offered_loads
+
+        def spy(fabric, *args, **kwargs):
+            calls.append(1)
+            return offered_loads(fabric, *args, **kwargs)
+
+        monkeypatch.setattr(Fabric, "offered_loads", spy)
+        topology = build_astral(AstralParams.small())
+        fabric = Fabric(topology)
+        flows = _random_flows(random.Random(9), _hosts(topology), 24)
+        engine = FabricEngine(fabric, pfc_spreading=pfc_spreading)
+        engine.submit_many(flows[:16], start_time_s=0.0)
+        for k, flow in enumerate(flows[16:]):
+            engine.submit(flow, start_time_s=0.01 * k)
+        run = engine.run()
+        assert len(run.finish_times_s) == len(flows)
+        return len(calls)
+
+    def test_pfc_off_builds_no_load_map(self, monkeypatch):
+        assert self._count_load_maps(monkeypatch, False) == 0
+
+    def test_pfc_on_builds_load_maps(self, monkeypatch):
+        assert self._count_load_maps(monkeypatch, True) > 0
 
 
 class TestTimedBehaviour:

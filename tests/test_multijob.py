@@ -8,6 +8,7 @@ from repro.monitoring import (FaultSpec, JobConfig, MultiJobRun,
 from repro.network import (
     CongestionModel,
     Fabric,
+    FabricEngine,
     make_flow,
     reset_flow_ids,
 )
@@ -97,14 +98,20 @@ class TestPfcSpreading:
         return topology, fabric
 
     def _victim_through(self, fabric, device):
-        """A flow from h0 to another block routed through *device*."""
+        """A flow from h0 to another block routed through *device*,
+        with a flow id of its own."""
         for port in range(49152, 49152 + 256):
-            reset_flow_ids()
             flow = make_flow("p0.b0.h0", "p0.b1.h3", rail=0,
                              size_bits=8e9, src_port=port)
             if device in fabric.router.path(flow).devices:
                 return flow
         raise AssertionError(f"no victim path through {device}")
+
+    @staticmethod
+    def _finish_times(fabric, flows, pfc_spreading):
+        engine = FabricEngine(fabric, pfc_spreading=pfc_spreading)
+        engine.submit_many(flows, start_time_s=0.0)
+        return engine.run().finish_times_s
 
     def test_pause_factors_computed(self):
         topology, fabric = self._setup()
@@ -132,13 +139,13 @@ class TestPfcSpreading:
         pausing_tor = storm_path.devices[1]
         victim = self._victim_through(fabric, pausing_tor)
         flows = storm_flows + [victim]
+        ids = {flow.flow_id for flow in flows}
+        assert len(ids) == 3
 
-        plain = fabric.complete(list(flows), pfc_spreading=False)
-        for flow in flows:
-            flow.rate_gbps = 0.0
-        spread = fabric.complete(list(flows), pfc_spreading=True)
-        assert spread.finish_times_s[victim.flow_id] \
-            > plain.finish_times_s[victim.flow_id] * 1.2
+        plain = self._finish_times(fabric, flows, pfc_spreading=False)
+        spread = self._finish_times(fabric, flows, pfc_spreading=True)
+        assert set(plain) == set(spread) == ids
+        assert spread[victim.flow_id] > plain[victim.flow_id] * 1.2
 
     def test_no_pfc_no_factors(self):
         topology = build_astral(AstralParams.small())

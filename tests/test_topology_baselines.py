@@ -10,6 +10,7 @@ from repro.topology import (
     build_full_interconnect_tier2,
     build_rail_only,
 )
+from repro.topology.astral import parse_device
 
 
 class TestClos:
@@ -99,3 +100,21 @@ class TestRailOnly:
             if neighbor.tier > agg.tier
         ]
         assert uplinks == []
+
+
+class TestHostNames:
+    """Every baseline names its hosts through the Astral codec, so each
+    host parses back to its own position fields."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_clos(ClosParams.small()),
+        lambda: build_full_interconnect_tier2(AstralParams.small()),
+        lambda: build_rail_only(AstralParams.small()),
+    ], ids=["clos", "full-interconnect-tier2", "rail-only"])
+    def test_every_host_round_trips(self, build):
+        hosts = build().hosts()
+        assert hosts
+        for host in hosts:
+            assert parse_device(host.name) == (
+                host.kind, host.pod, host.block, host.rail, host.group,
+                host.rank), host.name

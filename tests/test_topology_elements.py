@@ -218,6 +218,13 @@ class TestOwnership:
                       for token in OWNED_BY_TOPOLOGY if token in text]
         assert found == []
 
+    def test_only_the_astral_codec_writes_host_names(self):
+        src = Path(repro.__file__).parent
+        writers = sorted(module.relative_to(src).as_posix()
+                         for module in src.rglob("*.py")
+                         if ".h{" in module.read_text(encoding="utf-8"))
+        assert writers == ["topology/astral.py"]
+
     def test_the_scan_sees_the_owner(self):
         text = (Path(repro.__file__).parent / "topology"
                 / "elements.py").read_text(encoding="utf-8")
